@@ -3,12 +3,15 @@
 //!
 //! The thread-per-link TCP backend (`twobit-transport`) spends two OS
 //! threads per ordered link: fine at `n = 3`, ruinous at `n = 64` (4032
-//! links → 8064 threads). This crate multiplexes *all* of a node's links
-//! over a small fixed pool of event-loop threads built on a vendored
-//! `poll(2)`/`ppoll(2)` readiness poller ([`poller`]) — no `mio`, no
-//! `libc` crate, no new dependencies. A node's thread count is
-//! `hosted processes + pool_size + 1 (dialer)`, independent of the link
-//! count.
+//! links → 8064 threads). This crate runs *all* of a node's hosted
+//! processes, with all of their links, to completion on a small fixed
+//! pool of event-loop threads built on a vendored `poll(2)`/`ppoll(2)`
+//! readiness poller ([`poller`]) — no `mio`, no `libc` crate, no new
+//! dependencies. The loop that owns a process reads its frames, runs its
+//! handler inline and batches what the handler sends, so a message never
+//! changes threads inside a node. A node's thread count is
+//! `min(pool_size, hosted processes) + 1 (dialer)`, independent of the
+//! link count.
 //!
 //! Beyond the thread-count fix, the reactor adds two capabilities the
 //! thread-per-link backend lacks:

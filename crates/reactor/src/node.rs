@@ -10,8 +10,8 @@
 //!    [`ListeningNode::local_addr`], which is how CI scripts exchange
 //!    addresses between separately started processes);
 //! 2. [`ListeningNode::join`] takes the peer map (`remote process →
-//!    address`) and starts the node: reactor pool, dialer, one process
-//!    thread per hosted process.
+//!    address`) and starts the node: the event-loop pool, with the hosted
+//!    processes dealt round-robin over it, and the dialer.
 //!
 //! Every ordered link with a locally hosted `src` gets a TCP connection —
 //! including node-internal links, which loop through the node's own
@@ -33,12 +33,12 @@ use twobit_proto::{
     OpOutcome, OpTicket, Operation, ProcessId, RegisterId, ShardSet, ShardedHistory, SystemConfig,
 };
 use twobit_runtime::{
-    process_loop, recover_process, BuildError, FlushPolicy, Incoming, Recorder, RecoveryParts,
+    recover_process, BuildError, FlushPolicy, Incoming, ProcessCore, Recorder, RecoveryParts,
 };
 
 use crate::poller::{waker_pair, Waker};
 use crate::reactor::{
-    dialer_loop, recv_owner, Cmd, DialReq, LinkSender, LinkSpec, Reactor, ReconnectPolicy, SendLink,
+    dialer_loop, Cmd, DialReq, Hosted, LinkSpec, Reactor, ReconnectPolicy, SendLink,
 };
 
 use twobit_proto::linkseq::LinkHello;
@@ -93,8 +93,11 @@ impl ReactorNodeBuilder {
     }
 
     /// Sets the reactor pool size (default 4): the number of event-loop
-    /// threads all of this node's links are multiplexed over. The node's
-    /// thread count is `hosted processes + pool + 1` regardless of link
+    /// threads this node's hosted processes — each with its handler, its
+    /// outbound links and its inbound connections — are dealt over,
+    /// clamped to the number of hosted processes (a loop with no process
+    /// would own nothing). The node's thread count is
+    /// `min(pool, hosted processes) + 1 (dialer)` regardless of link
     /// count — the property the reactor exists for.
     pub fn pool_size(mut self, pool: usize) -> Self {
         self.pool_size = pool.max(1);
@@ -216,10 +219,10 @@ impl ListeningNode {
         }
     }
 
-    /// Starts the node: spawns the reactor pool, the dialer, and one
-    /// process thread per hosted process, then dials every outbound link.
-    /// `peers` maps every process *not* hosted here to its node's bound
-    /// address.
+    /// Starts the node: spawns the reactor pool (each loop owning its
+    /// share of the hosted processes) and the dialer, then dials every
+    /// outbound link. `peers` maps every process *not* hosted here to its
+    /// node's bound address.
     ///
     /// # Errors
     ///
@@ -284,28 +287,9 @@ impl ListeningNode {
             }
         }
 
-        let pool = b.pool_size;
+        let pool = b.pool_size.min(b.local.len());
         let tag_bits = RegisterId::routing_bits(b.registers.len());
         listener.set_nonblocking(true)?;
-
-        // The link table: every ordered pair with a locally hosted src.
-        let mut specs: Vec<LinkSpec> = Vec::new();
-        let mut link_index: HashMap<(ProcessId, ProcessId), usize> = HashMap::new();
-        for &src in &b.local {
-            for j in 0..n {
-                let dst = ProcessId::new(j);
-                if dst == src {
-                    continue;
-                }
-                let addr = if local_set.contains(&dst) {
-                    self_addr
-                } else {
-                    peers[&dst]
-                };
-                link_index.insert((src, dst), specs.len());
-                specs.push(LinkSpec { src, dst, addr });
-            }
-        }
 
         let crashed: Vec<Arc<AtomicBool>> =
             (0..n).map(|_| Arc::new(AtomicBool::new(false))).collect();
@@ -313,81 +297,102 @@ impl ListeningNode {
         let (done_tx, done_rx) = unbounded::<usize>();
         let (dial_tx, dial_rx) = unbounded::<DialReq>();
 
-        // Per-thread plumbing.
+        // Deal the hosted processes over the pool. The loop that owns a
+        // process owns its handler state, its mailbox, every ordered link
+        // it sends on, and (routed there by the accepting loop) every
+        // connection toward it.
+        let mut owners: Vec<Option<usize>> = vec![None; n];
+        let mut inbox_txs: Vec<Option<Sender<Incoming<A>>>> = (0..n).map(|_| None).collect();
+        let mut procs: Vec<Vec<Hosted<A>>> = (0..pool).map(|_| Vec::new()).collect();
+        let mut links: Vec<Vec<SendLink<A::Msg>>> = (0..pool).map(|_| Vec::new()).collect();
+        let mut dials: Vec<DialReq> = Vec::new();
+        let now = Instant::now();
+        for (k, &src) in b.local.iter().enumerate() {
+            let slot = k % pool;
+            owners[src.index()] = Some(slot);
+            let (tx, mailbox) = unbounded();
+            inbox_txs[src.index()] = Some(tx);
+            let mut out = vec![None; n];
+            for dst in (0..n).map(ProcessId::new).filter(|&dst| dst != src) {
+                let addr = if local_set.contains(&dst) {
+                    self_addr
+                } else {
+                    peers[&dst]
+                };
+                let policy = b
+                    .flush_overrides
+                    .get(&(src, dst))
+                    .copied()
+                    .unwrap_or(b.flush);
+                let li = links[slot].len();
+                let mut link = SendLink::new(LinkSpec { src, dst, addr }, policy);
+                link.dialing = true; // the initial dial is enqueued below
+                links[slot].push(link);
+                out[dst.index()] = Some(li);
+                dials.push(DialReq {
+                    thread: slot,
+                    li,
+                    hello: LinkHello { src, dst },
+                    addr,
+                    attempt: 0,
+                    not_before: now,
+                });
+            }
+            let shards = ShardSet::new(src, &b.registers, &mut make);
+            procs[slot].push(Hosted {
+                core: ProcessCore::new(shards, crashed.clone(), Arc::clone(&stats), b.cache_mode),
+                mailbox,
+                out,
+                retired: false,
+            });
+        }
+        let owners: Arc<[Option<usize>]> = owners.into();
+
+        // Per-thread plumbing, then the reactors themselves.
         let mut cmd_txs = Vec::with_capacity(pool);
         let mut cmd_rxs = Vec::with_capacity(pool);
-        let mut env_txs = Vec::with_capacity(pool);
-        let mut env_rxs = Vec::with_capacity(pool);
         let mut wakers: Vec<Arc<Waker>> = Vec::with_capacity(pool);
         let mut wake_rxs = Vec::with_capacity(pool);
         for _ in 0..pool {
             let (ct, cr) = unbounded::<Cmd>();
             cmd_txs.push(ct);
             cmd_rxs.push(cr);
-            let (et, er) = unbounded();
-            env_txs.push(et);
-            env_rxs.push(er);
             let (w, wr) = waker_pair()?;
             wakers.push(w);
             wake_rxs.push(wr);
         }
-
-        // Inboxes: one per hosted process, `None` for remote slots.
-        let mut inbox_txs: Vec<Option<Sender<Incoming<A>>>> = (0..n).map(|_| None).collect();
-        let mut inbox_rxs: HashMap<usize, Receiver<Incoming<A>>> = HashMap::new();
-        for &p in &b.local {
-            let (tx, rx) = unbounded();
-            inbox_txs[p.index()] = Some(tx);
-            inbox_rxs.insert(p.index(), rx);
-        }
-
-        // Partition links over the pool and spawn the reactors.
         let mut reactor_threads = Vec::with_capacity(pool);
         let mut listener_slot = Some(listener);
-        for (slot, (cmd_rx, (env_rx, wake_rx))) in cmd_rxs
+        let parts = cmd_rxs
             .into_iter()
-            .zip(env_rxs.into_iter().zip(wake_rxs))
-            .enumerate()
-        {
-            let mut links: HashMap<usize, SendLink<A::Msg>> = HashMap::new();
-            let mut link_ids = Vec::new();
-            for (li, spec) in specs.iter().enumerate() {
-                if li % pool != slot {
-                    continue;
-                }
-                let policy = b
-                    .flush_overrides
-                    .get(&(spec.src, spec.dst))
-                    .copied()
-                    .unwrap_or(b.flush);
-                let mut link = SendLink::new(*spec, policy);
-                link.dialing = true; // the initial dial is enqueued below
-                links.insert(li, link);
-                link_ids.push(li);
+            .zip(wake_rxs)
+            .zip(procs.into_iter().zip(links));
+        for (slot, ((cmd_rx, wake_rx), (procs, links))) in parts.enumerate() {
+            let mut proc_slot = vec![None; n];
+            for (k, host) in procs.iter().enumerate() {
+                proc_slot[host.core.id().index()] = Some(k);
             }
             let reactor: Reactor<A> = Reactor {
                 slot,
-                pool_size: pool,
                 tag_bits,
                 resend_cap: b.resend_cap,
                 drain_grace: b.drain_grace,
                 stats: Arc::clone(&stats),
                 crashed: crashed.clone(),
-                inboxes: inbox_txs.clone(),
+                owners: Arc::clone(&owners),
                 cmd_rx,
                 cmd_txs: cmd_txs.clone(),
                 wakers: wakers.clone(),
                 wake_rx,
-                env_rx,
                 dial_tx: dial_tx.clone(),
                 listener: if slot == 0 {
                     listener_slot.take()
                 } else {
                     None
                 },
+                procs,
+                proc_slot,
                 links,
-                link_ids,
-                recv_links: HashMap::new(),
                 pool: BufferPool::new(),
                 done_tx: done_tx.clone(),
             };
@@ -401,47 +406,8 @@ impl ListeningNode {
             let policy = b.reconnect;
             std::thread::spawn(move || dialer_loop(&dial_rx, &cmd_txs, &wakers, policy))
         };
-        let now = Instant::now();
-        for (li, spec) in specs.iter().enumerate() {
-            let _ = dial_tx.send(DialReq {
-                thread: li % pool,
-                li,
-                hello: LinkHello {
-                    src: spec.src,
-                    dst: spec.dst,
-                },
-                addr: spec.addr,
-                attempt: 0,
-                not_before: now,
-            });
-        }
-        if !specs.is_empty() {
-            // One nudge so a parked dialer starts the mesh build.
-            wakers[0].wake();
-        }
-
-        // Process threads: the same loop as every other live backend; the
-        // outbound sinks nudge a reactor instead of a dedicated thread.
-        let mut proc_threads = Vec::with_capacity(b.local.len());
-        for &p in &b.local {
-            let shards = ShardSet::new(p, &b.registers, &mut make);
-            let inbox_rx = inbox_rxs.remove(&p.index()).expect("built above");
-            let outs: Vec<Option<LinkSender<A::Msg>>> = (0..n)
-                .map(|j| {
-                    let dst = ProcessId::new(j);
-                    link_index.get(&(p, dst)).map(|&li| LinkSender {
-                        tx: env_txs[li % pool].clone(),
-                        waker: Arc::clone(&wakers[li % pool]),
-                        li,
-                    })
-                })
-                .collect();
-            let crashed = crashed.clone();
-            let stats = Arc::clone(&stats);
-            let cache_mode = b.cache_mode;
-            proc_threads.push(std::thread::spawn(move || {
-                process_loop(shards, inbox_rx, outs, crashed, stats, cache_mode);
-            }));
+        for req in dials {
+            let _ = dial_tx.send(req);
         }
 
         Ok(ReactorNode {
@@ -450,6 +416,7 @@ impl ListeningNode {
             local: b.local,
             addr: bound_addr,
             inbox_txs,
+            owners,
             crashed,
             life: Mutex::new(vec![LifecycleState::new(); n]),
             recorder: Recorder::new(initial),
@@ -458,7 +425,6 @@ impl ListeningNode {
             op_timeout: b.op_timeout,
             pending: HashMap::new(),
             completed: HashMap::new(),
-            proc_threads,
             reactor_threads,
             dialer: Some(dialer),
             dial_tx: Some(dial_tx),
@@ -482,7 +448,10 @@ pub struct ReactorNode<A: Automaton> {
     registers: Vec<RegisterId>,
     local: Vec<ProcessId>,
     addr: SocketAddr,
+    /// Mailbox senders, one per hosted process (`None` for remote slots).
     inbox_txs: Vec<Option<Sender<Incoming<A>>>>,
+    /// Which event loop owns each hosted process (`None` for remote ones).
+    owners: Arc<[Option<usize>]>,
     crashed: Vec<Arc<AtomicBool>>,
     life: Mutex<Vec<LifecycleState>>,
     recorder: Recorder<A::Value>,
@@ -493,7 +462,6 @@ pub struct ReactorNode<A: Automaton> {
     pending: HashMap<(ProcessId, RegisterId), (OpId, Receiver<OpOutcome<A::Value>>)>,
     #[allow(clippy::type_complexity)]
     completed: HashMap<(ProcessId, RegisterId), (OpId, OpOutcome<A::Value>)>,
-    proc_threads: Vec<JoinHandle<()>>,
     reactor_threads: Vec<JoinHandle<()>>,
     dialer: Option<JoinHandle<()>>,
     dial_tx: Option<Sender<DialReq>>,
@@ -534,10 +502,32 @@ impl<A: Automaton> ReactorNode<A> {
         self.stats.lock().clone()
     }
 
-    /// Total OS threads this node runs: hosted processes + reactor pool +
-    /// the dialer. Notably *not* a function of the link count.
+    /// Total OS threads this node runs: the event-loop pool (`pool_size`,
+    /// clamped to the hosted process count) plus the dialer. Notably *not*
+    /// a function of the link count, nor — past the clamp — of how many
+    /// processes the node hosts: handlers run on the loops.
     pub fn thread_count(&self) -> usize {
-        self.proc_threads.len() + self.reactor_threads.len() + usize::from(self.dialer.is_some())
+        self.reactor_threads.len() + usize::from(self.dialer.is_some())
+    }
+
+    /// Posts `msg` to hosted process `pi`'s mailbox and nudges the event
+    /// loop that owns it; `false` when the process is not hosted here or
+    /// its loop is gone.
+    fn post(&self, pi: usize, msg: Incoming<A>) -> bool {
+        let posted = self.inbox_txs[pi]
+            .as_ref()
+            .is_some_and(|inbox| inbox.send(msg).is_ok());
+        if posted {
+            self.wake_owner(pi);
+        }
+        posted
+    }
+
+    /// Nudges the event loop that owns hosted process `pi` out of its poll.
+    fn wake_owner(&self, pi: usize) {
+        if let Some(owner) = self.owners[pi] {
+            self.wakers[owner].wake();
+        }
     }
 
     /// Fault injection: shuts down every established link socket on this
@@ -567,16 +557,10 @@ impl<A: Automaton> ReactorNode<A> {
             return;
         }
         self.stopped = true;
-        // 1. Stop the process loops: after they join, every envelope they
-        //    will ever produce is already in a reactor's queue.
-        for tx in self.inbox_txs.iter().flatten() {
-            let _ = tx.send(Incoming::Shutdown);
-        }
-        for h in self.proc_threads.drain(..) {
-            let _ = h.join();
-        }
-        // 2. Drain: reactors flush immediately and signal once their
-        //    links settle (or the grace deadline forces the remainder).
+        // 1. Drain: each loop handles what its mailboxes still hold,
+        //    retires its processes (so no envelope is produced after its
+        //    verdict), flushes immediately and signals once its links
+        //    settle (or the grace deadline forces the remainder).
         for (tx, w) in self.cmd_txs.iter().zip(&self.wakers) {
             let _ = tx.send(Cmd::Drain);
             w.wake();
@@ -593,7 +577,7 @@ impl<A: Automaton> ReactorNode<A> {
                 Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => break,
             }
         }
-        // 3. Stop the loops and the dialer.
+        // 2. Stop the loops and the dialer.
         for (tx, w) in self.cmd_txs.iter().zip(&self.wakers) {
             let _ = tx.send(Cmd::Stop);
             w.wake();
@@ -614,9 +598,6 @@ impl<A: Automaton> Drop for ReactorNode<A> {
     fn drop(&mut self) {
         if self.stopped {
             return;
-        }
-        for tx in self.inbox_txs.iter().flatten() {
-            let _ = tx.send(Incoming::Shutdown);
         }
         for (tx, w) in self.cmd_txs.iter().zip(&self.wakers) {
             let _ = tx.send(Cmd::Stop);
@@ -651,26 +632,24 @@ impl<A: Automaton> Driver for ReactorNode<A> {
         if self.crashed[proc.index()].load(Ordering::Relaxed) {
             return Err(DriverError::ProcessUnavailable(proc));
         }
-        let Some(inbox) = self.inbox_txs[proc.index()].as_ref() else {
+        if self.inbox_txs[proc.index()].is_none() {
             return Err(DriverError::Backend(format!(
                 "process {proc} is not hosted on this node"
             )));
-        };
+        }
         if self.pending.contains_key(&(proc, reg)) {
             return Err(DriverError::OperationInFlight { proc, reg });
         }
         let op_id = OpId::new(self.op_ids.fetch_add(1, Ordering::Relaxed));
         let (reply_tx, reply_rx) = bounded(1);
         let invoked_at = self.recorder.now();
-        if inbox
-            .send(Incoming::Invoke {
-                reg,
-                op_id,
-                op: op.clone(),
-                reply: reply_tx,
-            })
-            .is_err()
-        {
+        let invoke = Incoming::Invoke {
+            reg,
+            op_id,
+            op: op.clone(),
+            reply: reply_tx,
+        };
+        if !self.post(proc.index(), invoke) {
             return Err(DriverError::ProcessUnavailable(proc));
         }
         self.recorder.invoked(op_id, proc, reg, op, invoked_at);
@@ -720,12 +699,10 @@ impl<A: Automaton> Driver for ReactorNode<A> {
             .crash()
             .map_err(|_| DriverError::AlreadyCrashed(proc))?;
         self.crashed[pi].store(true, Ordering::Relaxed);
-        if let Some(tx) = self.inbox_txs[pi].as_ref() {
-            // Nudge the thread so it observes the flag even when idle.
-            // (Not a shutdown — the parked thread must survive for a
-            // later recovery.)
-            let _ = tx.send(Incoming::Nudge);
-        }
+        // Nudge the process so it observes the flag (and drops its
+        // in-flight replies) even when idle. Not a shutdown — the parked
+        // process must survive for a later recovery.
+        self.post(pi, Incoming::Nudge);
         Ok(())
     }
 
@@ -741,6 +718,7 @@ impl<A: Automaton> Driver for ReactorNode<A> {
                 cfg: self.cfg,
                 registers: &self.registers,
                 inboxes: &self.inbox_txs,
+                wake: &|p| self.wake_owner(p.index()),
                 life: &self.life,
                 crashed: &self.crashed,
                 stats: &self.stats,
@@ -883,11 +861,6 @@ impl ReactorClusterBuilder {
     }
 }
 
-// Keep the recv-side partition helper referenced from this module so the
-// routing contract (accepting thread vs owning thread) is testable.
-#[allow(unused_imports)]
-use recv_owner as _recv_owner_contract;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -907,7 +880,7 @@ mod tests {
             .unwrap();
         node.write(writer, RegisterId::ZERO, 7).unwrap();
         assert_eq!(node.read(ProcessId::new(1), RegisterId::ZERO).unwrap(), 7);
-        assert_eq!(node.thread_count(), 3 + 2 + 1, "procs + pool + dialer");
+        assert_eq!(node.thread_count(), 2 + 1, "min(pool, hosted) + dialer");
         let (history, stats) = node.shutdown();
         twobit_lincheck::check_swmr(history.shard(RegisterId::ZERO).unwrap()).unwrap();
         assert!(stats.wire_bytes() > 0, "bytes crossed real sockets");

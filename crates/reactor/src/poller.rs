@@ -213,13 +213,19 @@ impl WakeRx {
         self.rx.as_raw_fd()
     }
 
-    /// Consumes a pending wake: drains the socket, then disarms. The order
+    /// Consumes a pending wake: empties the socket, then disarms. The order
     /// matters — anything enqueued before the disarm is observed by the
     /// queue drain that follows this call, and anything after re-arms (and
     /// re-signals) the waker.
+    ///
+    /// One `read(2)` empties the socket: [`Waker::wake`] writes a byte only
+    /// on the `armed` flag's false→true edge and only this method clears
+    /// the flag, after the read, so at most one byte is pending whenever
+    /// the socket polls readable — there is no second read to learn
+    /// `WouldBlock` from.
     pub fn drain(&mut self) {
-        let mut buf = [0u8; 64];
-        while matches!(self.rx.read(&mut buf), Ok(n) if n > 0) {}
+        let mut buf = [0u8; 8];
+        let _ = self.rx.read(&mut buf);
         self.armed.armed.store(false, Ordering::Release);
     }
 }

@@ -1,36 +1,48 @@
-//! The reactor event loop: every ordered link of a node, multiplexed over
-//! a small fixed pool of threads.
+//! The reactor event loop: every hosted process of a node, with all of its
+//! links, run to completion on a small fixed pool of threads.
 //!
-//! Each reactor thread owns a disjoint set of *send links* (outbound
-//! ordered pairs `src → dst` whose `src` is hosted on this node) and
-//! *receive connections* (accepted sockets carrying a peer's link toward a
-//! locally hosted process). One `poll(2)` set per thread watches all of
-//! them plus a [`Waker`] and — on thread 0 — the node's listener. The
-//! per-link [`LinkBatcher`] is the same flush engine the thread-per-link
-//! backends use; its hold deadline becomes the poll timeout instead of a
-//! parked thread's `recv_timeout`.
+//! The pool is partitioned by *process*. The loop that owns process `p`
+//! owns every *send link* with `src = p`, every *receive connection* with
+//! `dst = p`, `p`'s mailbox, and `p`'s handler state
+//! ([`ProcessCore`]): a decoded frame goes straight into the handler and
+//! the handler's envelopes go straight into the same thread's
+//! [`LinkBatcher`]s — no inbox hop, no envelope channel, no process
+//! thread. One `poll(2)` set per loop watches its sockets plus a
+//! [`Waker`](crate::poller::Waker) and — on loop 0 — the node's listener.
+//! The per-link [`LinkBatcher`] is the same flush engine the
+//! thread-per-link backends use; its hold deadline becomes the poll
+//! timeout instead of a parked thread's `recv_timeout`.
+//!
+//! Each pass services input first — it keeps reading while a zero-timeout
+//! re-poll still reports ready sockets, for at most [`MAX_INPUT_ROUNDS`]
+//! rounds — and only then seals and writes frames, so everything the
+//! handlers emitted toward one destination during the pass shares a frame.
 //!
 //! ## Reconnect with resend
 //!
 //! Every sealed frame gets a per-link sequence number and is retained in a
 //! bounded resend buffer until the receiver's cumulative ack (flowing on
-//! the reverse direction of the same socket) covers it. When a connection
-//! dies the link re-dials through the shared [`dialer_loop`] (exponential
-//! backoff); the reconnect handshake ([`LinkHello`] → [`LinkWelcome`])
-//! tells the sender where the receiver actually is, the resend buffer is
-//! pruned to that point and the un-acked tail is replayed. The receiver
-//! dedups anything at or below its `last_delivered`, so a frame is handed
-//! to the destination inbox exactly once no matter how many sockets it
-//! crossed. A link whose resend buffer overflows, or whose re-dial budget
-//! is exhausted, is *abandoned* — the existing crash-adjacent bookkeeping
-//! (`links_abandoned`, `messages_abandoned`) that tells the teardown
-//! reconciliation the books may not balance.
+//! the reverse direction of the same socket) covers it. Receivers ack
+//! lazily — once [`ACK_EVERY_FRAMES`] frames are owed or the oldest owed
+//! frame is [`ACK_MAX_DELAY`] old, at once for a replay they had to dedup,
+//! and on every pass while draining. Acks only prune the resend buffer:
+//! when a connection dies the link re-dials through the shared
+//! [`dialer_loop`] (exponential backoff), and the reconnect handshake
+//! ([`LinkHello`] → [`LinkWelcome`]) tells the sender where the receiver
+//! actually is; the resend buffer is pruned to that point and the tail is
+//! replayed. A lost or late ack therefore never loses or duplicates a
+//! frame. The receiver dedups anything at or below its cursor, so a frame
+//! reaches the destination's handler exactly once no matter how many
+//! sockets it crossed. A link whose resend buffer overflows, or whose
+//! re-dial budget is exhausted, is *abandoned* — the existing
+//! crash-adjacent bookkeeping (`links_abandoned`, `messages_abandoned`)
+//! that tells the teardown reconciliation the books may not balance.
 //!
 //! Accounting matches the thread-per-link TCP backend: `frames_sent` /
 //! `flushes_total` tick once at seal time, `wire_bytes` counts frame blob
 //! bytes handed to a socket (sequence prefixes, acks and handshakes are
 //! transport overhead and excluded; a replayed frame's bytes count again),
-//! and deliveries tick when the destination inbox accepts the frame.
+//! and deliveries tick in the call that runs the destination's handler.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -44,13 +56,25 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 use twobit_proto::linkseq::{self, LinkHello, LinkWelcome, ACK_LEN, HELLO_LEN, WELCOME_LEN};
 use twobit_proto::{Automaton, BufferPool, Bytes, Envelope, Frame, NetStats, ProcessId};
-use twobit_runtime::{FlushPolicy, Incoming, LinkBatcher, OutboundSink};
+use twobit_runtime::{FlushPolicy, Incoming, LinkBatcher, ProcessCore};
 
 use crate::poller::{poll_fds, PollFd, WakeRx, Waker, POLL_IN, POLL_OUT};
 
 /// How long a freshly accepted connection may sit without completing its
 /// [`LinkHello`] before the reactor drops it.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// A receiver acks once it owes this many frames on a link...
+const ACK_EVERY_FRAMES: u64 = 32;
+/// ...or once the oldest frame it owes an ack for is this old.
+const ACK_MAX_DELAY: Duration = Duration::from_millis(10);
+/// Poll rounds one pass spends on input before it seals and writes
+/// frames: the first waits for the next deadline, the rest are
+/// zero-timeout re-polls that stop as soon as nothing is ready.
+const MAX_INPUT_ROUNDS: usize = 4;
+/// Bytes one `read(2)` can return; a shorter read means the socket is
+/// empty for now.
+const READ_BUF_LEN: usize = 64 * 1024;
 
 /// How a link behaves when its connection dies (and on the initial dial).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,14 +115,6 @@ fn backoff_for(policy: &ReconnectPolicy, attempt: u32) -> Duration {
         .min(policy.max_backoff)
 }
 
-/// Which reactor thread owns the receive side of ordered link `src → dst`.
-/// Deliberately decoupled from the send-side partition (`li % pool`): both
-/// directions of a process pair usually land on different threads, which
-/// spreads the socket work.
-pub(crate) fn recv_owner(src: ProcessId, dst: ProcessId, pool: usize) -> usize {
-    (src.index().wrapping_mul(31).wrapping_add(dst.index())) % pool
-}
-
 /// One ordered link this node sends on.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct LinkSpec {
@@ -106,22 +122,6 @@ pub(crate) struct LinkSpec {
     pub(crate) dst: ProcessId,
     /// Where `dst`'s node listens.
     pub(crate) addr: SocketAddr,
-}
-
-/// The process loop's handle to one reactor-owned link: enqueue the
-/// envelope, then nudge the owning reactor out of its poll.
-pub(crate) struct LinkSender<M> {
-    pub(crate) tx: Sender<(usize, Envelope<M>)>,
-    pub(crate) waker: Arc<Waker>,
-    pub(crate) li: usize,
-}
-
-impl<M> OutboundSink<M> for LinkSender<M> {
-    fn deliver(&self, env: Envelope<M>) {
-        if self.tx.send((self.li, env)).is_ok() {
-            self.waker.wake();
-        }
-    }
 }
 
 /// A sealed frame parked in the resend buffer until acked.
@@ -210,8 +210,9 @@ enum ConnKind {
     Handshake { since: Instant },
     /// Carries send link `li` outbound; acks flow back on it.
     Send { li: usize },
-    /// Carries a peer's link toward a locally hosted process.
-    Recv { src: ProcessId, dst: ProcessId },
+    /// Carries receive link `ri`: a peer's link toward a process this loop
+    /// owns.
+    Recv { ri: usize },
 }
 
 /// One non-blocking socket in the poll set.
@@ -233,11 +234,44 @@ impl Conn {
     }
 }
 
+/// Receive-side state of one ordered link toward a process this loop owns.
+/// Outlives any individual connection — the cursor is what makes
+/// redelivery after a reconnect detectable.
+struct RecvLink {
+    src: ProcessId,
+    /// Index of the destination in [`Reactor::procs`].
+    host: usize,
+    /// Highest seq handed to the destination's handler.
+    delivered: u64,
+    /// Highest seq the sender has been told about, by ack or welcome.
+    acked: u64,
+    /// When the oldest frame still owed an ack was delivered; `None` when
+    /// nothing is owed or no connection could carry the ack.
+    owed_since: Option<Instant>,
+    /// The connection currently carrying the link.
+    conn: Option<usize>,
+}
+
+/// One hosted process as its owning loop sees it.
+pub(crate) struct Hosted<A: Automaton> {
+    pub(crate) core: ProcessCore<A>,
+    /// Invocations, crash nudges, recovery requests and shutdown: posted
+    /// by other threads, drained here after a waker nudge.
+    pub(crate) mailbox: Receiver<Incoming<A>>,
+    /// The send link toward each destination, as an index into
+    /// [`Reactor::links`] (`None` on the self slot).
+    pub(crate) out: Vec<Option<usize>>,
+    /// Set by the drain (or a posted [`Incoming::Shutdown`]): no handler
+    /// runs from then on.
+    pub(crate) retired: bool,
+}
+
 /// A request for the shared dialer thread: connect `addr`, run the
 /// [`LinkHello`]/[`LinkWelcome`] handshake, hand the socket back to
 /// reactor `thread` as a [`Cmd::DialDone`].
 pub(crate) struct DialReq {
     pub(crate) thread: usize,
+    /// Index into the owning reactor's [`Reactor::links`].
     pub(crate) li: usize,
     pub(crate) hello: LinkHello,
     pub(crate) addr: SocketAddr,
@@ -246,11 +280,11 @@ pub(crate) struct DialReq {
 }
 
 /// Control messages a reactor drains (after a [`Waker`] nudge) between
-/// poll iterations.
+/// poll rounds.
 pub(crate) enum Cmd {
     /// A handshaken receive socket routed from the accepting reactor to
-    /// the thread owning `recv_owner(src, dst)`; `carry` is whatever
-    /// followed the hello in the accept buffer.
+    /// the loop that owns `dst`; `carry` is whatever followed the hello in
+    /// the accept buffer.
     AdoptRecv {
         src: ProcessId,
         dst: ProcessId,
@@ -267,8 +301,9 @@ pub(crate) enum Cmd {
     /// Fault injection: shut down every established socket on this thread
     /// (links then recover through the reconnect path).
     Sever,
-    /// Start draining: flush immediately, signal `done_tx` once every
-    /// owned link is drained (or the grace deadline forces abandonment).
+    /// Start draining: handle what the mailboxes hold, retire the hosted
+    /// processes, flush immediately, and signal `done_tx` once every owned
+    /// link is drained (or the grace deadline forces abandonment).
     Drain,
     /// Exit the event loop.
     Stop,
@@ -279,128 +314,166 @@ pub(crate) enum Cmd {
 pub(crate) struct Reactor<A: Automaton> {
     /// This thread's index in the pool.
     pub(crate) slot: usize,
-    /// Pool size (for `recv_owner` routing).
-    pub(crate) pool_size: usize,
     pub(crate) tag_bits: u64,
     /// Resend-buffer overflow threshold, in frames.
     pub(crate) resend_cap: usize,
     pub(crate) drain_grace: Duration,
     pub(crate) stats: Arc<Mutex<NetStats>>,
     pub(crate) crashed: Vec<Arc<AtomicBool>>,
-    /// Destination inboxes, indexed by process; `None` for processes not
-    /// hosted on this node.
-    pub(crate) inboxes: Vec<Option<Sender<Incoming<A>>>>,
+    /// Which loop owns each process; `None` for processes not hosted on
+    /// this node.
+    pub(crate) owners: Arc<[Option<usize>]>,
     pub(crate) cmd_rx: Receiver<Cmd>,
     pub(crate) cmd_txs: Vec<Sender<Cmd>>,
     pub(crate) wakers: Vec<Arc<Waker>>,
     pub(crate) wake_rx: WakeRx,
-    pub(crate) env_rx: Receiver<(usize, Envelope<A::Msg>)>,
     pub(crate) dial_tx: Sender<DialReq>,
     /// The node's listener (thread 0 only), non-blocking.
     pub(crate) listener: Option<TcpListener>,
-    /// Send links owned by this thread, keyed by global link index.
-    pub(crate) links: HashMap<usize, SendLink<A::Msg>>,
-    /// Stable iteration order over `links` (keys never change after
-    /// construction).
-    pub(crate) link_ids: Vec<usize>,
-    /// Receive-side cursor per ordered link: highest seq handed to the
-    /// destination inbox. Outlives any individual connection — this is
-    /// what makes redelivery after a reconnect detectable.
-    pub(crate) recv_links: HashMap<(ProcessId, ProcessId), u64>,
+    /// The processes this loop owns.
+    pub(crate) procs: Vec<Hosted<A>>,
+    /// Process index → index into `procs` (`None`: owned elsewhere).
+    pub(crate) proc_slot: Vec<Option<usize>>,
+    /// Every send link whose `src` this loop owns.
+    pub(crate) links: Vec<SendLink<A::Msg>>,
     pub(crate) pool: Arc<BufferPool>,
     pub(crate) done_tx: Sender<usize>,
+}
+
+/// What [`Reactor::run`] keeps beside the reactor itself, so the methods
+/// can borrow the reactor and these independently.
+struct LoopState {
+    /// The connection slab.
+    conns: Vec<Option<Conn>>,
+    /// Receive links, in adoption order, and their index by `(src, dst)`.
+    recv_links: Vec<RecvLink>,
+    recv_index: HashMap<(ProcessId, ProcessId), usize>,
+    /// The poll set and the slab index behind each of its connection
+    /// entries, rebuilt in place every round.
+    fds: Vec<PollFd>,
+    conn_ids: Vec<usize>,
+    /// Where every `read(2)` lands first.
+    read_buf: Box<[u8]>,
+    draining: bool,
+    drain_deadline: Option<Instant>,
+    done_sent: bool,
 }
 
 impl<A: Automaton> Reactor<A> {
     /// The event loop. Returns when a [`Cmd::Stop`] arrives.
     pub(crate) fn run(mut self) {
-        let mut conns: Vec<Option<Conn>> = Vec::new();
-        let mut state = LoopState {
+        let mut st = LoopState {
+            conns: Vec::new(),
+            recv_links: Vec::new(),
+            recv_index: HashMap::new(),
+            fds: Vec::new(),
+            conn_ids: Vec::new(),
+            read_buf: vec![0u8; READ_BUF_LEN].into_boxed_slice(),
             draining: false,
             drain_deadline: None,
             done_sent: false,
         };
         loop {
             let now = Instant::now();
-            self.sweep_stale_handshakes(&mut conns, now);
-            self.flush_all(&mut conns, now, state.draining);
-            let timeout = self.next_deadline(&conns, &state, now);
-            let (mut fds, conn_ids) = self.build_pollfds(&conns);
-            if poll_fds(&mut fds, timeout).is_err() {
-                // A transient poll failure (fd churn race); don't spin.
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
-            }
-            if fds[0].readable() {
-                self.wake_rx.drain();
-            }
-            let has_listener = self.listener.is_some();
-            if has_listener && fds[1].readable() {
-                self.accept_all(&mut conns);
-            }
-            let base = 1 + usize::from(has_listener);
-            for (k, &ci) in conn_ids.iter().enumerate() {
-                let fd = fds[base + k];
-                if fd.readable() {
-                    self.conn_readable(&mut conns, ci);
+            Self::sweep_stale_handshakes(&mut st, now);
+            // Input first: the first round waits for the next deadline,
+            // the following ones only pick up what arrived meanwhile.
+            let mut timeout = self.next_deadline(&st, now);
+            for _ in 0..MAX_INPUT_ROUNDS {
+                self.build_pollfds(&mut st);
+                match poll_fds(&mut st.fds, timeout) {
+                    Ok(0) => break,
+                    Ok(_) => {}
+                    Err(_) => {
+                        // A transient poll failure (fd churn race); don't spin.
+                        std::thread::sleep(Duration::from_millis(1));
+                        break;
+                    }
                 }
-                if fd.writable() && matches!(conns.get(ci), Some(Some(_))) {
-                    self.flush_conn(&mut conns, ci);
+                if self.service_ready(&mut st) {
+                    return;
                 }
+                timeout = Some(Duration::ZERO);
             }
-            if self.drain_cmds(&mut conns, &mut state) {
-                return;
-            }
-            self.drain_envs();
             let now = Instant::now();
-            self.flush_all(&mut conns, now, state.draining);
-            self.check_drained(&mut conns, &mut state, now);
+            self.flush_all(&mut st, now);
+            self.flush_acks(&mut st, now);
+            self.check_drained(&mut st, now);
         }
     }
 
-    /// Builds the poll set: waker, listener (thread 0), then every live
-    /// connection — readable interest always, writable only while bytes
-    /// are queued.
-    fn build_pollfds(&self, conns: &[Option<Conn>]) -> (Vec<PollFd>, Vec<usize>) {
-        let mut fds = Vec::with_capacity(2 + conns.len());
-        fds.push(PollFd::new(self.wake_rx.fd(), POLL_IN));
+    /// Rebuilds the poll set in place: waker, listener (thread 0), then
+    /// every live connection — readable interest always, writable only
+    /// while bytes are queued.
+    fn build_pollfds(&self, st: &mut LoopState) {
+        st.fds.clear();
+        st.conn_ids.clear();
+        st.fds.push(PollFd::new(self.wake_rx.fd(), POLL_IN));
         if let Some(l) = &self.listener {
-            fds.push(PollFd::new(l.as_raw_fd(), POLL_IN));
+            st.fds.push(PollFd::new(l.as_raw_fd(), POLL_IN));
         }
-        let mut ids = Vec::with_capacity(conns.len());
-        for (ci, conn) in conns.iter().enumerate() {
+        for (ci, conn) in st.conns.iter().enumerate() {
             if let Some(c) = conn {
                 let mut ev = POLL_IN;
                 if !c.wbuf.is_empty() {
                     ev |= POLL_OUT;
                 }
-                fds.push(PollFd::new(c.stream.as_raw_fd(), ev));
-                ids.push(ci);
+                st.fds.push(PollFd::new(c.stream.as_raw_fd(), ev));
+                st.conn_ids.push(ci);
             }
         }
-        (fds, ids)
+    }
+
+    /// Acts on one poll round's readiness; `true` means Stop.
+    fn service_ready(&mut self, st: &mut LoopState) -> bool {
+        if st.fds[0].readable() {
+            // Disarm before draining, so a post that lands after the drain
+            // re-arms (and re-signals) the waker.
+            self.wake_rx.drain();
+            if self.drain_cmds(st) {
+                return true;
+            }
+            for k in 0..self.procs.len() {
+                self.drain_mailbox(k);
+            }
+        }
+        let has_listener = self.listener.is_some();
+        if has_listener && st.fds[1].readable() {
+            self.accept_all(st);
+        }
+        let base = 1 + usize::from(has_listener);
+        for k in 0..st.conn_ids.len() {
+            let (ci, fd) = (st.conn_ids[k], st.fds[base + k]);
+            if fd.readable() {
+                self.conn_readable(st, ci);
+            }
+            if fd.writable() && matches!(st.conns.get(ci), Some(Some(_))) {
+                self.flush_conn(st, ci);
+            }
+        }
+        false
     }
 
     /// The poll timeout: the earliest of any link's flush-hold deadline,
-    /// the drain grace deadline, and any pending handshake's expiry.
-    /// `None` (block forever) when nothing is scheduled — a waker nudge
-    /// delivers whatever comes next.
-    fn next_deadline(
-        &self,
-        conns: &[Option<Conn>],
-        state: &LoopState,
-        now: Instant,
-    ) -> Option<Duration> {
-        let mut min: Option<Instant> = state.drain_deadline;
+    /// any owed ack's deadline, the drain grace deadline, and any pending
+    /// handshake's expiry. `None` (block forever) when nothing is
+    /// scheduled — a waker nudge delivers whatever comes next.
+    fn next_deadline(&self, st: &LoopState, now: Instant) -> Option<Duration> {
+        let mut min: Option<Instant> = st.drain_deadline;
         let mut fold = |d: Instant| min = Some(min.map_or(d, |m| m.min(d)));
-        for link in self.links.values() {
+        for link in &self.links {
             if !link.abandoned {
                 if let Some(d) = link.batcher.flush_deadline() {
                     fold(d);
                 }
             }
         }
-        for conn in conns.iter().flatten() {
+        for link in &st.recv_links {
+            if let Some(since) = link.owed_since {
+                fold(since + ACK_MAX_DELAY);
+            }
+        }
+        for conn in st.conns.iter().flatten() {
             if let ConnKind::Handshake { since } = conn.kind {
                 fold(since + HANDSHAKE_TIMEOUT);
             }
@@ -409,8 +482,8 @@ impl<A: Automaton> Reactor<A> {
     }
 
     /// Drops accepted connections that never completed their hello.
-    fn sweep_stale_handshakes(&mut self, conns: &mut [Option<Conn>], now: Instant) {
-        for slot in conns.iter_mut() {
+    fn sweep_stale_handshakes(st: &mut LoopState, now: Instant) {
+        for slot in &mut st.conns {
             let stale = matches!(
                 slot.as_ref().map(|c| c.kind),
                 Some(ConnKind::Handshake { since }) if now.duration_since(since) >= HANDSHAKE_TIMEOUT
@@ -423,21 +496,44 @@ impl<A: Automaton> Reactor<A> {
         }
     }
 
-    /// Moves every queued envelope into its link's batcher (abandoned
-    /// links account the message instead — it can never be delivered).
-    fn drain_envs(&mut self) {
-        loop {
-            match self.env_rx.try_recv() {
-                Ok((li, env)) => {
-                    let Some(link) = self.links.get_mut(&li) else {
-                        continue;
-                    };
-                    if link.abandoned {
-                        self.stats.lock().record_messages_abandoned(1);
-                    } else {
-                        link.batcher.push(env, Instant::now());
-                    }
-                }
+    /// Runs process `k`'s handler on `incoming`, right here: the envelopes
+    /// it emits go straight into this loop's batchers (abandoned links
+    /// account the message instead — it can never be delivered).
+    fn run_handler(&mut self, k: usize, incoming: Incoming<A>) {
+        let Reactor {
+            procs,
+            links,
+            stats,
+            ..
+        } = self;
+        let Hosted {
+            core, out, retired, ..
+        } = &mut procs[k];
+        if *retired {
+            return;
+        }
+        let now = Instant::now();
+        let mut abandoned = 0u64;
+        let flow = core.handle(incoming, |to, env| {
+            let Some(li) = out[to.index()] else { return };
+            let link = &mut links[li];
+            if link.abandoned {
+                abandoned += 1;
+            } else {
+                link.batcher.push(env, now);
+            }
+        });
+        if abandoned > 0 {
+            stats.lock().record_messages_abandoned(abandoned);
+        }
+        *retired = flow.is_break();
+    }
+
+    /// Handles everything process `k`'s mailbox holds.
+    fn drain_mailbox(&mut self, k: usize) {
+        while !self.procs[k].retired {
+            match self.procs[k].mailbox.try_recv() {
+                Ok(incoming) => self.run_handler(k, incoming),
                 Err(TryRecvError::Empty | TryRecvError::Disconnected) => return,
             }
         }
@@ -445,24 +541,19 @@ impl<A: Automaton> Reactor<A> {
 
     /// Seals every due batch on every link: frame → seq → resend buffer →
     /// socket (when connected).
-    fn flush_all(&mut self, conns: &mut [Option<Conn>], now: Instant, shutdown: bool) {
-        for idx in 0..self.link_ids.len() {
-            let li = self.link_ids[idx];
-            self.flush_link(conns, li, now, shutdown);
+    fn flush_all(&mut self, st: &mut LoopState, now: Instant) {
+        for li in 0..self.links.len() {
+            self.flush_link(st, li, now);
         }
     }
 
-    fn flush_link(&mut self, conns: &mut [Option<Conn>], li: usize, now: Instant, shutdown: bool) {
-        loop {
-            let Some(link) = self.links.get_mut(&li) else {
-                return;
-            };
-            if link.abandoned {
-                return;
-            }
-            let Some(f) = link.batcher.take_due(now, shutdown) else {
-                return;
-            };
+    fn flush_link(&mut self, st: &mut LoopState, li: usize, now: Instant) {
+        let link = &mut self.links[li];
+        if link.abandoned {
+            return;
+        }
+        let mut wrote = false;
+        while let Some(f) = link.batcher.take_due(now, st.draining) {
             let frame = Frame::from_envelopes(f.batch);
             let msgs = frame.len() as u64;
             let cost = frame.cost(self.tag_bits);
@@ -471,73 +562,81 @@ impl<A: Automaton> Reactor<A> {
                 .expect("the reactor transport requires a codec-capable message type");
             let seq = link.next_seq;
             link.next_seq += 1;
+            let depth = link.resend.len() + 1;
+            // The peer is not acking (down longer than the buffer can
+            // absorb): give the link up rather than grow unboundedly.
+            let overflow = depth > self.resend_cap;
+            let mut conn = match link.conn {
+                Some(ci) if !overflow => st.conns.get_mut(ci).and_then(Option::as_mut),
+                _ => None,
+            };
+            {
+                // One lock per sealed frame.
+                let mut stats = self.stats.lock();
+                stats.record_frame(cost);
+                stats.record_flush(f.reason, f.held.as_nanos().min(u128::from(u64::MAX)) as u64);
+                stats.record_resend_buffer_depth(depth as u64);
+                if let Some(conn) = conn.as_deref_mut() {
+                    Self::append_record(&mut stats, conn, seq, &blob);
+                    wrote = true;
+                }
+            }
             link.resend.push_back(Sealed {
                 seq,
-                blob: blob.clone(),
+                blob,
                 msgs,
-                transmitted: false,
+                transmitted: conn.is_some(),
             });
-            let depth = link.resend.len();
-            let conn = link.conn;
-            {
-                let mut st = self.stats.lock();
-                st.record_frame(cost);
-                st.record_flush(f.reason, f.held.as_nanos().min(u128::from(u64::MAX)) as u64);
-                st.record_resend_buffer_depth(depth as u64);
-            }
-            if depth > self.resend_cap {
-                // The peer is not acking (down longer than the buffer can
-                // absorb): give the link up rather than grow unboundedly.
-                self.abandon_link(conns, li);
+            if overflow {
+                self.abandon_link(st, li);
                 return;
             }
-            if let Some(ci) = conn {
-                self.append_record(conns, ci, seq, &blob);
-                if let Some(link) = self.links.get_mut(&li) {
-                    if let Some(s) = link.resend.back_mut() {
-                        s.transmitted = true;
-                    }
-                }
-                self.flush_conn(conns, ci);
+        }
+        if wrote {
+            if let Some(ci) = link.conn {
+                self.flush_conn(st, ci);
             }
         }
     }
 
     /// Queues one sequenced record on a connection and accounts its frame
     /// bytes (the 8-byte seq prefix is transport overhead, not counted).
-    fn append_record(&mut self, conns: &mut [Option<Conn>], ci: usize, seq: u64, blob: &[u8]) {
-        if let Some(conn) = conns.get_mut(ci).and_then(Option::as_mut) {
-            linkseq::encode_record(seq, blob, &mut conn.wbuf.buf);
-            self.stats.lock().record_wire_bytes(blob.len() as u64);
-        }
+    fn append_record(stats: &mut NetStats, conn: &mut Conn, seq: u64, blob: &[u8]) {
+        linkseq::encode_record(seq, blob, &mut conn.wbuf.buf);
+        stats.record_wire_bytes(blob.len() as u64);
     }
 
     /// Writes a connection's queued bytes; a dead socket goes through the
     /// failure path (re-dial for send links).
-    fn flush_conn(&mut self, conns: &mut [Option<Conn>], ci: usize) {
-        let res = {
-            let Some(conn) = conns.get_mut(ci).and_then(Option::as_mut) else {
-                return;
-            };
-            let Conn { stream, wbuf, .. } = conn;
-            wbuf.write_to(stream)
+    fn flush_conn(&mut self, st: &mut LoopState, ci: usize) {
+        let Some(conn) = st.conns.get_mut(ci).and_then(Option::as_mut) else {
+            return;
         };
-        if res.is_err() {
-            self.conn_failed(conns, ci);
+        let Conn { stream, wbuf, .. } = conn;
+        if wbuf.write_to(stream).is_err() {
+            self.close_conn(st, ci);
         }
     }
 
-    /// Reads whatever the socket has; returns whether it reached EOF or
-    /// an error (the caller decides what that means for the conn's kind).
-    fn read_some(conns: &mut [Option<Conn>], ci: usize) -> bool {
-        let Some(conn) = conns.get_mut(ci).and_then(Option::as_mut) else {
+    /// Reads what the socket has into the connection's buffer; returns
+    /// whether it reached EOF or an error (the caller decides what that
+    /// means for the conn's kind). One `read(2)` per readiness unless it
+    /// fills the buffer: a short read means the socket is empty for now,
+    /// and level-triggered polling re-reports whatever lands later — EOF
+    /// included, which still arrives as `Ok(0)`.
+    fn read_some(st: &mut LoopState, ci: usize) -> bool {
+        let Some(conn) = st.conns.get_mut(ci).and_then(Option::as_mut) else {
             return false;
         };
-        let mut buf = [0u8; 64 * 1024];
         loop {
-            match conn.stream.read(&mut buf) {
+            match conn.stream.read(&mut st.read_buf) {
                 Ok(0) => return true,
-                Ok(n) => conn.rbuf.extend_from_slice(&buf[..n]),
+                Ok(n) => {
+                    conn.rbuf.extend_from_slice(&st.read_buf[..n]);
+                    if n < st.read_buf.len() {
+                        return false;
+                    }
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => return true,
@@ -545,20 +644,20 @@ impl<A: Automaton> Reactor<A> {
         }
     }
 
-    fn conn_readable(&mut self, conns: &mut Vec<Option<Conn>>, ci: usize) {
-        let Some(kind) = conns.get(ci).and_then(Option::as_ref).map(|c| c.kind) else {
+    fn conn_readable(&mut self, st: &mut LoopState, ci: usize) {
+        let Some(kind) = st.conns.get(ci).and_then(Option::as_ref).map(|c| c.kind) else {
             return;
         };
         match kind {
-            ConnKind::Handshake { .. } => self.handshake_readable(conns, ci),
-            ConnKind::Send { li } => self.send_readable(conns, ci, li),
-            ConnKind::Recv { src, dst } => {
-                let closed = Self::read_some(conns, ci);
-                self.deliver_buffered(conns, ci, src, dst);
+            ConnKind::Handshake { .. } => self.handshake_readable(st, ci),
+            ConnKind::Send { li } => self.send_readable(st, ci, li),
+            ConnKind::Recv { ri } => {
+                let closed = Self::read_some(st, ci);
+                self.deliver_buffered(st, ci, ri);
                 if closed {
-                    // Clean hangup (or peer death): the cursor in
-                    // `recv_links` survives for the next incarnation.
-                    drop_conn(conns, ci);
+                    // Clean hangup (or peer death): the link's cursor
+                    // survives for the next incarnation.
+                    self.close_conn(st, ci);
                 }
             }
         }
@@ -566,276 +665,278 @@ impl<A: Automaton> Reactor<A> {
 
     /// The send half's inbound direction carries cumulative acks; EOF or
     /// error means the connection died and the link must re-dial.
-    fn send_readable(&mut self, conns: &mut [Option<Conn>], ci: usize, li: usize) {
-        let closed = Self::read_some(conns, ci);
-        let ack = {
-            let Some(conn) = conns.get_mut(ci).and_then(Option::as_mut) else {
-                return;
-            };
-            let whole = (conn.rbuf.len() / ACK_LEN) * ACK_LEN;
-            if whole == 0 {
-                None
-            } else {
-                let last = u64::from_be_bytes(
-                    conn.rbuf[whole - ACK_LEN..whole]
-                        .try_into()
-                        .expect("8 bytes"),
-                );
-                conn.rbuf.drain(..whole);
-                Some(last)
-            }
+    fn send_readable(&mut self, st: &mut LoopState, ci: usize, li: usize) {
+        let closed = Self::read_some(st, ci);
+        let Some(conn) = st.conns.get_mut(ci).and_then(Option::as_mut) else {
+            return;
         };
-        if let Some(ack) = ack {
-            if let Some(link) = self.links.get_mut(&li) {
-                while link.resend.front().is_some_and(|s| s.seq <= ack) {
-                    link.resend.pop_front();
-                }
+        let whole = (conn.rbuf.len() / ACK_LEN) * ACK_LEN;
+        if whole > 0 {
+            let ack = u64::from_be_bytes(
+                conn.rbuf[whole - ACK_LEN..whole]
+                    .try_into()
+                    .expect("8 bytes"),
+            );
+            conn.rbuf.drain(..whole);
+            let resend = &mut self.links[li].resend;
+            while resend.front().is_some_and(|s| s.seq <= ack) {
+                resend.pop_front();
             }
         }
         if closed {
-            self.conn_failed(conns, ci);
+            self.close_conn(st, ci);
         }
     }
 
     /// Accepts everything the listener has queued; each new socket starts
     /// in the handshake state until its [`LinkHello`] arrives.
-    fn accept_all(&mut self, conns: &mut Vec<Option<Conn>>) {
-        let mut accepted = Vec::new();
-        if let Some(listener) = &self.listener {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => accepted.push(stream),
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => break,
-                }
-            }
-        }
-        for stream in accepted {
+    fn accept_all(&mut self, st: &mut LoopState) {
+        let Some(listener) = &self.listener else {
+            return;
+        };
+        loop {
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return,
+            };
             if stream.set_nonblocking(true).is_err() {
                 continue;
             }
             let _ = stream.set_nodelay(true);
+            let since = Instant::now();
             alloc_conn(
-                conns,
-                Conn::new(
-                    stream,
-                    ConnKind::Handshake {
-                        since: Instant::now(),
-                    },
-                ),
+                &mut st.conns,
+                Conn::new(stream, ConnKind::Handshake { since }),
             );
         }
     }
 
-    fn handshake_readable(&mut self, conns: &mut Vec<Option<Conn>>, ci: usize) {
-        let closed = Self::read_some(conns, ci);
-        enum Hs {
-            Wait,
-            Bad,
-            Ready(LinkHello, TcpStream, Vec<u8>),
-        }
-        let state = {
-            let Some(slot) = conns.get_mut(ci) else {
-                return;
-            };
-            let Some(conn) = slot.as_mut() else { return };
-            if conn.rbuf.len() < HELLO_LEN {
-                Hs::Wait
-            } else {
-                match LinkHello::decode(&conn.rbuf[..HELLO_LEN]) {
-                    Ok(h) => {
-                        let carry = conn.rbuf[HELLO_LEN..].to_vec();
-                        let conn = slot.take().expect("checked above");
-                        Hs::Ready(h, conn.stream, carry)
-                    }
-                    Err(_) => Hs::Bad,
-                }
-            }
+    fn handshake_readable(&mut self, st: &mut LoopState, ci: usize) {
+        let closed = Self::read_some(st, ci);
+        let Some(slot) = st.conns.get_mut(ci) else {
+            return;
         };
-        match state {
-            Hs::Wait => {
-                if closed {
-                    drop_conn(conns, ci);
-                }
+        let Some(conn) = slot.as_mut() else { return };
+        if conn.rbuf.len() < HELLO_LEN {
+            if closed {
+                self.close_conn(st, ci);
             }
-            Hs::Bad => {
-                // Garbage where a hello should be: not one of our links,
-                // but accounted so a poisoned setup is visible.
+            return;
+        }
+        let Ok(hello) = LinkHello::decode(&conn.rbuf[..HELLO_LEN]) else {
+            // Garbage where a hello should be: not one of our links, but
+            // accounted so a poisoned setup is visible.
+            self.stats.lock().record_link_abandoned();
+            self.close_conn(st, ci);
+            return;
+        };
+        let carry = conn.rbuf[HELLO_LEN..].to_vec();
+        let stream = slot.take().expect("checked above").stream;
+        let LinkHello { src, dst } = hello;
+        match self.owners.get(dst.index()).copied().flatten() {
+            // A hello for a process that does not live here: config skew
+            // between nodes. Visible, not silent.
+            None => {
                 self.stats.lock().record_link_abandoned();
-                drop_conn(conns, ci);
+                let _ = stream.shutdown(Shutdown::Both);
             }
-            Hs::Ready(hello, stream, carry) => {
-                let owner = recv_owner(hello.src, hello.dst, self.pool_size);
-                if owner == self.slot {
-                    self.adopt_recv(conns, hello.src, hello.dst, stream, carry);
-                } else if self.cmd_txs[owner]
-                    .send(Cmd::AdoptRecv {
-                        src: hello.src,
-                        dst: hello.dst,
-                        stream,
-                        carry,
-                    })
-                    .is_ok()
-                {
+            Some(owner) if owner == self.slot => self.adopt_recv(st, src, dst, stream, carry),
+            Some(owner) => {
+                let adopt = Cmd::AdoptRecv {
+                    src,
+                    dst,
+                    stream,
+                    carry,
+                };
+                if self.cmd_txs[owner].send(adopt).is_ok() {
                     self.wakers[owner].wake();
                 }
             }
         }
     }
 
-    /// Takes ownership of a handshaken receive socket: answers with the
-    /// link's resume point, then treats `carry` as the first read.
+    /// Takes ownership of a handshaken receive socket toward a process this
+    /// loop owns: answers with the link's resume point, then treats `carry`
+    /// as the first read.
     fn adopt_recv(
         &mut self,
-        conns: &mut Vec<Option<Conn>>,
+        st: &mut LoopState,
         src: ProcessId,
         dst: ProcessId,
         stream: TcpStream,
         carry: Vec<u8>,
     ) {
-        let hosted = self.inboxes.get(dst.index()).is_some_and(Option::is_some);
-        if !hosted {
-            // A hello for a process that does not live here: config skew
-            // between nodes. Visible, not silent.
-            self.stats.lock().record_link_abandoned();
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
+        let host = self.proc_slot[dst.index()].expect("hellos are routed to the owning loop");
+        let ri = *st.recv_index.entry((src, dst)).or_insert_with(|| {
+            st.recv_links.push(RecvLink {
+                src,
+                host,
+                delivered: 0,
+                acked: 0,
+                owed_since: None,
+                conn: None,
+            });
+            st.recv_links.len() - 1
+        });
         // A reconnect supersedes any previous incarnation still open.
-        let stale: Vec<usize> = conns
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| match slot.as_ref().map(|c| c.kind) {
-                Some(ConnKind::Recv { src: s, dst: d }) if s == src && d == dst => Some(i),
-                _ => None,
-            })
-            .collect();
-        for old in stale {
-            drop_conn(conns, old);
+        if let Some(old) = st.recv_links[ri].conn {
+            self.close_conn(st, old);
         }
-        let last = *self.recv_links.entry((src, dst)).or_insert(0);
-        let mut conn = Conn::new(stream, ConnKind::Recv { src, dst });
+        let mut conn = Conn::new(stream, ConnKind::Recv { ri });
         conn.rbuf = carry;
+        let link = &mut st.recv_links[ri];
+        // The welcome is an ack too: the sender prunes up to the cursor.
+        link.acked = link.delivered;
+        link.owed_since = None;
         conn.wbuf.buf.extend_from_slice(
             &LinkWelcome {
-                last_delivered: last,
+                last_delivered: link.delivered,
             }
             .encode(),
         );
-        let ci = alloc_conn(conns, conn);
-        self.flush_conn(conns, ci);
-        self.deliver_buffered(conns, ci, src, dst);
+        let ci = alloc_conn(&mut st.conns, conn);
+        link.conn = Some(ci);
+        self.flush_conn(st, ci);
+        self.deliver_buffered(st, ci, ri);
     }
 
-    /// Slices buffered records, dedups against the link cursor, decodes
-    /// and delivers each fresh frame, then acks the cumulative high mark.
-    fn deliver_buffered(
-        &mut self,
-        conns: &mut [Option<Conn>],
-        ci: usize,
-        src: ProcessId,
-        dst: ProcessId,
-    ) {
-        let (records, poisoned) = {
-            let Some(conn) = conns.get_mut(ci).and_then(Option::as_mut) else {
+    /// Slices buffered records and dedups them against the link cursor;
+    /// each fresh frame is decoded and handled by its destination right
+    /// here, and counted delivered once the handler has run — so whenever
+    /// the books balance, every send a delivered frame caused is in them.
+    /// Acks wait for [`Reactor::flush_acks`], except after a replay.
+    fn deliver_buffered(&mut self, st: &mut LoopState, ci: usize, ri: usize) {
+        let RecvLink { src, host, .. } = st.recv_links[ri];
+        let dst = self.procs[host].core.id();
+        let (mut off, mut delivered, mut dropped, mut deduped) = (0usize, 0u64, 0u64, 0u64);
+        let mut poisoned = false;
+        loop {
+            let Some(conn) = st.conns.get_mut(ci).and_then(Option::as_mut) else {
                 return;
             };
-            let mut records: Vec<(u64, Bytes)> = Vec::new();
-            let mut off = 0usize;
-            let mut poisoned = false;
-            loop {
-                match linkseq::split_record(&conn.rbuf[off..]) {
-                    Ok(Some((seq, total))) => {
-                        let blob = conn.rbuf[off + linkseq::SEQ_PREFIX_LEN..off + total].to_vec();
-                        records.push((seq, Bytes::from(blob)));
-                        off += total;
-                    }
-                    Ok(None) => break,
-                    Err(_) => {
-                        poisoned = true;
-                        break;
-                    }
+            let (seq, blob) = match linkseq::split_record(&conn.rbuf[off..]) {
+                Ok(Some((seq, total))) => {
+                    let blob = conn.rbuf[off + linkseq::SEQ_PREFIX_LEN..off + total].to_vec();
+                    off += total;
+                    (seq, Bytes::from(blob))
                 }
-            }
-            conn.rbuf.drain(..off);
-            (records, poisoned)
-        };
-        let mut acked = None;
-        for (seq, blob) in records {
-            let last = self.recv_links.get(&(src, dst)).copied().unwrap_or(0);
-            if seq <= last {
+                Ok(None) => {
+                    conn.rbuf.drain(..off);
+                    break;
+                }
+                Err(_) => {
+                    poisoned = true;
+                    break;
+                }
+            };
+            let link = &mut st.recv_links[ri];
+            if seq <= link.delivered {
                 // A replayed frame this side already consumed: the whole
                 // point of the cursor — ack again, deliver never.
-                acked = Some(last);
-                self.stats.lock().record_frame_deduped();
+                deduped += 1;
                 continue;
             }
+            // A corrupt frame from a byzantine-free peer poisons the link.
             let Ok(frame) = Frame::<A::Msg>::decode_shared(&blob) else {
-                // Corrupt frame from a byzantine-free peer: poisoned link.
-                self.stats.lock().record_link_abandoned();
-                drop_conn(conns, ci);
-                return;
+                poisoned = true;
+                break;
             };
+            link.delivered = seq;
+            link.owed_since.get_or_insert_with(Instant::now);
             let msgs = frame.len() as u64;
-            self.recv_links.insert((src, dst), seq);
-            acked = Some(seq);
-            let delivered = !self.crashed[dst.index()].load(Ordering::Relaxed)
-                && self.inboxes[dst.index()]
-                    .as_ref()
-                    .is_some_and(|tx| tx.send(Incoming::Frame { from: src, frame }).is_ok());
-            let mut st = self.stats.lock();
-            if delivered {
-                st.record_deliveries(msgs);
+            // Mailbox first, so a message posted before the frame arrived
+            // is handled before it, as when both shared one inbox.
+            self.drain_mailbox(host);
+            if self.crashed[dst.index()].load(Ordering::Relaxed) || self.procs[host].retired {
+                dropped += msgs;
             } else {
-                st.record_frame_drop_to_crashed(msgs);
+                self.run_handler(host, Incoming::Frame { from: src, frame });
+                delivered += msgs;
+            }
+        }
+        if delivered + dropped + deduped > 0 || poisoned {
+            let mut stats = self.stats.lock();
+            stats.record_deliveries(delivered);
+            stats.record_frame_drop_to_crashed(dropped);
+            for _ in 0..deduped {
+                stats.record_frame_deduped();
+            }
+            if poisoned {
+                stats.record_link_abandoned();
             }
         }
         if poisoned {
-            self.stats.lock().record_link_abandoned();
-            drop_conn(conns, ci);
-            return;
+            self.close_conn(st, ci);
+        } else if deduped > 0 {
+            self.send_ack(st, ri);
         }
-        if let Some(ack) = acked {
-            let appended = match conns.get_mut(ci).and_then(Option::as_mut) {
-                Some(conn) => {
-                    conn.wbuf.buf.extend_from_slice(&ack.to_be_bytes());
-                    true
-                }
-                None => false,
+    }
+
+    /// Acks everything delivered on receive link `ri`, if a connection can
+    /// carry it (otherwise the next welcome does).
+    fn send_ack(&mut self, st: &mut LoopState, ri: usize) {
+        let link = &mut st.recv_links[ri];
+        let Some(ci) = link.conn else { return };
+        let Some(conn) = st.conns.get_mut(ci).and_then(Option::as_mut) else {
+            return;
+        };
+        conn.wbuf
+            .buf
+            .extend_from_slice(&link.delivered.to_be_bytes());
+        link.acked = link.delivered;
+        link.owed_since = None;
+        self.flush_conn(st, ci);
+    }
+
+    /// Sends the cumulative acks that are due: [`ACK_EVERY_FRAMES`] owed,
+    /// the oldest owed frame [`ACK_MAX_DELAY`] old, or — while draining,
+    /// when the senders are waiting for exactly this — anything owed.
+    fn flush_acks(&mut self, st: &mut LoopState, now: Instant) {
+        for ri in 0..st.recv_links.len() {
+            let link = &st.recv_links[ri];
+            let Some(since) = link.owed_since else {
+                continue;
             };
-            if appended {
-                self.flush_conn(conns, ci);
+            if st.draining
+                || link.delivered - link.acked >= ACK_EVERY_FRAMES
+                || now >= since + ACK_MAX_DELAY
+            {
+                self.send_ack(st, ri);
             }
         }
     }
 
-    /// A connection died. Receive sides just drop (the peer re-dials);
-    /// send sides clear the link's conn and schedule a re-dial.
-    fn conn_failed(&mut self, conns: &mut [Option<Conn>], ci: usize) {
-        let Some(conn) = conns.get_mut(ci).and_then(Option::take) else {
+    /// Closes and forgets a connection. A receive link just loses its
+    /// carrier (the peer re-dials); a send link schedules a re-dial.
+    fn close_conn(&mut self, st: &mut LoopState, ci: usize) {
+        let Some(conn) = st.conns.get_mut(ci).and_then(Option::take) else {
             return;
         };
         let _ = conn.stream.shutdown(Shutdown::Both);
-        if let ConnKind::Send { li } = conn.kind {
-            let current = self.links.get(&li).and_then(|l| l.conn);
-            if current == Some(ci) {
-                if let Some(link) = self.links.get_mut(&li) {
+        match conn.kind {
+            ConnKind::Handshake { .. } => {}
+            ConnKind::Recv { ri } => {
+                let link = &mut st.recv_links[ri];
+                if link.conn == Some(ci) {
                     link.conn = None;
+                    link.owed_since = None;
                 }
-                self.schedule_redial(li);
+            }
+            ConnKind::Send { li } => {
+                if self.links[li].conn == Some(ci) {
+                    self.links[li].conn = None;
+                    self.schedule_redial(li);
+                }
             }
         }
     }
 
     fn schedule_redial(&mut self, li: usize) {
-        let Some(link) = self.links.get_mut(&li) else {
-            return;
-        };
+        let link = &mut self.links[li];
         if link.abandoned || link.dialing {
             return;
         }
-        link.dialing = true;
         let req = DialReq {
             thread: self.slot,
             li,
@@ -847,114 +948,78 @@ impl<A: Automaton> Reactor<A> {
             attempt: 0,
             not_before: Instant::now(),
         };
-        if self.dial_tx.send(req).is_err() {
-            // Dialer gone (tear-down racing a failure): the link cannot
-            // recover.
-            if let Some(link) = self.links.get_mut(&li) {
-                link.dialing = false;
-            }
-        }
+        // A failed send means the dialer is gone (tear-down racing a
+        // failure): the link cannot recover.
+        link.dialing = self.dial_tx.send(req).is_ok();
     }
 
     /// The dialer's verdict for link `li`.
-    fn dial_done(
-        &mut self,
-        conns: &mut Vec<Option<Conn>>,
-        li: usize,
-        result: Option<(TcpStream, u64)>,
-    ) {
+    fn dial_done(&mut self, st: &mut LoopState, li: usize, result: Option<(TcpStream, u64)>) {
+        let link = &mut self.links[li];
+        link.dialing = false;
         let Some((stream, resume)) = result else {
-            if let Some(link) = self.links.get_mut(&li) {
-                link.dialing = false;
-            }
-            self.abandon_link(conns, li);
+            self.abandon_link(st, li);
             return;
         };
-        let staging = {
-            let Some(link) = self.links.get_mut(&li) else {
-                let _ = stream.shutdown(Shutdown::Both);
-                return;
-            };
-            link.dialing = false;
-            if link.abandoned {
-                let _ = stream.shutdown(Shutdown::Both);
-                return;
-            }
-            let reconnect = link.ever_connected;
-            link.ever_connected = true;
-            let old = link.conn.take();
-            // The peer consumed up to `resume`: those frames are settled
-            // even if their acks died with the old socket.
-            while link.resend.front().is_some_and(|s| s.seq <= resume) {
-                link.resend.pop_front();
+        if link.abandoned {
+            let _ = stream.shutdown(Shutdown::Both);
+            return;
+        }
+        let reconnect = link.ever_connected;
+        link.ever_connected = true;
+        if let Some(old) = link.conn.take() {
+            self.close_conn(st, old);
+        }
+        let link = &mut self.links[li];
+        // The peer consumed up to `resume`: those frames are settled even
+        // if their acks died with the old socket, or were never sent.
+        while link.resend.front().is_some_and(|s| s.seq <= resume) {
+            link.resend.pop_front();
+        }
+        let mut conn = Conn::new(stream, ConnKind::Send { li });
+        {
+            let mut stats = self.stats.lock();
+            if reconnect {
+                stats.record_reconnect();
             }
             let mut resent = 0u64;
-            let replay: Vec<(u64, Bytes)> = link
-                .resend
-                .iter_mut()
-                .map(|s| {
-                    if s.transmitted {
-                        resent += 1;
-                    }
-                    s.transmitted = true;
-                    (s.seq, s.blob.clone())
-                })
-                .collect();
-            (reconnect, old, replay, resent)
-        };
-        let (reconnect, old, replay, resent) = staging;
-        if let Some(old) = old {
-            drop_conn(conns, old);
-        }
-        let ci = alloc_conn(conns, Conn::new(stream, ConnKind::Send { li }));
-        if let Some(link) = self.links.get_mut(&li) {
-            link.conn = Some(ci);
-        }
-        {
-            let mut st = self.stats.lock();
-            if reconnect {
-                st.record_reconnect();
+            for s in &mut link.resend {
+                resent += u64::from(s.transmitted);
+                s.transmitted = true;
+                Self::append_record(&mut stats, &mut conn, s.seq, &s.blob);
             }
             if resent > 0 {
-                st.record_frames_resent(resent);
+                stats.record_frames_resent(resent);
             }
         }
-        for (seq, blob) in &replay {
-            self.append_record(conns, ci, *seq, blob);
-        }
-        self.flush_conn(conns, ci);
+        let ci = alloc_conn(&mut st.conns, conn);
+        link.conn = Some(ci);
+        self.flush_conn(st, ci);
     }
 
     /// Gives up on a link: everything sealed-but-unsettled and everything
     /// still pending is accounted as abandoned (the signal that teardown
     /// reconciliation may not balance — an un-acked frame might or might
     /// not have been consumed remotely).
-    fn abandon_link(&mut self, conns: &mut [Option<Conn>], li: usize) {
-        let (msgs, conn) = {
-            let Some(link) = self.links.get_mut(&li) else {
-                return;
-            };
-            if link.abandoned {
-                return;
-            }
-            link.abandoned = true;
-            let mut msgs: u64 = link.resend.iter().map(|s| s.msgs).sum();
-            msgs += link.batcher.drain_remaining().len() as u64;
-            link.resend.clear();
-            (msgs, link.conn.take())
-        };
-        if let Some(ci) = conn {
-            if let Some(c) = conns.get_mut(ci).and_then(Option::take) {
-                let _ = c.stream.shutdown(Shutdown::Both);
-            }
+    fn abandon_link(&mut self, st: &mut LoopState, li: usize) {
+        let link = &mut self.links[li];
+        if link.abandoned {
+            return;
         }
-        let mut st = self.stats.lock();
-        st.record_link_abandoned();
-        st.record_messages_abandoned(msgs);
+        link.abandoned = true;
+        let mut msgs: u64 = link.resend.iter().map(|s| s.msgs).sum();
+        msgs += link.batcher.drain_remaining().len() as u64;
+        link.resend.clear();
+        if let Some(ci) = link.conn.take() {
+            self.close_conn(st, ci);
+        }
+        let mut stats = self.stats.lock();
+        stats.record_link_abandoned();
+        stats.record_messages_abandoned(msgs);
     }
 
     /// Handles queued control messages; `true` means Stop.
-    fn drain_cmds(&mut self, conns: &mut Vec<Option<Conn>>, state: &mut LoopState) -> bool {
+    fn drain_cmds(&mut self, st: &mut LoopState) -> bool {
         loop {
             match self.cmd_rx.try_recv() {
                 Ok(Cmd::AdoptRecv {
@@ -962,10 +1027,10 @@ impl<A: Automaton> Reactor<A> {
                     dst,
                     stream,
                     carry,
-                }) => self.adopt_recv(conns, src, dst, stream, carry),
-                Ok(Cmd::DialDone { li, result }) => self.dial_done(conns, li, result),
+                }) => self.adopt_recv(st, src, dst, stream, carry),
+                Ok(Cmd::DialDone { li, result }) => self.dial_done(st, li, result),
                 Ok(Cmd::Sever) => {
-                    for conn in conns.iter().flatten() {
+                    for conn in st.conns.iter().flatten() {
                         if !matches!(conn.kind, ConnKind::Handshake { .. }) {
                             // Just kill the socket; the event loop notices
                             // the EOF and runs the normal failure path.
@@ -974,9 +1039,16 @@ impl<A: Automaton> Reactor<A> {
                     }
                 }
                 Ok(Cmd::Drain) => {
-                    state.draining = true;
-                    if state.drain_deadline.is_none() {
-                        state.drain_deadline = Some(Instant::now() + self.drain_grace);
+                    // Whatever was posted before the drain request is still
+                    // handled; after it no handler runs, so nothing is
+                    // emitted once the links report drained.
+                    for k in 0..self.procs.len() {
+                        self.drain_mailbox(k);
+                        self.procs[k].retired = true;
+                    }
+                    st.draining = true;
+                    if st.drain_deadline.is_none() {
+                        st.drain_deadline = Some(Instant::now() + self.drain_grace);
                     }
                 }
                 Ok(Cmd::Stop) => return true,
@@ -989,41 +1061,32 @@ impl<A: Automaton> Reactor<A> {
     /// (resend empty, nothing pending, all write buffers flushed). Past
     /// the grace deadline, force-abandon what's left and signal anyway —
     /// a peer that will never ack must not hang teardown.
-    fn check_drained(&mut self, conns: &mut [Option<Conn>], state: &mut LoopState, now: Instant) {
-        if !state.draining || state.done_sent {
+    fn check_drained(&mut self, st: &mut LoopState, now: Instant) {
+        if !st.draining || st.done_sent {
             return;
         }
-        let expired = state.drain_deadline.is_some_and(|d| now >= d);
+        let expired = st.drain_deadline.is_some_and(|d| now >= d);
         if expired {
-            for idx in 0..self.link_ids.len() {
-                let li = self.link_ids[idx];
-                let undrained = self.links.get(&li).is_some_and(|l| !l.drained());
-                if undrained {
-                    self.abandon_link(conns, li);
+            for li in 0..self.links.len() {
+                if !self.links[li].drained() {
+                    self.abandon_link(st, li);
                 }
             }
         }
-        let links_done = self.links.values().all(SendLink::drained);
-        let writes_done = conns
+        let links_done = self.links.iter().all(SendLink::drained);
+        let writes_done = st
+            .conns
             .iter()
             .flatten()
             .all(|c| c.wbuf.is_empty() || !matches!(c.kind, ConnKind::Send { .. }));
         if expired || (links_done && writes_done) {
-            state.done_sent = true;
+            st.done_sent = true;
             // Stop treating the grace deadline as a poll deadline — the
             // loop keeps serving acks until Stop, parked on the waker.
-            state.drain_deadline = None;
+            st.drain_deadline = None;
             let _ = self.done_tx.send(self.slot);
         }
     }
-}
-
-/// Loop-local drain state (kept out of [`Reactor`] so `run` can borrow
-/// the reactor and the conn slab independently).
-struct LoopState {
-    draining: bool,
-    drain_deadline: Option<Instant>,
-    done_sent: bool,
 }
 
 /// Registers a connection in the first free slab slot.
@@ -1034,13 +1097,6 @@ fn alloc_conn(conns: &mut Vec<Option<Conn>>, conn: Conn) -> usize {
     } else {
         conns.push(Some(conn));
         conns.len() - 1
-    }
-}
-
-/// Closes and forgets a connection (no link-side effects).
-fn drop_conn(conns: &mut [Option<Conn>], ci: usize) {
-    if let Some(conn) = conns.get_mut(ci).and_then(Option::take) {
-        let _ = conn.stream.shutdown(Shutdown::Both);
     }
 }
 
@@ -1152,23 +1208,6 @@ mod tests {
         assert_eq!(backoff_for(&p, 2), Duration::from_millis(2));
         assert_eq!(backoff_for(&p, 4), Duration::from_millis(8));
         assert_eq!(backoff_for(&p, 30), Duration::from_millis(100), "capped");
-    }
-
-    #[test]
-    fn recv_owner_spreads_and_is_stable() {
-        let a = recv_owner(ProcessId::new(0), ProcessId::new(1), 4);
-        assert_eq!(a, recv_owner(ProcessId::new(0), ProcessId::new(1), 4));
-        assert!(a < 4);
-        // All four threads get some share of a 8-process mesh.
-        let mut seen = [false; 4];
-        for s in 0..8 {
-            for d in 0..8 {
-                if s != d {
-                    seen[recv_owner(ProcessId::new(s), ProcessId::new(d), 4)] = true;
-                }
-            }
-        }
-        assert!(seen.iter().all(|&b| b), "every thread owns some recv links");
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! [`Driver`] interface; blocking per-register handles come from
 //! [`Cluster::client`] / [`Cluster::client_for`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -19,7 +20,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use twobit_cache::{cache_pair, CacheDecision, CacheMode};
+use twobit_cache::{cache_pair, CacheDecision, CacheMode, CacheReader, CacheWriter};
 use twobit_proto::{
     Automaton, BufferPool, Driver, DriverError, Effects, Envelope, Frame, History, Lifecycle,
     LifecycleState, NetStats, OpId, OpOutcome, OpTicket, Operation, ProcessId, RegisterId,
@@ -157,26 +158,6 @@ pub(crate) type InflightMap<V> = HashMap<(ProcessId, RegisterId), Slot<V>>;
 /// Public alias because [`process_loop`] — shared with the TCP transport
 /// backend — takes one.
 pub type OutboundLinks<M> = Vec<Option<Sender<Envelope<M>>>>;
-
-/// Where a process loop hands its outbound envelopes, one ordered link per
-/// sink. [`process_loop`] is generic over this so every live backend keeps
-/// the same loop body while feeding different machinery: the in-process
-/// cluster and the thread-per-link TCP transport implement it with a plain
-/// crossbeam [`Sender`] (a parked link/writer thread on the other end);
-/// the reactor transport implements it with a channel-plus-waker pair that
-/// nudges an event loop instead of waking a dedicated thread.
-pub trait OutboundSink<M> {
-    /// Hands one enveloped message to the ordered link. Delivery is
-    /// best-effort: a sink whose far side is gone drops the envelope (the
-    /// backend accounts it as abandoned or dropped on its own path).
-    fn deliver(&self, env: Envelope<M>);
-}
-
-impl<M> OutboundSink<M> for Sender<Envelope<M>> {
-    fn deliver(&self, env: Envelope<M>) {
-        let _ = self.send(env);
-    }
-}
 
 /// The full link-channel matrix, indexed `[src][dst]`.
 type LinkTxs<M> = Vec<OutboundLinks<M>>;
@@ -508,103 +489,153 @@ struct PendingOp<A: Automaton> {
     written: Option<A::Value>,
 }
 
-/// The body of one process thread: drain the inbox, run handlers
-/// atomically, batch outbound envelopes per destination, answer
-/// completions. Public because every live backend shares it — the
-/// in-process cluster hands `outs` to chaos-link threads, the TCP
-/// transport to socket-writer threads; the protocol semantics (crash
-/// checks, send accounting with the deployment's tag width, per-frame drop
-/// recording for crashed destinations) are identical by construction.
+/// One process's handler state, and the one handler body every live
+/// backend runs: [`ProcessCore::handle`] takes one [`Incoming`], runs the
+/// automaton atomically, accounts and hands out the resulting envelopes,
+/// and answers completions. The thread-per-process backends wrap it in a
+/// `recv` loop ([`process_loop`]); the reactor transport calls it directly
+/// on the event loop that owns the process's links. The protocol semantics
+/// (crash checks, send accounting with the deployment's tag width, drop
+/// recording for crashed destinations) are therefore identical by
+/// construction.
 ///
-/// A crashed process *parks* instead of exiting: the thread keeps draining
-/// its inbox but discards everything except a recovery
+/// A crashed process *parks* instead of going away: `handle` keeps
+/// accepting messages but discards everything except a recovery
 /// [`Incoming::Install`] from the coordinator (see
 /// [`recover_process`](crate::recover_process)) or a teardown
 /// [`Incoming::Shutdown`] — so [`Driver::recover`] can bring the process
-/// back without respawning threads.
+/// back without rebuilding it.
 ///
-/// `cache_mode` wires the local read cache (`twobit-cache`): the loop owns
+/// `cache_mode` wires the local read cache (`twobit-cache`): the core owns
 /// one writer/reader pair, publishes every locally-completed operation's
 /// value *before* answering the client, and serves a read invocation from
 /// the snapshot — zero protocol messages — when the gate admits it. The
 /// publish-before-reply order is what makes hit counts deterministic for
 /// sequential workloads, and therefore comparable across backends.
-pub fn process_loop<A: Automaton, S: OutboundSink<A::Msg>>(
-    mut shards: ShardSet<A>,
-    inbox: crossbeam::channel::Receiver<Incoming<A>>,
-    outs: Vec<Option<S>>,
+pub struct ProcessCore<A: Automaton> {
+    shards: ShardSet<A>,
     crashed: Vec<Arc<AtomicBool>>,
     stats: Arc<Mutex<NetStats>>,
     cache_mode: CacheMode,
-) {
-    let me = shards.id();
-    // Unframed-equivalent tag width, derived from the hosted register count
-    // (the tag is a per-deployment constant, not per-message state).
-    let tag_bits = shards.routing_bits();
-    let reg_slot: HashMap<RegisterId, usize> = shards
-        .registers()
-        .enumerate()
-        .map(|(slot, reg)| (reg, slot))
-        .collect();
-    let (mut cache_w, mut cache_r) = cache_pair::<A::Value>(reg_slot.len(), cache_mode);
-    let mut pending: HashMap<OpId, PendingOp<A>> = HashMap::new();
-    while let Ok(incoming) = inbox.recv() {
-        if crashed[me.index()].load(Ordering::Relaxed) {
-            // Parked: crash semantics without losing the thread. Every
+    reg_slot: HashMap<RegisterId, usize>,
+    cache_w: CacheWriter<A::Value>,
+    cache_r: CacheReader<A::Value>,
+    pending: HashMap<OpId, PendingOp<A>>,
+    /// Reused across calls; empty between them.
+    fx: Effects<Envelope<A::Msg>, A::Value>,
+    /// The destinations' crash flags as read once per call, so the send
+    /// accounting and the delivery pass agree on every envelope's fate.
+    dst_crashed: Vec<bool>,
+}
+
+impl<A: Automaton> std::fmt::Debug for ProcessCore<A> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ProcessCore")
+            .field("id", &self.shards.id())
+            .field("pending", &self.pending.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<A: Automaton> ProcessCore<A> {
+    /// Wraps `shards` with the deployment's crash flags (one per process,
+    /// this one's included) and shared statistics.
+    pub fn new(
+        shards: ShardSet<A>,
+        crashed: Vec<Arc<AtomicBool>>,
+        stats: Arc<Mutex<NetStats>>,
+        cache_mode: CacheMode,
+    ) -> Self {
+        let reg_slot: HashMap<RegisterId, usize> = shards
+            .registers()
+            .enumerate()
+            .map(|(slot, reg)| (reg, slot))
+            .collect();
+        let (cache_w, cache_r) = cache_pair::<A::Value>(reg_slot.len(), cache_mode);
+        ProcessCore {
+            shards,
+            dst_crashed: vec![false; crashed.len()],
+            crashed,
+            stats,
+            cache_mode,
+            reg_slot,
+            cache_w,
+            cache_r,
+            pending: HashMap::new(),
+            fx: Effects::new(),
+        }
+    }
+
+    /// The process this core runs.
+    pub fn id(&self) -> ProcessId {
+        self.shards.id()
+    }
+
+    /// Handles one mailbox message or frame. Every envelope the handler
+    /// emits toward a live destination is passed to `deliver` in send
+    /// order (so each ordered link sees its envelopes in order), after all
+    /// of them have been accounted under one statistics lock; envelopes
+    /// toward crashed destinations are counted dropped instead. `deliver`
+    /// runs with no lock held.
+    ///
+    /// Returns `Break` on [`Incoming::Shutdown`]: the owner stops calling.
+    pub fn handle(
+        &mut self,
+        incoming: Incoming<A>,
+        mut deliver: impl FnMut(ProcessId, Envelope<A::Msg>),
+    ) -> ControlFlow<()> {
+        let me = self.shards.id();
+        debug_assert!(self.fx.is_empty(), "effects are applied within the call");
+        if self.crashed[me.index()].load(Ordering::Relaxed) {
+            // Parked: crash semantics without losing the process. Every
             // in-flight client reply is dropped (ops died with the crash;
             // waiting clients observe the disconnect), frames and fresh
             // invocations vanish unprocessed, and the only ways out are a
             // recovery installation from the coordinator — which hands the
-            // thread a fresh barrier state to resume from — or teardown.
-            pending.clear();
+            // process a fresh barrier state to resume from — or teardown.
+            self.pending.clear();
             match incoming {
-                Incoming::Shutdown => return,
+                Incoming::Shutdown => return ControlFlow::Break(()),
                 Incoming::Install { snapshots, reply } => {
                     for (reg, snap) in snapshots.iter() {
-                        let _ = shards.install_recovery(*reg, snap);
+                        let _ = self.shards.install_recovery(*reg, snap);
                     }
                     // The pre-crash cache could serve a value older than
                     // the barrier; start from cold like a rebooted process.
-                    let (w, r) = cache_pair::<A::Value>(reg_slot.len(), cache_mode);
-                    cache_w = w;
-                    cache_r = r;
+                    let (w, r) = cache_pair::<A::Value>(self.reg_slot.len(), self.cache_mode);
+                    self.cache_w = w;
+                    self.cache_r = r;
                     let _ = reply.send(());
                 }
                 _ => {}
             }
-            continue;
+            return ControlFlow::Continue(());
         }
-        let mut fx = Effects::new();
         // A rejoin is acked only after its effects (barrier completions)
         // have been applied below.
         let mut rejoin_ack: Option<Sender<()>> = None;
         match incoming {
-            Incoming::Shutdown => return,
-            Incoming::Nudge => continue,
+            Incoming::Shutdown => return ControlFlow::Break(()),
+            // Not crashed: a stray install is a coordinator bug, ignored.
+            Incoming::Nudge | Incoming::Install { .. } => return ControlFlow::Continue(()),
             Incoming::SnapshotReq { reply } => {
-                let regs: Vec<RegisterId> = shards.registers().collect();
-                let mut snaps = Vec::with_capacity(regs.len());
-                let mut supported = true;
-                for reg in regs {
-                    match shards.recovery_snapshot(reg) {
-                        Some(s) => snaps.push((reg, s)),
-                        None => {
-                            supported = false;
-                            break;
-                        }
-                    }
-                }
-                let _ = reply.send(supported.then_some(snaps));
-                continue;
+                let snaps: DonorSnapshots<A::Value> = self
+                    .shards
+                    .registers()
+                    .map(|reg| Some((reg, self.shards.recovery_snapshot(reg)?)))
+                    .collect();
+                let _ = reply.send(snaps);
+                return ControlFlow::Continue(());
             }
-            Incoming::Install { .. } => continue, // not crashed: stray, ignore
             Incoming::Rejoin {
                 rejoining,
                 snapshots,
                 reply,
             } => {
                 for (reg, snap) in snapshots.iter() {
-                    let _ = shards.apply_rejoin(*reg, rejoining, snap, &mut fx);
+                    let _ = self
+                        .shards
+                        .apply_rejoin(*reg, rejoining, snap, &mut self.fx);
                 }
                 rejoin_ack = Some(reply);
             }
@@ -613,7 +644,7 @@ pub fn process_loop<A: Automaton, S: OutboundSink<A::Msg>>(
                 // point of the process's timeline (crash checked above,
                 // once for the whole frame).
                 for env in frame.into_envelopes() {
-                    shards.on_message(from, env, &mut fx);
+                    self.shards.on_message(from, env, &mut self.fx);
                 }
             }
             Incoming::Invoke {
@@ -622,18 +653,18 @@ pub fn process_loop<A: Automaton, S: OutboundSink<A::Msg>>(
                 op,
                 reply,
             } => {
-                if matches!(op, Operation::Read) && cache_mode != CacheMode::Off {
-                    if let Some(&slot) = reg_slot.get(&reg) {
-                        match cache_r.try_read(slot) {
+                if matches!(op, Operation::Read) && self.cache_mode != CacheMode::Off {
+                    if let Some(&slot) = self.reg_slot.get(&reg) {
+                        match self.cache_r.try_read(slot) {
                             CacheDecision::Hit(v) => {
                                 // Served locally: no automaton invocation,
                                 // no frames, no wire bytes.
-                                stats.lock().record_cache_hit();
+                                self.stats.lock().record_cache_hit();
                                 let _ = reply.send(OpOutcome::ReadValue(v));
-                                continue;
+                                return ControlFlow::Continue(());
                             }
-                            CacheDecision::Miss => stats.lock().record_cache_miss(),
-                            CacheDecision::Fallback => stats.lock().record_cache_fallback(),
+                            CacheDecision::Miss => self.stats.lock().record_cache_miss(),
+                            CacheDecision::Fallback => self.stats.lock().record_cache_fallback(),
                         }
                     }
                 }
@@ -641,7 +672,13 @@ pub fn process_loop<A: Automaton, S: OutboundSink<A::Msg>>(
                     Operation::Write(v) => Some(v.clone()),
                     Operation::Read => None,
                 };
-                pending.insert(
+                if self.shards.on_invoke(reg, op_id, op, &mut self.fx).is_err() {
+                    // Unknown register: validated at the client layer, so
+                    // this is unreachable in practice; dropping the reply
+                    // surfaces as ProcessUnavailable there.
+                    return ControlFlow::Continue(());
+                }
+                self.pending.insert(
                     op_id,
                     PendingOp {
                         reply,
@@ -649,64 +686,93 @@ pub fn process_loop<A: Automaton, S: OutboundSink<A::Msg>>(
                         written,
                     },
                 );
-                if shards.on_invoke(reg, op_id, op, &mut fx).is_err() {
-                    // Unknown register: validated at the client layer, so
-                    // this is unreachable in practice; dropping the reply
-                    // surfaces as ProcessUnavailable there.
-                    pending.remove(&op_id);
-                    continue;
-                }
             }
         }
-        // Apply effects: batch sends per destination (one stats lock per
-        // handler execution, one burst per link — the link's flush policy
-        // coalesces the burst into frames), answer completions.
-        let mut batches: BTreeMap<ProcessId, Vec<Envelope<A::Msg>>> = BTreeMap::new();
-        for (to, env) in fx.drain_sends() {
-            batches.entry(to).or_default().push(env);
-        }
-        if !batches.is_empty() {
-            let mut st = stats.lock();
-            for batch in batches.values() {
-                for env in batch {
-                    st.record_send_for(env.reg, env.kind(), env.cost().with_routing(tag_bits));
-                }
-            }
-            drop(st);
-            for (to, batch) in batches {
-                if crashed[to.index()].load(Ordering::Relaxed) {
-                    stats
-                        .lock()
-                        .record_frame_drop_to_crashed(batch.len() as u64);
-                    continue;
-                }
-                if let Some(tx) = outs[to.index()].as_ref() {
-                    for env in batch {
-                        tx.deliver(env);
-                    }
-                }
-            }
-        }
-        for (op_id, outcome) in fx.drain_completions() {
-            if let Some(p) = pending.remove(&op_id) {
-                // Publish the confirmed snapshot BEFORE the reply: once
-                // the client observes completion, the cache entry exists.
-                if cache_mode != CacheMode::Off {
-                    let value = match (&outcome, p.written) {
-                        (OpOutcome::ReadValue(v), _) => Some(v.clone()),
-                        (OpOutcome::Written, w) => w,
-                    };
-                    if let (Some(v), Some(&slot)) = (value, reg_slot.get(&p.reg)) {
-                        let writer_here =
-                            shards.shard(p.reg).and_then(Automaton::swmr_writer) == Some(me);
-                        cache_w.publish(slot, v, writer_here);
-                    }
-                }
-                let _ = p.reply.send(outcome);
-            }
-        }
+        self.apply_sends(&mut deliver);
+        self.apply_completions();
         if let Some(ack) = rejoin_ack {
             let _ = ack.send(());
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// Accounts every queued send under one statistics lock — per-message
+    /// cost with the deployment's tag width, plus one drop record for the
+    /// envelopes whose destination has crashed — then hands the rest to
+    /// `deliver` in send order (the link's flush policy coalesces them into
+    /// frames).
+    fn apply_sends(&mut self, deliver: &mut impl FnMut(ProcessId, Envelope<A::Msg>)) {
+        if self.fx.sends().is_empty() {
+            return;
+        }
+        for (seen, flag) in self.dst_crashed.iter_mut().zip(&self.crashed) {
+            *seen = flag.load(Ordering::Relaxed);
+        }
+        // Unframed-equivalent tag width, a per-deployment constant.
+        let tag_bits = self.shards.routing_bits();
+        {
+            let mut st = self.stats.lock();
+            let mut dropped = 0u64;
+            for (to, env) in self.fx.sends() {
+                st.record_send_for(env.reg, env.kind(), env.cost().with_routing(tag_bits));
+                dropped += u64::from(self.dst_crashed[to.index()]);
+            }
+            if dropped > 0 {
+                st.record_frame_drop_to_crashed(dropped);
+            }
+        }
+        for (to, env) in self.fx.drain_sends() {
+            if !self.dst_crashed[to.index()] {
+                deliver(to, env);
+            }
+        }
+    }
+
+    /// Answers the clients whose operations the handler completed.
+    fn apply_completions(&mut self) {
+        let me = self.shards.id();
+        for (op_id, outcome) in self.fx.drain_completions() {
+            let Some(p) = self.pending.remove(&op_id) else {
+                continue;
+            };
+            // Publish the confirmed snapshot BEFORE the reply: once the
+            // client observes completion, the cache entry exists.
+            if self.cache_mode != CacheMode::Off {
+                let value = match (&outcome, p.written) {
+                    (OpOutcome::ReadValue(v), _) => Some(v.clone()),
+                    (OpOutcome::Written, w) => w,
+                };
+                if let (Some(v), Some(&slot)) = (value, self.reg_slot.get(&p.reg)) {
+                    let writer_here =
+                        self.shards.shard(p.reg).and_then(Automaton::swmr_writer) == Some(me);
+                    self.cache_w.publish(slot, v, writer_here);
+                }
+            }
+            let _ = p.reply.send(outcome);
+        }
+    }
+}
+
+/// The body of one process thread on the thread-per-process backends: the
+/// in-process cluster hands `outs` to chaos-link threads, the TCP transport
+/// to socket-writer threads. Everything else is [`ProcessCore::handle`].
+pub fn process_loop<A: Automaton>(
+    shards: ShardSet<A>,
+    inbox: Receiver<Incoming<A>>,
+    outs: OutboundLinks<A::Msg>,
+    crashed: Vec<Arc<AtomicBool>>,
+    stats: Arc<Mutex<NetStats>>,
+    cache_mode: CacheMode,
+) {
+    let mut core = ProcessCore::new(shards, crashed, stats, cache_mode);
+    while let Ok(incoming) = inbox.recv() {
+        let flow = core.handle(incoming, |to, env| {
+            if let Some(tx) = outs[to.index()].as_ref() {
+                let _ = tx.send(env);
+            }
+        });
+        if flow.is_break() {
+            return;
         }
     }
 }
@@ -827,6 +893,7 @@ impl<A: Automaton> Cluster<A> {
                 cfg: self.shared.cfg,
                 registers: &self.shared.registers,
                 inboxes: &inboxes,
+                wake: &|_| {},
                 life: &self.shared.life,
                 crashed: &self.shared.crashed,
                 stats: &self.shared.stats,
@@ -1013,11 +1080,135 @@ impl<A: Automaton> Driver for Cluster<A> {
 mod tests {
     use super::*;
     use crate::batcher::{ConfigError, HoldPolicy};
+    use crossbeam::channel::TryRecvError;
     use twobit_baselines::AbdProcess;
     use twobit_core::TwoBitProcess;
 
     fn cfg(n: usize) -> SystemConfig {
         SystemConfig::max_resilience(n)
+    }
+
+    /// A `ProcessCore` per process over shared crash flags and stats, and a
+    /// recording `deliver`: what a backend's loop is to the core.
+    struct Cores {
+        cores: Vec<ProcessCore<TwoBitProcess<u64>>>,
+        crashed: Vec<Arc<AtomicBool>>,
+        stats: Arc<Mutex<NetStats>>,
+    }
+
+    type Sent = Vec<(ProcessId, Envelope<twobit_core::TwoBitMsg<u64>>)>;
+
+    impl Cores {
+        fn new(n: usize) -> Self {
+            let c = cfg(n);
+            let crashed: Vec<_> = (0..n).map(|_| Arc::new(AtomicBool::new(false))).collect();
+            let stats = Arc::new(Mutex::new(NetStats::new()));
+            let cores = (0..n)
+                .map(|i| {
+                    let shards = ShardSet::new(ProcessId::new(i), &[RegisterId::ZERO], |_, id| {
+                        TwoBitProcess::new(id, c, ProcessId::new(0), 0u64)
+                    });
+                    ProcessCore::new(shards, crashed.clone(), Arc::clone(&stats), CacheMode::Off)
+                })
+                .collect();
+            Cores {
+                cores,
+                crashed,
+                stats,
+            }
+        }
+
+        /// Hands `incoming` to process `p`; returns what it delivered and
+        /// whether it asked its owner to stop.
+        fn handle(&mut self, p: usize, incoming: Incoming<TwoBitProcess<u64>>) -> (Sent, bool) {
+            let mut sent = Vec::new();
+            let flow = self.cores[p].handle(incoming, |to, env| sent.push((to, env)));
+            (sent, flow.is_break())
+        }
+
+        fn invoke(&mut self, p: usize, op: Operation<u64>) -> (Sent, Receiver<OpOutcome<u64>>) {
+            let (reply, outcome) = crossbeam::channel::bounded(1);
+            let invoke = Incoming::Invoke {
+                reg: RegisterId::ZERO,
+                op_id: OpId::new(7),
+                op,
+                reply,
+            };
+            (self.handle(p, invoke).0, outcome)
+        }
+    }
+
+    #[test]
+    fn core_invoke_emits_sends_and_frames_complete_the_operation() {
+        let mut net = Cores::new(3);
+        let (mut in_flight, outcome) = net.invoke(0, Operation::Write(5));
+        let dsts: Vec<usize> = in_flight.iter().map(|(to, _)| to.index()).collect();
+        assert_eq!(dsts, [1, 2], "one WRITE per peer, in send order");
+        assert_eq!(
+            net.stats.lock().total_sent(),
+            2,
+            "accounted before delivery"
+        );
+        assert!(outcome.try_recv().is_err(), "no quorum yet");
+        // Shuttle one-message frames by hand until the network is quiet.
+        let mut from = vec![ProcessId::new(0); in_flight.len()];
+        while let Some((to, env)) = in_flight.pop() {
+            let frame = Incoming::Frame {
+                from: from.pop().unwrap(),
+                frame: Frame::from_envelopes(vec![env]),
+            };
+            let (sent, stop) = net.handle(to.index(), frame);
+            assert!(!stop);
+            from.extend(sent.iter().map(|_| to));
+            in_flight.extend(sent);
+        }
+        assert_eq!(outcome.try_recv(), Ok(OpOutcome::Written));
+        assert!(net.stats.lock().total_sent() > 2, "the peers answered");
+    }
+
+    #[test]
+    fn core_drops_sends_to_a_crashed_destination_and_counts_them_once() {
+        let mut net = Cores::new(3);
+        net.crashed[2].store(true, Ordering::Relaxed);
+        let (sent, _outcome) = net.invoke(0, Operation::Write(5));
+        let dsts: Vec<usize> = sent.iter().map(|(to, _)| to.index()).collect();
+        assert_eq!(dsts, [1], "nothing is delivered toward the crashed p2");
+        let st = net.stats.lock();
+        assert_eq!(st.total_sent(), 2, "a dropped send is still a send");
+        assert_eq!(st.dropped_to_crashed(), 1, "one message dropped, as before");
+    }
+
+    #[test]
+    fn parked_core_answers_only_install_and_shutdown_reports_stop() {
+        let mut net = Cores::new(3);
+        net.crashed[1].store(true, Ordering::Relaxed);
+        let (sent, outcome) = net.invoke(1, Operation::Read);
+        assert!(sent.is_empty(), "a parked process sends nothing");
+        assert!(
+            matches!(outcome.try_recv(), Err(TryRecvError::Disconnected)),
+            "the invocation died with the crash"
+        );
+        let (reply, snaps) = crossbeam::channel::bounded(1);
+        net.handle(1, Incoming::SnapshotReq { reply });
+        assert!(snaps.try_recv().is_err(), "a parked process is no donor");
+        let (reply, installed) = crossbeam::channel::bounded(1);
+        let install = Incoming::Install {
+            snapshots: Arc::new(vec![(RegisterId::ZERO, vec![0, 9])]),
+            reply,
+        };
+        assert!(!net.handle(1, install).1);
+        assert_eq!(installed.try_recv(), Ok(()), "the install is acked");
+        // Un-crashed, it serves from the installed barrier state.
+        net.crashed[1].store(false, Ordering::Relaxed);
+        let (reply, snaps) = crossbeam::channel::bounded(1);
+        net.handle(1, Incoming::SnapshotReq { reply });
+        assert_eq!(
+            snaps.try_recv(),
+            Ok(Some(vec![(RegisterId::ZERO, vec![0, 9])]))
+        );
+        assert!(net.handle(1, Incoming::Shutdown).1, "live: stop");
+        net.crashed[1].store(true, Ordering::Relaxed);
+        assert!(net.handle(1, Incoming::Shutdown).1, "parked: stop");
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod recovery;
 pub use batcher::{BuildError, ConfigError, Flush, FlushPolicy, HoldPolicy, LinkBatcher};
 pub use client::{ClientError, OpHandle, RegisterClient};
 pub use cluster::{
-    process_loop, Cluster, ClusterBuilder, Incoming, OutboundLinks, OutboundSink, RegisterSnapshots,
+    process_loop, Cluster, ClusterBuilder, Incoming, OutboundLinks, ProcessCore, RegisterSnapshots,
 };
 pub use recorder::Recorder;
 pub use recovery::{recover_process, RecoveryParts};

@@ -11,9 +11,22 @@
 //!    round-trip through every live process confirms the balance is
 //!    stable — i.e. no frame is in a socket buffer, link queue, or
 //!    unprocessed inbox, and handling the last of them produced no new
-//!    sends. The [`Incoming::SnapshotReq`] doubles as that barrier
-//!    (inboxes are FIFO), so the snapshots it returns are exactly the
-//!    frame-aligned state the paper's recovery argument needs.
+//!    sends. The [`Incoming::SnapshotReq`] doubles as that barrier, so
+//!    the snapshots it returns are exactly the frame-aligned state the
+//!    paper's recovery argument needs. On the thread-per-process backends
+//!    frames and requests share one FIFO inbox, so the reply proves every
+//!    frame enqueued before the request has been handled. On the reactor a
+//!    frame never sits in the mailbox: the event loop that owns the donor
+//!    runs its handler in the very call that then counts the frame
+//!    delivered, drains the mailbox before each such frame, and answers
+//!    the request between two handler executions, never inside one. The
+//!    reply still comes from the one thread that runs the donor's
+//!    handlers, so it still proves that every frame the books call
+//!    delivered to the donor has been handled and that its sends are in
+//!    the books the coordinator re-reads — which is all the barrier is
+//!    used for. Posting to a mailbox goes through the backend's
+//!    [`RecoveryParts::wake`], because an event loop parked in `poll(2)`
+//!    does not see a channel send.
 //! 2. **Select**: per register, take the longest confirmed snapshot among
 //!    the live peers (a quiesced cluster agrees on a prefix; the writer's
 //!    copy is the longest — Lemma 3's `w_sync[me] = max` shape).
@@ -63,9 +76,14 @@ pub struct RecoveryParts<'a, A: Automaton> {
     pub cfg: SystemConfig,
     /// The hosted registers, in id order.
     pub registers: &'a [RegisterId],
-    /// Inbox senders, one per process (`None` for processes hosted on
+    /// Mailbox senders, one per process (`None` for processes hosted on
     /// another node — the reactor's multi-host case).
     pub inboxes: &'a [Option<Sender<Incoming<A>>>],
+    /// Called after every post to a process's mailbox: makes whoever
+    /// drains it look. The reactor nudges the event loop that owns the
+    /// process; a backend whose process thread blocks in `recv` on the
+    /// mailbox itself passes a no-op.
+    pub wake: &'a dyn Fn(ProcessId),
     /// The per-process lifecycle records (state + incarnation).
     pub life: &'a Mutex<Vec<LifecycleState>>,
     /// The hot-path crash flags the links and process loops consult.
@@ -76,6 +94,18 @@ pub struct RecoveryParts<'a, A: Automaton> {
     pub recorder: &'a Recorder<A::Value>,
     /// Overall deadline budget for the quiesce phase.
     pub quiesce_timeout: Duration,
+}
+
+/// Posts `msg` to process `q`'s mailbox and wakes its owner; `false` when
+/// the mailbox is gone (or `q` is not hosted here).
+fn post<A: Automaton>(parts: &RecoveryParts<'_, A>, q: usize, msg: Incoming<A>) -> bool {
+    let posted = parts.inboxes[q]
+        .as_ref()
+        .is_some_and(|inbox| inbox.send(msg).is_ok());
+    if posted {
+        (parts.wake)(ProcessId::new(q));
+    }
+    posted
 }
 
 /// Returns `true` when every sent message is accounted as delivered,
@@ -167,8 +197,7 @@ fn run_recovery<A: Automaton>(
         let mut replies = Vec::with_capacity(live.len());
         for &q in &live {
             let (tx, rx) = bounded(1);
-            let inbox = parts.inboxes[q].as_ref().expect("live peers have inboxes");
-            if inbox.send(Incoming::SnapshotReq { reply: tx }).is_err() {
+            if !post(parts, q, Incoming::SnapshotReq { reply: tx }) {
                 return Err(DriverError::Backend(format!(
                     "donor process p{q} is gone (node shutting down?)"
                 )));
@@ -236,14 +265,11 @@ fn run_recovery<A: Automaton>(
     // Phase 4a: install at the parked process.
     {
         let (tx, rx) = bounded(1);
-        let inbox = parts.inboxes[pi].as_ref().expect("checked above");
-        if inbox
-            .send(Incoming::Install {
-                snapshots: Arc::clone(&snapshots),
-                reply: tx,
-            })
-            .is_err()
-        {
+        let install = Incoming::Install {
+            snapshots: Arc::clone(&snapshots),
+            reply: tx,
+        };
+        if !post(parts, pi, install) {
             return Err(DriverError::Backend(format!(
                 "process {proc} thread is gone (node shutting down?)"
             )));
@@ -258,15 +284,12 @@ fn run_recovery<A: Automaton>(
     parts.crashed[pi].store(false, Ordering::Relaxed);
     for &q in &live {
         let (tx, rx) = bounded(1);
-        let inbox = parts.inboxes[q].as_ref().expect("live peers have inboxes");
-        if inbox
-            .send(Incoming::Rejoin {
-                rejoining: proc,
-                snapshots: Arc::clone(&snapshots),
-                reply: tx,
-            })
-            .is_err()
-        {
+        let rejoin = Incoming::Rejoin {
+            rejoining: proc,
+            snapshots: Arc::clone(&snapshots),
+            reply: tx,
+        };
+        if !post(parts, q, rejoin) {
             return Err(DriverError::Backend(format!(
                 "peer process p{q} is gone (node shutting down?)"
             )));

@@ -638,6 +638,7 @@ impl<A: Automaton> Driver for TcpCluster<A> {
                 cfg: self.cfg,
                 registers: &self.registers,
                 inboxes: &inboxes,
+                wake: &|_| {},
                 life: &self.life,
                 crashed: &self.crashed,
                 stats: &self.stats,

@@ -146,7 +146,7 @@ fn main() {
     }
 }
 
-/// procs + pool(2) + dialer — the flat thread budget each side runs.
+/// min(pool(2), procs) + dialer — the flat thread budget each side runs.
 fn node_threads(hosted: usize) -> usize {
-    hosted + 2 + 1
+    hosted.min(2) + 1
 }

@@ -173,15 +173,18 @@
 //! [`TcpCluster`] spends a reader + writer thread per ordered link —
 //! transparent at `n = 3`, untenable at `n = 64` (4032 links). The
 //! reactor backend ([`ReactorClusterBuilder`] / [`ReactorNodeBuilder`],
-//! crate `twobit-reactor`) multiplexes every link over a small fixed pool
-//! of event-loop threads (`poll(2)`-based, no new dependencies), so a
-//! node runs `hosted processes + pool_size + 1` threads no matter how
+//! crate `twobit-reactor`) runs every hosted process to completion on a
+//! small fixed pool of event-loop threads (`poll(2)`-based, no new
+//! dependencies): the loop that owns a process owns its links, decodes
+//! its frames, runs its handler inline and batches what the handler
+//! sends — no process threads, no channel hop per message — so a node
+//! runs `min(pool_size, hosted processes) + 1` threads no matter how
 //! many links it owns. It adds two things the thread-per-link backend
 //! cannot do: **cross-host deployment** (split `listen(addr)` → report
 //! the bound port → `join(peer_map)`) and **reconnect-and-resend** —
 //! a transiently failed socket re-dials with backoff and replays un-acked
-//! frames from a bounded resend buffer, with sequence-number dedup on
-//! the receive side, all visible in [`proto::NetStats`] (`reconnects`,
+//! frames from a bounded resend buffer (receivers ack cumulatively, every
+//! 32 frames or 10 ms), with sequence-number dedup on the receive side, all visible in [`proto::NetStats`] (`reconnects`,
 //! `frames_resent`, `frames_deduped`, `resend_buffer_high_water`).
 //!
 //! ```
@@ -190,11 +193,11 @@
 //! let cfg = SystemConfig::new(3, 1)?;
 //! let writer = ProcessId::new(0);
 //! let mut node = ReactorClusterBuilder::new(cfg)
-//!     .pool_size(2) // 3 procs + 2 reactors + 1 dialer = 6 threads
+//!     .pool_size(2) // 2 event loops (3 processes dealt over them) + 1 dialer
 //!     .build(0u64, |id| TwoBitProcess::new(id, cfg, writer, 0u64))?;
 //! node.write(writer, RegisterId::ZERO, 9)?;
 //! assert_eq!(node.read(ProcessId::new(2), RegisterId::ZERO)?, 9);
-//! assert_eq!(node.thread_count(), 6);
+//! assert_eq!(node.thread_count(), 3);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!

@@ -3,12 +3,18 @@
 //! listen/join deployment path.
 
 use std::collections::HashMap;
-use std::time::Duration;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
+use twobit::core::TwoBitMsg;
 use twobit::lincheck::{check_swmr, check_swmr_sharded};
+use twobit::proto::linkseq::{self, LinkHello, LinkWelcome, ACK_LEN, HELLO_LEN, WELCOME_LEN};
 use twobit::{
-    Driver, FlushPolicy, ProcessId, ReactorClusterBuilder, ReactorNodeBuilder, RegisterId,
-    SystemConfig, TwoBitProcess,
+    Driver, Envelope, FlushPolicy, Frame, ProcessId, ReactorClusterBuilder, ReactorNodeBuilder,
+    RegisterId, SystemConfig, TwoBitProcess,
 };
 
 /// How many OS threads this process currently runs (from
@@ -23,7 +29,8 @@ fn os_thread_count() -> Option<usize> {
 
 /// Satellite: the reactor's reason to exist. 16 processes × 64 shards is
 /// 240 ordered links; the thread-per-link backend would burn 480 socket
-/// threads, the reactor runs `procs + pool + dialer` regardless.
+/// threads plus 16 process threads, the reactor runs `pool + dialer`
+/// regardless — handlers run on the loops that own their links.
 #[test]
 fn thread_count_is_flat_in_the_link_count() {
     let cfg = SystemConfig::max_resilience(16);
@@ -36,12 +43,13 @@ fn thread_count_is_flat_in_the_link_count() {
         .expect("reactor cluster starts");
     assert_eq!(
         node.thread_count(),
-        16 + 4 + 1,
-        "procs + pool + dialer, not O(links)"
+        4 + 1,
+        "min(pool, hosted) + dialer: not O(links), not O(processes)"
     );
     if let (Some(b), Some(a)) = (before, os_thread_count()) {
         // Real OS accounting, with slack for unrelated test-harness
-        // threads: far under the 480 link threads the old backend needs.
+        // threads (sibling tests start their own nodes meanwhile): far
+        // under the 480 link threads the old backend needs.
         assert!(
             a.saturating_sub(b) < 60,
             "spawned {} threads for 240 links",
@@ -67,7 +75,7 @@ fn thread_count_is_flat_in_the_link_count() {
 }
 
 /// Tentpole acceptance: 64 processes × 64 shards — 4032 ordered links —
-/// on one box, still `procs + pool + dialer` threads, still atomic.
+/// on one box, still `pool + dialer` threads, still atomic.
 #[test]
 fn sixty_four_procs_sixty_four_shards_on_one_box() {
     let cfg = SystemConfig::max_resilience(64);
@@ -81,7 +89,7 @@ fn sixty_four_procs_sixty_four_shards_on_one_box() {
         .drain_grace(Duration::from_secs(10))
         .build_sharded(0u64, |_reg, id| TwoBitProcess::new(id, cfg, writer, 0u64))
         .expect("64-process reactor cluster starts");
-    assert_eq!(node.thread_count(), 64 + 4 + 1);
+    assert_eq!(node.thread_count(), 4 + 1);
     node.write(writer, RegisterId::ZERO, 7).unwrap();
     assert_eq!(node.read(ProcessId::new(63), RegisterId::ZERO).unwrap(), 7);
     let (history, stats) = node.shutdown();
@@ -193,8 +201,8 @@ fn two_nodes_listen_join_and_interoperate() {
     let mut right = right
         .join(&HashMap::from([(writer, left_addr)]), 0u64, make)
         .expect("right joins");
-    assert_eq!(left.thread_count(), 1 + 1 + 1);
-    assert_eq!(right.thread_count(), 2 + 2 + 1);
+    assert_eq!(left.thread_count(), 1 + 1, "one loop for one process");
+    assert_eq!(right.thread_count(), 2 + 1);
 
     // Each process is driven through the node hosting it. A write needs a
     // majority (2 of 3), so completing one proves the cross-node links.
@@ -340,5 +348,270 @@ fn crash_recover_crash_interleaved_with_severs_reconciles() {
     assert!(
         ledgers[1].sent > 0,
         "the post-rejoin epoch carried real traffic"
+    );
+}
+
+/// Satellite: cumulative acks must not strand a quiet link. Every link of
+/// this run carries far fewer than the 32 frames that force an ack, then
+/// falls silent — so each sender's resend buffer empties only because the
+/// receivers also ack on a timer and on every pass of the drain. Were
+/// they not to, `shutdown()` would sit out the whole drain grace and
+/// write the un-acked frames off as abandoned.
+#[test]
+fn short_burst_then_silence_drains_with_nothing_abandoned() {
+    let cfg = SystemConfig::max_resilience(3);
+    let writer = ProcessId::new(0);
+    let grace = Duration::from_secs(6);
+    let mut node = ReactorClusterBuilder::new(cfg)
+        .flush_policy(FlushPolicy::immediate())
+        .drain_grace(grace)
+        .build(0u64, |id| TwoBitProcess::new(id, cfg, writer, 0u64))
+        .expect("reactor cluster starts");
+    for v in 1..=3u64 {
+        node.write(writer, RegisterId::ZERO, v).unwrap();
+        assert_eq!(node.read(ProcessId::new(1), RegisterId::ZERO).unwrap(), v);
+    }
+    let frames = node.stats().frames_sent();
+    assert!(
+        (1..32 * 6).contains(&frames),
+        "{frames} frames over 6 links: no link reached the ack threshold"
+    );
+    let started = Instant::now();
+    let (history, stats) = node.shutdown();
+    assert!(
+        started.elapsed() < grace / 2,
+        "drained in {:?}: the acks came, the grace deadline was not needed",
+        started.elapsed()
+    );
+    check_swmr(history.shard(RegisterId::ZERO).unwrap()).unwrap();
+    assert_eq!(stats.messages_abandoned(), 0);
+    assert_eq!(stats.links_abandoned(), 0);
+    assert_eq!(
+        stats.total_delivered() + stats.dropped_to_crashed() + stats.dropped_stale(),
+        stats.total_sent(),
+        "books balance with nothing abandoned"
+    );
+}
+
+/// The far end of the reactor's link protocol, scripted: stands in for the
+/// node hosting p1 and p2. Accepts the links the node under test dials,
+/// welcomes each at its cursor, acks every record at once and counts the
+/// messages of every fresh one.
+struct ScriptedPeer {
+    addr: SocketAddr,
+    received: Arc<AtomicU64>,
+    stop: Arc<AtomicBool>,
+    acceptor: std::thread::JoinHandle<()>,
+}
+
+impl ScriptedPeer {
+    fn start() -> Self {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let received = Arc::new(AtomicU64::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let cursors: Arc<Mutex<HashMap<(ProcessId, ProcessId), u64>>> = Arc::default();
+        let (received_a, stop_a) = (Arc::clone(&received), Arc::clone(&stop));
+        let acceptor = std::thread::spawn(move || {
+            let mut conns = Vec::new();
+            while !stop_a.load(Ordering::SeqCst) {
+                let Ok((stream, _)) = listener.accept() else {
+                    std::thread::sleep(Duration::from_millis(1));
+                    continue;
+                };
+                stream.set_nonblocking(false).unwrap();
+                let (cursors, received) = (Arc::clone(&cursors), Arc::clone(&received_a));
+                conns.push(std::thread::spawn(move || {
+                    Self::serve(stream, &cursors, &received);
+                }));
+            }
+            for h in conns {
+                h.join().unwrap();
+            }
+        });
+        ScriptedPeer {
+            addr,
+            received,
+            stop,
+            acceptor,
+        }
+    }
+
+    /// One inbound connection, until the node hangs up.
+    fn serve(
+        mut stream: TcpStream,
+        cursors: &Mutex<HashMap<(ProcessId, ProcessId), u64>>,
+        received: &AtomicU64,
+    ) {
+        let mut hello = [0u8; HELLO_LEN];
+        if stream.read_exact(&mut hello).is_err() {
+            return;
+        }
+        let LinkHello { src, dst } = LinkHello::decode(&hello).unwrap();
+        let last_delivered = *cursors.lock().unwrap().entry((src, dst)).or_insert(0);
+        stream
+            .write_all(&LinkWelcome { last_delivered }.encode())
+            .unwrap();
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 4096];
+        loop {
+            match stream.read(&mut chunk) {
+                Ok(0) | Err(_) => return,
+                Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            }
+            while let Some((seq, total)) = linkseq::split_record(&buf).unwrap() {
+                let mut cursors = cursors.lock().unwrap();
+                let cursor = cursors.get_mut(&(src, dst)).unwrap();
+                if seq > *cursor {
+                    *cursor = seq;
+                    let frame =
+                        Frame::<TwoBitMsg<u64>>::decode(&buf[linkseq::SEQ_PREFIX_LEN..total])
+                            .unwrap();
+                    received.fetch_add(frame.len() as u64, Ordering::SeqCst);
+                }
+                let _ = stream.write_all(&seq.to_be_bytes());
+                buf.drain(..total);
+            }
+        }
+    }
+
+    fn finish(self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.acceptor.join().unwrap();
+    }
+}
+
+/// Dials the node as link `p1 → p0`; returns the socket and the resume
+/// point the node's welcome names.
+fn dial_p1_to_p0(node_addr: SocketAddr) -> (TcpStream, u64) {
+    let mut stream = TcpStream::connect(node_addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let hello = LinkHello {
+        src: ProcessId::new(1),
+        dst: ProcessId::new(0),
+    };
+    stream.write_all(&hello.encode()).unwrap();
+    let mut welcome = [0u8; WELCOME_LEN];
+    stream.read_exact(&mut welcome).unwrap();
+    (
+        stream,
+        LinkWelcome::decode(&welcome).unwrap().last_delivered,
+    )
+}
+
+/// Records `seqs`, each one frame carrying one `READ` for `r0`, as bytes.
+fn read_records(seqs: std::ops::RangeInclusive<u64>) -> Vec<u8> {
+    let blob = Frame::from_envelopes([Envelope::new(RegisterId::ZERO, TwoBitMsg::<u64>::Read)])
+        .encode()
+        .unwrap();
+    let mut out = Vec::new();
+    for seq in seqs {
+        linkseq::encode_record(seq, &blob, &mut out);
+    }
+    out
+}
+
+/// Reads cumulative acks until one covers `want`; they never go backwards.
+fn await_ack(stream: &mut TcpStream, want: u64) -> u64 {
+    let mut last = 0;
+    while last < want {
+        let mut ack = [0u8; ACK_LEN];
+        stream
+            .read_exact(&mut ack)
+            .expect("the ack arrives in time");
+        let ack = u64::from_be_bytes(ack);
+        assert!(ack >= last, "acks are cumulative: {ack} after {last}");
+        last = ack;
+    }
+    last
+}
+
+/// Satellite: the ack rule, seen from the far end of a link. A scripted
+/// peer plays the node hosting p1 and p2 against a real node hosting p0:
+/// a short burst is acked lazily (one cumulative ack, on the timer); a
+/// sever while acks are owed loses nothing, because the welcome — not the
+/// acks — names the resume point; and a peer that replays frames the node
+/// had consumed but not yet acked gets them deduped and acked at once,
+/// each `READ` having reached p0 exactly once.
+#[test]
+fn owed_acks_survive_a_sever_and_replays_are_deduped() {
+    let cfg = SystemConfig::max_resilience(3);
+    let writer = ProcessId::new(0);
+    let peer = ScriptedPeer::start();
+    let peers = HashMap::from([
+        (ProcessId::new(1), peer.addr),
+        (ProcessId::new(2), peer.addr),
+    ]);
+    let node = ReactorNodeBuilder::new(cfg)
+        .host([0usize])
+        .flush_policy(FlushPolicy::immediate())
+        .listen("127.0.0.1:0")
+        .expect("node binds")
+        .join(&peers, 0u64, move |_reg, id| {
+            TwoBitProcess::new(id, cfg, writer, 0u64)
+        })
+        .expect("node joins");
+
+    // A burst well short of 32 frames, then silence: one lazy ack.
+    let (mut link, resume) = dial_p1_to_p0(node.local_addr());
+    assert_eq!(resume, 0, "a fresh link starts from nothing");
+    link.write_all(&read_records(1..=5)).unwrap();
+    let written = Instant::now();
+    assert_eq!(await_ack(&mut link, 5), 5);
+    assert!(
+        written.elapsed() >= Duration::from_millis(9),
+        "acked after {:?}: five frames are no reason to ack before the 10 ms timer",
+        written.elapsed()
+    );
+
+    // Three more, and the sockets die with their acks still owed.
+    link.write_all(&read_records(6..=8)).unwrap();
+    node.sever_links();
+    let mut rest = Vec::new();
+    let _ = link.read_to_end(&mut rest);
+
+    // The welcome names what the node consumed, acked or not. Replaying
+    // from below it is what a sender ignoring the welcome would do.
+    let (mut link, resume) = dial_p1_to_p0(node.local_addr());
+    assert!(
+        (5..=8).contains(&resume),
+        "resumed at {resume}: what was consumed before the sever"
+    );
+    let replayed = resume - 3;
+    link.write_all(&read_records(4..=9)).unwrap();
+    assert_eq!(await_ack(&mut link, 9), 9);
+
+    // p0 answered every READ it handled with one PROCEED toward p1.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while peer.received.load(Ordering::SeqCst) < 9 {
+        assert!(Instant::now() < deadline, "the PROCEEDs never arrived");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (_, stats) = node.shutdown();
+    drop(link);
+    peer.finish();
+
+    assert_eq!(
+        stats.frames_deduped(),
+        replayed,
+        "every replayed frame refused"
+    );
+    assert!(stats.frames_deduped() > 0);
+    assert_eq!(stats.total_delivered(), 9, "each READ handled exactly once");
+    assert_eq!(stats.total_sent(), 9, "one PROCEED per READ");
+    assert_eq!(stats.links_abandoned(), 0);
+    // This node's deliveries are the peer's sends and the other way round,
+    // so the deployment-wide ledger is this node's, crossed.
+    assert_eq!(
+        stats.total_delivered()
+            + stats.dropped_to_crashed()
+            + stats.dropped_stale()
+            + stats.messages_abandoned(),
+        stats.total_sent(),
+        "delivered + dropped + stale + abandoned == sent"
     );
 }
