@@ -26,6 +26,15 @@
 //! model checker must (and does) find the resulting stale read, proving
 //! the gate is load-bearing. See `docs/read-cache.md`.
 //!
+//! # Allocation
+//!
+//! Entries live in boxes, because that is what an epoch [`Slot`] swaps,
+//! but publishing does not allocate: [`cache_pair`] boxes one vacant cell
+//! per register (and one to swap with) up front, a publish fills a spare
+//! cell and stores it, and the cell it replaced comes back as a spare once
+//! no reader can still see it — at once, unless a read is in progress on
+//! another thread. Only a publish that finds no spare left boxes a cell.
+//!
 //! [`Automaton::swmr_writer`]: https://docs.rs/twobit-proto
 
 use std::sync::Arc;
@@ -68,10 +77,15 @@ pub enum CacheDecision<V> {
     Fallback,
 }
 
+/// What a slot's box holds. Every cell a reader can reach is `Some`; a
+/// spare one is vacant, so a replaced value is dropped when its cell is
+/// reclaimed, not when the cell is next used.
+type Cell<V> = Option<Entry<V>>;
+
 /// The slots shared by the two halves of one process's cache.
 #[derive(Debug)]
 struct SlotTable<V: Send + Sync + 'static> {
-    slots: Vec<Slot<Entry<V>>>,
+    slots: Vec<Slot<Cell<V>>>,
 }
 
 /// Creates one process's cache: the writer half for its event loop, the
@@ -85,10 +99,18 @@ pub fn cache_pair<V: Clone + Send + Sync + 'static>(
     let table = Arc::new(SlotTable {
         slots: (0..registers).map(|_| Slot::empty()).collect(),
     });
+    // One cell per register for the slots to hold, one more for the swap.
+    let spare = match mode {
+        CacheMode::Off => Vec::new(),
+        CacheMode::Safe | CacheMode::UnsafeAblated => {
+            (0..=registers).map(|_| Box::new(None)).collect()
+        }
+    };
     (
         CacheWriter {
             table: Arc::clone(&table),
             writer,
+            spare,
             mode,
         },
         CacheReader {
@@ -104,7 +126,11 @@ pub fn cache_pair<V: Clone + Send + Sync + 'static>(
 #[derive(Debug)]
 pub struct CacheWriter<V: Send + Sync + 'static> {
     table: Arc<SlotTable<V>>,
-    writer: EpochWriter,
+    writer: EpochWriter<Cell<V>>,
+    /// Vacant cells for the next publishes: the ones [`cache_pair`] made,
+    /// less those the slots hold, plus reclaimed ones — never more than
+    /// there were at the start.
+    spare: Vec<Box<Cell<V>>>,
     mode: CacheMode,
 }
 
@@ -117,8 +143,23 @@ impl<V: Clone + Send + Sync + 'static> CacheWriter<V> {
         if self.mode == CacheMode::Off {
             return;
         }
-        self.table.slots[reg].store(Box::new(Entry { value, writer_here }), &mut self.writer);
-        self.writer.try_reclaim();
+        let entry = Some(Entry { value, writer_here });
+        let cell = match self.spare.pop() {
+            Some(mut cell) => {
+                *cell = entry;
+                cell
+            }
+            // Replaced cells are still pinned by a reader.
+            None => Box::new(entry),
+        };
+        self.table.slots[reg].store(cell, &mut self.writer);
+        let most = self.table.slots.len() + 1;
+        self.writer.try_reclaim_with(|mut cell| {
+            *cell = None;
+            if self.spare.len() < most {
+                self.spare.push(cell);
+            }
+        });
     }
 
     /// The configured mode.
@@ -150,7 +191,7 @@ impl<V: Clone + Send + Sync + 'static> CacheReader<V> {
             return CacheDecision::Miss;
         }
         let guard = self.reader.pin();
-        match self.table.slots[reg].load(&guard) {
+        match self.table.slots[reg].load(&guard).and_then(Option::as_ref) {
             None => CacheDecision::Miss,
             Some(entry) => {
                 if entry.writer_here || self.mode == CacheMode::UnsafeAblated {
@@ -204,6 +245,25 @@ mod tests {
             "the ablation serves entries the gate would refuse — that is \
              exactly what the model checker must catch"
         );
+    }
+
+    #[test]
+    fn publishes_under_a_pinned_reader_box_fresh_cells_and_keep_no_extra_spares() {
+        let (mut w, r) = cache_pair::<u64>(1, CacheMode::Safe);
+        assert_eq!(w.spare.len(), 2, "one cell per register, one to swap");
+        let guard = r.reader.pin();
+        for i in 0..5 {
+            w.publish(0, i, true);
+        }
+        // Nothing replaced under the pin came back: the spares ran out
+        // after two publishes and the other three boxed their cells.
+        assert_eq!(w.spare.len(), 0);
+        assert_eq!(w.garbage_len(), 4);
+        drop(guard);
+        w.publish(0, 9, true);
+        assert_eq!(w.garbage_len(), 0, "unpinned: everything reclaimed");
+        assert_eq!(w.spare.len(), 2, "the surplus cells were freed");
+        assert_eq!(r.try_read(0), CacheDecision::Hit(9));
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! every active reader has pinned a strictly later epoch, at which point no
 //! guard that could still observe the old pointer exists. The read path is
 //! lock-free and allocation-free: a pin is two atomic stores and a load, a
-//! [`Slot::load`] is one `Acquire` pointer load.
+//! [`Slot::load`] is one `Acquire` pointer load. The write path need not
+//! allocate either: [`EpochWriter::try_reclaim_with`] hands reclaimed boxes
+//! back to the caller, who may refill and store them again.
 //!
 //! Memory ordering: epoch transitions and pins use `SeqCst` so the writer's
 //! *unlink → advance* sequence and a reader's *pin → re-check* handshake
@@ -20,6 +22,8 @@
 //! This crate contains the workspace's only `unsafe` code (the pointer
 //! dereference behind [`Slot::load`] and the `Box::from_raw` behind
 //! reclamation); each site documents the invariant that justifies it.
+//! A writer serves slots of one type `T`, so what it reclaims comes back
+//! typed.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
@@ -46,8 +50,8 @@ struct ReaderSlot {
     active: AtomicU64,
 }
 
-/// Creates a connected writer/registry pair.
-pub fn new() -> (EpochWriter, ReaderRegistry) {
+/// Creates a connected writer/registry pair for slots holding `T`.
+pub fn new<T: Send + Sync + 'static>() -> (EpochWriter<T>, ReaderRegistry) {
     let shared = Arc::new(Shared {
         epoch: AtomicU64::new(0),
         readers: Mutex::new(Vec::new()),
@@ -55,7 +59,9 @@ pub fn new() -> (EpochWriter, ReaderRegistry) {
     (
         EpochWriter {
             shared: Arc::clone(&shared),
-            garbage: Vec::new(),
+            // Room for the one box a store retires when it is reclaimed
+            // before the next: the list grows only under a pinned reader.
+            garbage: Vec::with_capacity(1),
         },
         ReaderRegistry { shared },
     )
@@ -64,18 +70,18 @@ pub fn new() -> (EpochWriter, ReaderRegistry) {
 /// The single mutating side: advances the epoch, collects retired boxes,
 /// and reclaims them once no reader can still see them.
 #[derive(Debug)]
-pub struct EpochWriter {
+pub struct EpochWriter<T: Send + Sync + 'static> {
     shared: Arc<Shared>,
     /// Retired allocations, tagged with the epoch they were unlinked at.
-    garbage: Vec<(u64, *mut (dyn Send + Sync))>,
+    garbage: Vec<(u64, *mut T)>,
 }
 
 // SAFETY: the raw pointers in `garbage` are uniquely owned retired boxes
 // (unlinked from every `Slot`, reachable only here); moving the writer to
 // another thread moves that ownership with it.
-unsafe impl Send for EpochWriter {}
+unsafe impl<T: Send + Sync + 'static> Send for EpochWriter<T> {}
 
-impl EpochWriter {
+impl<T: Send + Sync + 'static> EpochWriter<T> {
     /// The current global epoch.
     pub fn epoch(&self) -> u64 {
         self.shared.epoch.load(Ordering::SeqCst)
@@ -89,7 +95,7 @@ impl EpochWriter {
 
     /// Takes ownership of a retired allocation, to be freed once every
     /// reader has moved past the current epoch.
-    fn retire(&mut self, ptr: *mut (dyn Send + Sync)) {
+    fn retire(&mut self, ptr: *mut T) {
         let at = self.shared.epoch.load(Ordering::SeqCst);
         self.garbage.push((at, ptr));
     }
@@ -97,6 +103,13 @@ impl EpochWriter {
     /// Frees every retired allocation no pinned reader can still observe;
     /// returns how many were reclaimed. Cheap when there is no garbage.
     pub fn try_reclaim(&mut self) -> usize {
+        self.try_reclaim_with(drop)
+    }
+
+    /// As [`EpochWriter::try_reclaim`], but hands each reclaimed box to
+    /// `reclaimed` instead of freeing it — a writer that keeps them can
+    /// store its next values without allocating.
+    pub fn try_reclaim_with(&mut self, mut reclaimed: impl FnMut(Box<T>)) -> usize {
         if self.garbage.is_empty() {
             return 0;
         }
@@ -119,18 +132,23 @@ impl EpochWriter {
         // An item retired at epoch `r` is safe once every active pin is at
         // an epoch `> r`: such readers entered their critical section after
         // the unlink, so they can only see the replacement pointer.
-        self.garbage.retain(|&(retired_at, ptr)| {
-            if retired_at < min_active {
-                // SAFETY: `ptr` came from `Box::into_raw` in `Slot::store`,
-                // was unlinked there (no Slot holds it), and the epoch
-                // condition above proves no guard can still dereference it.
-                // `retain` visits each element once, so it is freed once.
-                drop(unsafe { Box::from_raw(ptr) });
-                false
-            } else {
-                true
+        let mut i = 0;
+        while i < self.garbage.len() {
+            let (retired_at, ptr) = self.garbage[i];
+            if retired_at >= min_active {
+                i += 1;
+                continue;
             }
-        });
+            // Off the list before it is handed out, so a panicking
+            // `reclaimed` cannot leave a pointer behind to be freed twice.
+            self.garbage.swap_remove(i);
+            // SAFETY: `ptr` came from `Box::into_raw` in `Slot::store`, was
+            // unlinked there (no Slot holds it), and the epoch condition
+            // above proves no guard can still dereference it — so whoever
+            // receives the box owns it outright, to free or to refill. It
+            // left `garbage` on the line above, so it is handed out once.
+            reclaimed(unsafe { Box::from_raw(ptr) });
+        }
         before - self.garbage.len()
     }
 
@@ -140,7 +158,7 @@ impl EpochWriter {
     }
 }
 
-impl Drop for EpochWriter {
+impl<T: Send + Sync + 'static> Drop for EpochWriter<T> {
     fn drop(&mut self) {
         // The writer owns all retired allocations; free them regardless of
         // readers — a `Guard` cannot outlive the `Slot`s it reads through,
@@ -268,7 +286,7 @@ impl<T: Send + Sync + 'static> Slot<T> {
 
     /// Replaces the value (writer side), retiring the old allocation into
     /// the writer's garbage list and advancing the epoch.
-    pub fn store(&self, value: Box<T>, writer: &mut EpochWriter) {
+    pub fn store(&self, value: Box<T>, writer: &mut EpochWriter<T>) {
         let new = Box::into_raw(value);
         let old = self.ptr.swap(new, Ordering::AcqRel);
         // Unlink first, then advance: a reader that pins the post-advance

@@ -80,6 +80,12 @@ pub fn gamma_bits(x: u64) -> u64 {
 
 /// MSB-first bit sink.
 ///
+/// Whole bytes move per step: a `put_bits` call first tops up the partial
+/// last byte, then appends the rest of the value as one big-endian slice —
+/// never a loop over bits. The stream it produces is the one a
+/// bit-at-a-time writer would (the `#[cfg(test)]` oracle in this module is
+/// exactly that writer, and the property tests hold the two byte-equal).
+///
 /// # Examples
 ///
 /// ```
@@ -121,22 +127,35 @@ impl BitWriter {
 
     /// Appends one bit.
     pub fn put_bit(&mut self, bit: bool) {
-        if self.used == 0 {
-            self.bytes.push(0);
-        }
-        if bit {
-            let last = self.bytes.last_mut().expect("pushed above");
-            *last |= 1 << (7 - self.used);
-        }
-        self.used = (self.used + 1) % 8;
+        self.put_bits(u64::from(bit), 1);
     }
 
     /// Appends the `n` low bits of `x`, most significant first (`n ≤ 64`).
     pub fn put_bits(&mut self, x: u64, n: u32) {
         assert!(n <= 64, "at most 64 bits per call");
-        for i in (0..n).rev() {
-            self.put_bit(x & (1u64 << i) != 0);
+        if n == 0 {
+            return;
         }
+        let x = if n < 64 { x & ((1u64 << n) - 1) } else { x };
+        let mut n = n;
+        if self.used != 0 {
+            let free = 8 - self.used;
+            let last = self.bytes.last_mut().expect("a partial byte exists");
+            if n <= free {
+                *last |= (x << (free - n)) as u8;
+                self.used = (self.used + n) % 8;
+                return;
+            }
+            // The value's top `free` bits complete the partial byte.
+            *last |= (x >> (n - free)) as u8;
+            n -= free;
+        }
+        // Byte-aligned: left-justify the remaining `n` bits (shifting out
+        // the ones already written) and append them as whole bytes.
+        let word = (x << (64 - n)).to_be_bytes();
+        self.bytes
+            .extend_from_slice(&word[..n.div_ceil(8) as usize]);
+        self.used = n % 8;
     }
 
     /// Elias gamma: `N` zeros, then the `N+1` significant bits of `x`.
@@ -147,25 +166,31 @@ impl BitWriter {
     pub fn put_gamma(&mut self, x: u64) {
         assert!(x >= 1, "gamma codes start at 1");
         let n = 63 - x.leading_zeros();
-        for _ in 0..n {
-            self.put_bit(false);
-        }
-        for i in (0..=n).rev() {
-            self.put_bit(x & (1 << i) != 0);
+        if 2 * n < 64 {
+            // `x < 2^(n+1)`: its own leading zeros are the unary prefix.
+            self.put_bits(x, 2 * n + 1);
+        } else {
+            self.put_bits(0, n);
+            self.put_bits(x, n + 1);
         }
     }
 
     /// Appends `s` whole, most significant bit of each byte first. On a
-    /// byte-aligned cursor this is a single `extend_from_slice` instead of
-    /// a per-bit loop — the encode-side counterpart of
-    /// [`BitReader::get_byte_slice`]'s zero-copy fast path.
+    /// byte-aligned cursor this is a single `extend_from_slice`; otherwise
+    /// the bytes are shifted in eight at a time — the encode-side
+    /// counterpart of [`BitReader::get_byte_slice`].
     pub fn put_bytes(&mut self, s: &[u8]) {
         if self.used == 0 {
             self.bytes.extend_from_slice(s);
-        } else {
-            for &b in s {
-                self.put_bits(u64::from(b), 8);
-            }
+            return;
+        }
+        self.bytes.reserve(s.len());
+        let mut words = s.chunks_exact(8);
+        for w in &mut words {
+            self.put_bits(u64::from_be_bytes(w.try_into().expect("8-byte chunk")), 64);
+        }
+        for &b in words.remainder() {
+            self.put_bits(u64::from(b), 8);
         }
     }
 
@@ -186,16 +211,27 @@ impl BitWriter {
 
 /// MSB-first bit source over a byte slice.
 ///
+/// Reads are word-granular: the reader keeps a window of up to 64 bits
+/// loaded from under the cursor, serves reads out of it by shifting —
+/// a gamma code's unary prefix is one `leading_zeros` — and reloads eight
+/// bytes at a time when it runs dry. Bounds are checked against the input
+/// before a value is handed out; nothing past the slice is ever read.
+///
 /// A reader built with [`BitReader::new_shared`] additionally remembers the
 /// shared [`Bytes`] allocation behind its input, which lets
 /// [`BitReader::get_byte_slice`] hand payload bytes out as **zero-copy
 /// sub-views** of the received blob whenever the cursor happens to be
 /// byte-aligned (the bit-packed format makes alignment opportunistic, not
 /// guaranteed).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct BitReader<'a> {
     bytes: &'a [u8],
     pos: u64,
+    /// The window: the `avail` input bits under the cursor, left-justified,
+    /// zeros below them. `avail == 0` means "not loaded", never "at the
+    /// end" — only [`BitReader::remaining_bits`] knows that.
+    window: u64,
+    avail: u32,
     /// The shared allocation `bytes` views, when the caller has one —
     /// `bytes` must equal `&shared[..]`.
     shared: Option<&'a Bytes>,
@@ -207,6 +243,8 @@ impl<'a> BitReader<'a> {
         BitReader {
             bytes,
             pos: 0,
+            window: 0,
+            avail: 0,
             shared: None,
         }
     }
@@ -216,10 +254,86 @@ impl<'a> BitReader<'a> {
     /// copying.
     pub fn new_shared(backing: &'a Bytes) -> Self {
         BitReader {
-            bytes: backing,
-            pos: 0,
             shared: Some(backing),
+            ..BitReader::new(backing)
         }
+    }
+
+    /// The up-to-64 bits under the cursor, left-justified, with zeros where
+    /// the input has ended, and how many of them are real input: `64 −
+    /// (pos mod 8)` or whatever remains, whichever is less.
+    fn peek(&self) -> (u64, u32) {
+        let at = (self.pos / 8) as usize;
+        let off = (self.pos % 8) as u32;
+        let word = match self
+            .bytes
+            .get(at..)
+            .and_then(|tail| tail.first_chunk::<8>())
+        {
+            Some(chunk) => u64::from_be_bytes(*chunk),
+            None => self.tail_word(at),
+        };
+        let valid = u64::from(64 - off).min(self.remaining_bits()) as u32;
+        (word << off, valid)
+    }
+
+    /// [`BitReader::peek`]'s word when fewer than eight bytes remain from
+    /// byte `at`: those bytes, then zeros.
+    #[cold]
+    fn tail_word(&self, at: usize) -> u64 {
+        let len = self.bytes.len();
+        if at >= len {
+            return 0;
+        }
+        match self.bytes.last_chunk::<8>() {
+            // The input's last eight bytes, minus the ones in front of
+            // `at` (1..=7 of them, or `first_chunk` would have served).
+            Some(chunk) => u64::from_be_bytes(*chunk) << (8 * (at + 8 - len)),
+            // An input shorter than a word.
+            None => self.bytes[at..]
+                .iter()
+                .enumerate()
+                .fold(0, |word, (i, &b)| word | u64::from(b) << (56 - 8 * i)),
+        }
+    }
+
+    /// Reloads the window from under the cursor.
+    fn refill(&mut self) {
+        (self.window, self.avail) = self.peek();
+    }
+
+    /// Moves the cursor past `n ≤ avail` bits of the window.
+    #[inline]
+    fn consume(&mut self, n: u32) {
+        self.window = self.window.checked_shl(n).unwrap_or(0);
+        self.avail -= n;
+        self.pos += u64::from(n);
+    }
+
+    /// Moves the cursor to bit `pos`, dropping the window.
+    fn seek(&mut self, pos: u64) {
+        self.pos = pos;
+        self.avail = 0;
+    }
+
+    /// Reads `1 ≤ n ≤ 64` bits the caller has bounds-checked.
+    #[inline]
+    fn take(&mut self, n: u32) -> u64 {
+        if n > self.avail {
+            self.refill();
+        }
+        if n <= self.avail {
+            let x = self.window >> (64 - n);
+            self.consume(n);
+            return x;
+        }
+        // The value straddles nine bytes: the window holds its top `avail`
+        // bits (57..=63 of them), the next byte the rest.
+        let rest = n - self.avail;
+        let top = self.window >> (64 - self.avail);
+        self.seek(self.pos + u64::from(n));
+        let next = self.bytes[((self.pos - 1) / 8) as usize];
+        (top << rest) | u64::from(next >> (8 - rest))
     }
 
     /// Reads one bit.
@@ -227,13 +341,16 @@ impl<'a> BitReader<'a> {
     /// # Errors
     ///
     /// [`WireError::Truncated`] at end of input.
+    #[inline]
     pub fn get_bit(&mut self) -> Result<bool, WireError> {
-        let byte = self
-            .bytes
-            .get((self.pos / 8) as usize)
-            .ok_or(WireError::Truncated)?;
-        let bit = byte & (1 << (7 - self.pos % 8)) != 0;
-        self.pos += 1;
+        if self.avail == 0 {
+            self.refill();
+            if self.avail == 0 {
+                return Err(WireError::Truncated);
+            }
+        }
+        let bit = self.window >> 63 != 0;
+        self.consume(1);
         Ok(bit)
     }
 
@@ -242,17 +359,19 @@ impl<'a> BitReader<'a> {
     /// # Errors
     ///
     /// [`WireError::Truncated`] if fewer than `n` bits remain.
+    #[inline]
     pub fn get_bits(&mut self, n: u32) -> Result<u64, WireError> {
         assert!(n <= 64, "at most 64 bits per call");
-        if u64::from(n) > self.remaining_bits() {
+        if n == 0 {
+            return Ok(0);
+        }
+        // Window bits are real input; only a read past them needs the
+        // bound checked.
+        if n > self.avail && u64::from(n) > self.remaining_bits() {
             // Fail without moving the cursor so callers can report cleanly.
             return Err(WireError::Truncated);
         }
-        let mut x = 0u64;
-        for _ in 0..n {
-            x = (x << 1) | u64::from(self.get_bit()?);
-        }
-        Ok(x)
+        Ok(self.take(n))
     }
 
     /// Reads one Elias-gamma code.
@@ -260,26 +379,85 @@ impl<'a> BitReader<'a> {
     /// # Errors
     ///
     /// [`WireError::Truncated`] mid-code; [`WireError::Overflow`] if the
-    /// unary prefix exceeds the 64-bit domain.
+    /// unary prefix exceeds the 64-bit domain. Either way the cursor stops
+    /// where a bit-by-bit reader would have: at the end of the input, or
+    /// after the 64th zero.
+    #[inline]
     pub fn get_gamma(&mut self) -> Result<u64, WireError> {
-        let mut n = 0u32;
-        while !self.get_bit()? {
-            n += 1;
-            if n > 63 {
+        if let Some(x) = self.gamma_in_window() {
+            return Ok(x);
+        }
+        self.refill();
+        if let Some(x) = self.gamma_in_window() {
+            return Ok(x);
+        }
+        self.get_long_gamma()
+    }
+
+    /// The common case of [`BitReader::get_gamma`]: the whole code sits in
+    /// the window — `n` zeros, then the `n + 1` significant bits.
+    #[inline]
+    fn gamma_in_window(&mut self) -> Option<u64> {
+        let n = self.window.leading_zeros();
+        if 2 * n >= self.avail {
+            return None;
+        }
+        let x = (self.window << n) >> (63 - n);
+        self.consume(2 * n + 1);
+        Some(x)
+    }
+
+    /// [`BitReader::get_gamma`] for a code that straddles a full window or
+    /// the end of the input.
+    #[cold]
+    fn get_long_gamma(&mut self) -> Result<u64, WireError> {
+        let start = self.pos;
+        // Unary prefix: the zeros in front of the value's leading one.
+        let n = match self.skip_zeros() {
+            Ok(n) if n <= 63 => n as u32,
+            Err(e) if self.pos - start < 64 => return Err(e),
+            _ => {
+                self.seek(start + 64);
                 return Err(WireError::Overflow);
             }
+        };
+        if u64::from(n + 1) > self.remaining_bits() {
+            self.seek(self.bytes.len() as u64 * 8);
+            return Err(WireError::Truncated);
         }
-        let mut x = 1u64;
-        for _ in 0..n {
-            x = (x << 1) | u64::from(self.get_bit()?);
+        Ok(self.take(n + 1))
+    }
+
+    /// Consumes zeros up to the next set bit (left unread) and returns how
+    /// many there were — a gamma code's unary prefix, or the gap to a span
+    /// bitmap's next tag — one `leading_zeros` per window.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Truncated`] if the input ends before a set bit (with
+    /// the cursor at the end).
+    pub(crate) fn skip_zeros(&mut self) -> Result<u64, WireError> {
+        let start = self.pos;
+        loop {
+            if self.avail == 0 {
+                self.refill();
+                if self.avail == 0 {
+                    return Err(WireError::Truncated);
+                }
+            }
+            let zeros = self.window.leading_zeros().min(self.avail);
+            let found = zeros < self.avail;
+            self.consume(zeros);
+            if found {
+                return Ok(self.pos - start);
+            }
         }
-        Ok(x)
     }
 
     /// Reads `len` whole bytes. When the cursor is byte-aligned and the
     /// reader was built with [`BitReader::new_shared`], the result is a
     /// zero-copy sub-view of the backing allocation; otherwise the bytes
-    /// are copied out bit by bit (a bit-packed stream cannot promise
+    /// are copied out, eight at a time (a bit-packed stream cannot promise
     /// alignment). Either way the cursor advances exactly `8 × len` bits.
     ///
     /// # Errors
@@ -293,15 +471,18 @@ impl<'a> BitReader<'a> {
         }
         if self.pos.is_multiple_of(8) {
             let start = (self.pos / 8) as usize;
-            self.pos += bits;
+            self.seek(self.pos + bits);
             if let Some(backing) = self.shared {
                 return Ok(backing.slice(start..start + len));
             }
             return Ok(Bytes::copy_from_slice(&self.bytes[start..start + len]));
         }
         let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.get_bits(8)? as u8);
+        for _ in 0..len / 8 {
+            out.extend_from_slice(&self.take(64).to_be_bytes());
+        }
+        for _ in 0..len % 8 {
+            out.push(self.take(8) as u8);
         }
         Ok(Bytes::from(out))
     }
@@ -327,18 +508,157 @@ impl<'a> BitReader<'a> {
         if self.remaining_bits() >= 8 {
             return Err(WireError::Malformed("more than a byte of trailing slack"));
         }
-        while self.remaining_bits() > 0 {
-            if self.get_bit()? {
-                return Err(WireError::Malformed("non-zero padding bit"));
+        let (rest, valid) = self.peek();
+        if rest != 0 {
+            // Stop just past the offending bit, as reading it would have.
+            self.seek(self.pos + u64::from(rest.leading_zeros()) + 1);
+            return Err(WireError::Malformed("non-zero padding bit"));
+        }
+        self.seek(self.pos + u64::from(valid));
+        Ok(())
+    }
+}
+
+/// The codec's previous writer and reader, one loop iteration per bit:
+/// kept (test builds only) as the reference the word-granular
+/// [`BitWriter`]/[`BitReader`] are property-tested against — same bytes,
+/// same `bit_len`, same values, same errors, same cursor after each.
+#[cfg(test)]
+mod oracle {
+    use super::WireError;
+
+    #[derive(Default)]
+    pub(super) struct BitWriter {
+        bytes: Vec<u8>,
+        used: u32,
+    }
+
+    impl BitWriter {
+        pub(super) fn put_bit(&mut self, bit: bool) {
+            if self.used == 0 {
+                self.bytes.push(0);
+            }
+            if bit {
+                let last = self.bytes.last_mut().expect("pushed above");
+                *last |= 1 << (7 - self.used);
+            }
+            self.used = (self.used + 1) % 8;
+        }
+
+        pub(super) fn put_bits(&mut self, x: u64, n: u32) {
+            for i in (0..n).rev() {
+                self.put_bit(x & (1u64 << i) != 0);
             }
         }
-        Ok(())
+
+        pub(super) fn put_gamma(&mut self, x: u64) {
+            let n = 63 - x.leading_zeros();
+            for _ in 0..n {
+                self.put_bit(false);
+            }
+            for i in (0..=n).rev() {
+                self.put_bit(x & (1 << i) != 0);
+            }
+        }
+
+        pub(super) fn put_bytes(&mut self, s: &[u8]) {
+            for &b in s {
+                self.put_bits(u64::from(b), 8);
+            }
+        }
+
+        pub(super) fn bit_len(&self) -> u64 {
+            if self.used == 0 {
+                self.bytes.len() as u64 * 8
+            } else {
+                (self.bytes.len() as u64 - 1) * 8 + u64::from(self.used)
+            }
+        }
+
+        pub(super) fn into_bytes(self) -> Vec<u8> {
+            self.bytes
+        }
+    }
+
+    pub(super) struct BitReader<'a> {
+        bytes: &'a [u8],
+        pos: u64,
+    }
+
+    impl<'a> BitReader<'a> {
+        pub(super) fn new(bytes: &'a [u8]) -> Self {
+            BitReader { bytes, pos: 0 }
+        }
+
+        pub(super) fn get_bit(&mut self) -> Result<bool, WireError> {
+            let byte = self
+                .bytes
+                .get((self.pos / 8) as usize)
+                .ok_or(WireError::Truncated)?;
+            let bit = byte & (1 << (7 - self.pos % 8)) != 0;
+            self.pos += 1;
+            Ok(bit)
+        }
+
+        pub(super) fn get_bits(&mut self, n: u32) -> Result<u64, WireError> {
+            if u64::from(n) > self.remaining_bits() {
+                return Err(WireError::Truncated);
+            }
+            let mut x = 0u64;
+            for _ in 0..n {
+                x = (x << 1) | u64::from(self.get_bit()?);
+            }
+            Ok(x)
+        }
+
+        pub(super) fn get_gamma(&mut self) -> Result<u64, WireError> {
+            let mut n = 0u32;
+            while !self.get_bit()? {
+                n += 1;
+                if n > 63 {
+                    return Err(WireError::Overflow);
+                }
+            }
+            let mut x = 1u64;
+            for _ in 0..n {
+                x = (x << 1) | u64::from(self.get_bit()?);
+            }
+            Ok(x)
+        }
+
+        pub(super) fn get_byte_slice(&mut self, len: usize) -> Result<Vec<u8>, WireError> {
+            if len as u64 * 8 > self.remaining_bits() {
+                return Err(WireError::Truncated);
+            }
+            (0..len).map(|_| Ok(self.get_bits(8)? as u8)).collect()
+        }
+
+        pub(super) fn bits_read(&self) -> u64 {
+            self.pos
+        }
+
+        pub(super) fn remaining_bits(&self) -> u64 {
+            (self.bytes.len() as u64 * 8).saturating_sub(self.pos)
+        }
+
+        pub(super) fn expect_zero_padding(&mut self) -> Result<(), WireError> {
+            if self.remaining_bits() >= 8 {
+                return Err(WireError::Malformed("more than a byte of trailing slack"));
+            }
+            while self.remaining_bits() > 0 {
+                if self.get_bit()? {
+                    return Err(WireError::Malformed("non-zero padding bit"));
+                }
+            }
+            Ok(())
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn bit_len_tracks_partial_bytes() {
@@ -485,6 +805,192 @@ mod tests {
         assert_eq!(
             r.expect_zero_padding(),
             Err(WireError::Malformed("more than a byte of trailing slack"))
+        );
+    }
+
+    const ORACLE_CASES: u32 = 4_096;
+
+    /// One step of a write script.
+    #[derive(Clone, Debug)]
+    enum Put {
+        Bit(bool),
+        Bits(u64, u32),
+        Gamma(u64),
+        Bytes(Vec<u8>),
+    }
+
+    fn put_op() -> impl Strategy<Value = Put> {
+        prop_oneof![
+            any::<bool>().prop_map(Put::Bit),
+            (any::<u64>(), 0u32..=64).prop_map(|(x, n)| Put::Bits(x, n)),
+            // Every magnitude, not just the (rare) huge ones `any` favours.
+            (any::<u64>(), 0u32..64).prop_map(|(x, shift)| Put::Gamma((x >> shift).max(1))),
+            prop::collection::vec(any::<u8>(), 0..20).prop_map(Put::Bytes),
+        ]
+    }
+
+    /// One step of a read script.
+    #[derive(Clone, Debug)]
+    enum Get {
+        Bit,
+        Bits(u32),
+        Gamma,
+        Bytes(usize),
+        Padding,
+    }
+
+    fn get_op() -> impl Strategy<Value = Get> {
+        prop_oneof![
+            Just(Get::Bit),
+            (0u32..=64).prop_map(Get::Bits),
+            Just(Get::Gamma),
+            Just(Get::Gamma),
+            (0usize..20).prop_map(Get::Bytes),
+            Just(Get::Padding),
+        ]
+    }
+
+    /// Input streams with long zero runs, so gamma prefixes reach the
+    /// truncation and 64-zero overflow paths random bytes almost never do.
+    fn zero_heavy_bytes() -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec(
+            prop_oneof![Just(0u8), Just(0u8), Just(0u8), any::<u8>()],
+            0..40,
+        )
+    }
+
+    /// Runs `script` over `input` on both readers, comparing the result and
+    /// the cursor after every step — failed steps included.
+    fn read_in_lockstep(input: &[u8], script: &[Get]) -> Result<(), String> {
+        let mut new = BitReader::new(input);
+        let mut old = oracle::BitReader::new(input);
+        for (i, op) in script.iter().enumerate() {
+            match *op {
+                Get::Bit => prop_assert_eq!(new.get_bit(), old.get_bit(), "step {}", i),
+                Get::Bits(n) => prop_assert_eq!(new.get_bits(n), old.get_bits(n), "step {}", i),
+                Get::Gamma => prop_assert_eq!(new.get_gamma(), old.get_gamma(), "step {}", i),
+                Get::Bytes(len) => prop_assert_eq!(
+                    new.get_byte_slice(len).map(|b| b.to_vec()),
+                    old.get_byte_slice(len),
+                    "step {}",
+                    i
+                ),
+                Get::Padding => prop_assert_eq!(
+                    new.expect_zero_padding(),
+                    old.expect_zero_padding(),
+                    "step {}",
+                    i
+                ),
+            }
+            prop_assert_eq!(new.bits_read(), old.bits_read(), "cursor after step {}", i);
+            prop_assert_eq!(new.remaining_bits(), old.remaining_bits());
+        }
+        Ok(())
+    }
+
+    proptest! {
+        // The cases are tiny; run enough of them to reach the window
+        // reloads, nine-byte straddles and end-of-input corners.
+        #![proptest_config(ProptestConfig::with_cases(ORACLE_CASES))]
+
+        /// Word-granular writer vs the bit-at-a-time oracle: the same
+        /// script yields the same `bit_len` after every step and the same
+        /// bytes at the end.
+        #[test]
+        fn writer_matches_the_bit_at_a_time_oracle(
+            script in prop::collection::vec(put_op(), 0..40),
+        ) {
+            let mut new = BitWriter::new();
+            let mut old = oracle::BitWriter::default();
+            for op in &script {
+                match op {
+                    Put::Bit(b) => {
+                        new.put_bit(*b);
+                        old.put_bit(*b);
+                    }
+                    Put::Bits(x, n) => {
+                        new.put_bits(*x, *n);
+                        old.put_bits(*x, *n);
+                    }
+                    Put::Gamma(x) => {
+                        new.put_gamma(*x);
+                        old.put_gamma(*x);
+                    }
+                    Put::Bytes(s) => {
+                        new.put_bytes(s);
+                        old.put_bytes(s);
+                    }
+                }
+                prop_assert_eq!(new.bit_len(), old.bit_len(), "after {:?}", op);
+            }
+            prop_assert_eq!(new.into_bytes(), old.into_bytes());
+        }
+
+        /// Word-granular reader vs the oracle over arbitrary (zero-heavy)
+        /// input: identical values, identical typed errors, identical
+        /// cursor — on the failing steps too.
+        #[test]
+        fn reader_matches_the_oracle_on_arbitrary_input(
+            input in zero_heavy_bytes(),
+            script in prop::collection::vec(get_op(), 0..24),
+        ) {
+            read_in_lockstep(&input, &script)?;
+        }
+
+        /// The same, over well-formed streams (a write script read back by
+        /// the matching read script) cut at an arbitrary byte.
+        #[test]
+        fn reader_matches_the_oracle_on_written_then_truncated_streams(
+            script in prop::collection::vec(put_op(), 0..24),
+            cut in 0usize..64,
+        ) {
+            let mut w = BitWriter::new();
+            let mut reads = Vec::new();
+            for op in &script {
+                match op {
+                    Put::Bit(b) => {
+                        w.put_bit(*b);
+                        reads.push(Get::Bit);
+                    }
+                    Put::Bits(x, n) => {
+                        w.put_bits(*x, *n);
+                        reads.push(Get::Bits(*n));
+                    }
+                    Put::Gamma(x) => {
+                        w.put_gamma(*x);
+                        reads.push(Get::Gamma);
+                    }
+                    Put::Bytes(s) => {
+                        w.put_bytes(s);
+                        reads.push(Get::Bytes(s.len()));
+                    }
+                }
+            }
+            reads.push(Get::Padding);
+            let bytes = w.into_bytes();
+            read_in_lockstep(&bytes, &reads)?;
+            read_in_lockstep(&bytes[..cut.min(bytes.len())], &reads)?;
+        }
+    }
+
+    #[test]
+    fn gamma_prefix_errors_leave_the_cursor_where_the_oracle_does() {
+        // 64 zeros: overflow after the 64th, whatever follows.
+        let mut input = vec![0u8; 8];
+        input.push(0xFF);
+        read_in_lockstep(&input, &[Get::Bits(3), Get::Gamma, Get::Bit]).unwrap();
+        // 63 zeros then a one: the widest legal code, here truncated.
+        let mut input = vec![0u8; 7];
+        input.push(0x01);
+        input.extend_from_slice(&[0xAB; 7]);
+        read_in_lockstep(&input, &[Get::Gamma, Get::Gamma]).unwrap();
+        // ...and complete.
+        input.push(0xCD);
+        read_in_lockstep(&input, &[Get::Gamma, Get::Padding]).unwrap();
+        let mut r = BitReader::new(&input);
+        assert_eq!(
+            r.get_gamma().unwrap(),
+            (1 << 63) | (0xAB_ABAB_ABAB_ABABu64 << 7) | (0xCD >> 1)
         );
     }
 }

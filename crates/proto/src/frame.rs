@@ -20,19 +20,31 @@
 //!   protocol can rely on anyway (channels are not FIFO, and registers are
 //!   independent).
 //!
-//! Since the wire-codec redesign a frame is not just an accounting unit but
-//! a real byte blob: [`Frame::encode`] serializes the header and every
-//! message (via [`WireMessage::encode_into`]) into one contiguous,
-//! length-prefixed bit stream, and [`Frame::decode`] parses it back with
-//! every declared count bounds-checked against the remaining input *before*
-//! any allocation. [`FrameCost`] reports the amortized routing bits
-//! (`header_bits`) alongside the untouched per-message control bits, plus
-//! the per-message-tag figure the same messages would have cost unframed —
-//! and the encoded blob reconciles bit-for-bit with that accounting on
+//! A frame is a real byte blob, not just an accounting unit:
+//! [`Frame::encode`] serializes the header and every message (via
+//! [`WireMessage::encode_into`]) into one contiguous, length-prefixed bit
+//! stream, and [`Frame::decode`] parses it back with every declared count
+//! bounds-checked against the remaining input *before* any allocation.
+//! [`FrameCost`] reports the amortized routing bits (`header_bits`)
+//! alongside the untouched per-message control bits, plus the
+//! per-message-tag figure the same messages would have cost unframed — and
+//! the encoded blob reconciles bit-for-bit with that accounting on
 //! multi-register deployments (see `docs/wire-format.md`; a
 //! single-register space accounts 0 routing bits by convention — nothing
 //! to route, like the unframed transport — while the blob still carries
 //! the small self-describing header skeleton).
+//!
+//! # In memory
+//!
+//! A frame is **one flat `Vec<Envelope<M>>`, stably sorted by register** —
+//! the batch `Vec` a link hands to [`Frame::from_envelopes`], reordered in
+//! place. A "group" is a run of equal register ids in that vector; nothing
+//! is allocated per group. The routing header is never materialised on the
+//! hot path either: [`Frame::cost`], [`Frame::encoded_bits`] and the
+//! encoders size and write it by walking the runs, and the decoder reads
+//! it straight off the wire with a streaming cursor while it fills the
+//! flat vector. [`FrameHeader`] (via [`Frame::header`]) is the owned,
+//! inspectable form of the same header for tests and tools.
 
 use std::sync::Arc;
 
@@ -49,13 +61,6 @@ use crate::wire::{Envelope, WireMessage};
 /// Kept as an alias of the codec-wide [`WireError`] so pre-codec code
 /// matching on `FrameDecodeError::Truncated` / `::Overflow` still compiles.
 pub type FrameDecodeError = WireError;
-
-/// One register's run of messages inside a [`Frame`].
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-struct FrameGroup<M> {
-    reg: RegisterId,
-    msgs: Vec<M>,
-}
 
 /// A batch of enveloped messages for one ordered link, sharing one routing
 /// header.
@@ -96,78 +101,82 @@ struct FrameGroup<M> {
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Frame<M> {
-    /// Groups sorted by register id; within a group, send order.
-    groups: Vec<FrameGroup<M>>,
+    /// Every envelope, sorted by register id; envelopes of one register
+    /// keep their send order (the sort is stable).
+    envs: Vec<Envelope<M>>,
 }
 
 impl<M> Default for Frame<M> {
     fn default() -> Self {
-        Frame { groups: Vec::new() }
+        Frame { envs: Vec::new() }
     }
 }
 
 impl<M> Frame<M> {
     /// Builds a frame from envelopes, grouping by register (sorted) while
-    /// preserving each register's internal message order.
+    /// preserving each register's internal message order. Handed a `Vec`,
+    /// the frame keeps that allocation as its storage.
     pub fn from_envelopes(envelopes: impl IntoIterator<Item = Envelope<M>>) -> Self {
-        let mut groups: Vec<FrameGroup<M>> = Vec::new();
-        for env in envelopes {
-            match groups.binary_search_by_key(&env.reg, |g| g.reg) {
-                Ok(i) => groups[i].msgs.push(env.inner),
-                Err(i) => groups.insert(
-                    i,
-                    FrameGroup {
-                        reg: env.reg,
-                        msgs: vec![env.inner],
-                    },
-                ),
-            }
+        let mut envs: Vec<Envelope<M>> = envelopes.into_iter().collect();
+        if !envs.is_sorted_by_key(|e| e.reg) {
+            envs.sort_by_key(|e| e.reg);
         }
-        Frame { groups }
+        Frame { envs }
     }
 
     /// Total messages carried.
     pub fn len(&self) -> usize {
-        self.groups.iter().map(|g| g.msgs.len()).sum()
+        self.envs.len()
     }
 
     /// Returns `true` if the frame carries no messages.
     pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
+        self.envs.is_empty()
     }
 
     /// Number of distinct registers addressed (= shard tags in the header).
     pub fn group_count(&self) -> usize {
-        self.groups.len()
+        self.runs().count()
     }
 
-    /// The routing header: each addressed register with its message count,
-    /// in id order.
+    /// The routing header in owned form: each addressed register with its
+    /// message count, in id order. The codec itself never builds this — it
+    /// walks the runs in place.
     pub fn header(&self) -> FrameHeader {
         FrameHeader {
-            groups: self
-                .groups
-                .iter()
-                .map(|g| (g.reg, g.msgs.len() as u64))
-                .collect(),
+            groups: self.runs().collect(),
         }
     }
 
     /// Iterates `(register, message)` pairs in wire order (groups sorted by
     /// register, send order within a group).
     pub fn iter(&self) -> impl Iterator<Item = (RegisterId, &M)> {
-        self.groups
-            .iter()
-            .flat_map(|g| g.msgs.iter().map(move |m| (g.reg, m)))
+        self.envs.iter().map(|e| (e.reg, &e.inner))
     }
 
-    /// Consumes the frame back into envelopes, in wire order.
+    /// Consumes the frame back into envelopes, in wire order: shorthand for
+    /// `self.into_vec().into_iter()`, for receivers that have no use for
+    /// the storage afterwards.
     pub fn into_envelopes(self) -> impl Iterator<Item = Envelope<M>> {
-        self.groups.into_iter().flat_map(|g| {
-            let reg = g.reg;
-            g.msgs
-                .into_iter()
-                .map(move |inner| Envelope::new(reg, inner))
+        self.into_vec().into_iter()
+    }
+
+    /// Consumes the frame into its storage: the envelopes in wire order,
+    /// in the allocation the frame was built over — so a sender can hand
+    /// the `Vec` back to whatever batches the next frame.
+    pub fn into_vec(self) -> Vec<Envelope<M>> {
+        self.envs
+    }
+
+    /// The header's groups, computed on the fly: one `(register, count)`
+    /// per run of equal register ids.
+    fn runs(&self) -> impl Iterator<Item = (RegisterId, u64)> + Clone + '_ {
+        let mut rest = &self.envs[..];
+        std::iter::from_fn(move || {
+            let reg = rest.first()?.reg;
+            let n = rest.iter().take_while(|e| e.reg == reg).count();
+            rest = &rest[n..];
+            Some((reg, n as u64))
         })
     }
 }
@@ -195,8 +204,8 @@ impl<M: WireMessage> Frame<M> {
     pub fn cost(&self, per_msg_routing_bits: u64) -> FrameCost {
         let mut control = 0;
         let mut data = 0;
-        for (_, m) in self.iter() {
-            let c = m.cost();
+        for e in &self.envs {
+            let c = e.inner.cost();
             control += c.control_bits;
             data += c.data_bits;
         }
@@ -204,8 +213,8 @@ impl<M: WireMessage> Frame<M> {
         let (header_bits, header_gamma_bits) = if per_msg_routing_bits == 0 {
             (0, 0)
         } else {
-            let h = self.header();
-            (h.bits(), h.bits_gamma())
+            let shape = HeaderShape::of(self.runs());
+            (shape.bits(), shape.bits_gamma())
         };
         FrameCost {
             messages,
@@ -220,7 +229,11 @@ impl<M: WireMessage> Frame<M> {
     /// Exact size of [`Frame::encode`]'s body in bits (header plus every
     /// message, before byte padding and without the 32-bit length prefix).
     pub fn encoded_bits(&self) -> u64 {
-        self.header().bits() + self.iter().map(|(_, m)| m.encoded_bits()).sum::<u64>()
+        HeaderShape::of(self.runs()).bits() + self.message_bits()
+    }
+
+    fn message_bits(&self) -> u64 {
+        self.envs.iter().map(|e| e.inner.encoded_bits()).sum()
     }
 
     /// Serializes the frame into one length-prefixed byte blob:
@@ -245,10 +258,11 @@ impl<M: WireMessage> Frame<M> {
     }
 
     /// [`Frame::encode`] into a recycled buffer checked out of `pool`: the
-    /// steady-state hot path allocates nothing, and the returned [`Bytes`]
-    /// gives the buffer back to the pool when its last view drops (after
-    /// the socket write, after the simulator delivers the frame). The blob
-    /// is byte-identical to [`Frame::encode`]'s.
+    /// steady-state hot path allocates nothing but the [`Bytes`] handle,
+    /// and the returned blob gives the buffer back to the pool when its
+    /// last view drops (after the socket write and the ack, after the
+    /// simulator delivers the frame). The blob is byte-identical to
+    /// [`Frame::encode`]'s.
     ///
     /// # Errors
     ///
@@ -258,14 +272,21 @@ impl<M: WireMessage> Frame<M> {
     }
 
     /// Shared encode body: writes a 32-bit length placeholder, the header
-    /// and every message into `buf` (cleared first, capacity reused), then
-    /// patches the real body length over the placeholder.
-    fn encode_into_vec(&self, buf: Vec<u8>) -> Result<Vec<u8>, WireError> {
+    /// (streamed off the register runs) and every message into `buf`
+    /// (cleared first, capacity reused), then patches the real body length
+    /// over the placeholder. A cold buffer — a fresh `Vec`, or a pool miss
+    /// — is sized exactly once up front instead of growing by doubling.
+    fn encode_into_vec(&self, mut buf: Vec<u8>) -> Result<Vec<u8>, WireError> {
+        let shape = HeaderShape::of(self.runs());
+        if buf.capacity() == 0 {
+            let body = (shape.bits() + self.message_bits()).div_ceil(8);
+            buf.reserve_exact(usize::try_from(body).map_err(|_| WireError::Overflow)? + 4);
+        }
         let mut w = BitWriter::with_buffer(buf);
         w.put_bits(0, 32); // length-prefix placeholder, patched below
-        self.header().encode_into(&mut w);
-        for (_, m) in self.iter() {
-            m.encode_into(&mut w)?;
+        shape.encode(self.runs(), &mut w);
+        for e in &self.envs {
+            e.inner.encode_into(&mut w)?;
         }
         let mut blob = w.into_bytes();
         let len = u32::try_from(blob.len() - 4).map_err(|_| WireError::Overflow)?;
@@ -329,35 +350,41 @@ impl<M: WireMessage> Frame<M> {
         Ok(())
     }
 
-    /// Shared decode body (everything after the length prefix).
+    /// Shared decode body (everything after the length prefix): the header
+    /// is walked twice and stored never. The first walk validates it end to
+    /// end and totals the declared messages; only then is the one flat
+    /// vector allocated, and the second walk — a copy of the first taken
+    /// right after [`HeaderWalk::begin`], so the bitmap is validated once —
+    /// names each message's register as the messages are decoded behind it.
     fn decode_body(r: &mut BitReader<'_>) -> Result<Frame<M>, WireError> {
-        let header = FrameHeader::decode_from(r)?;
+        let mut walk = HeaderWalk::begin(r.clone())?;
+        let mut names = walk.clone();
         // Bound the total message count by the remaining input before
-        // allocating any group: every encodable message is at least one
+        // allocating anything: every encodable message is at least one
         // bit. The sum must be overflow-checked — the per-group counts are
         // attacker-controlled u64s, and a wrapped sum would sail past the
         // bound.
-        let declared_messages = header
-            .groups
-            .iter()
-            .try_fold(0u64, |acc, &(_, c)| acc.checked_add(c))
-            .ok_or(WireError::Overflow)?;
+        let mut declared_messages = 0u64;
+        while let Some((_, count)) = walk.next_group()? {
+            declared_messages = declared_messages
+                .checked_add(count)
+                .ok_or(WireError::Overflow)?;
+        }
+        *r = walk.finish();
         if declared_messages > r.remaining_bits() {
             return Err(WireError::Overflow);
         }
-        let mut groups = Vec::with_capacity(header.groups.len());
-        for &(reg, count) in &header.groups {
-            // `count ≤ remaining bits` caps it at 2²⁹, but elements are
-            // wider than a bit — never let a declared count pre-reserve
-            // more than a sane chunk; longer groups grow organically.
-            let mut msgs = Vec::with_capacity((count as usize).min(DECODE_RESERVE_CAP));
+        // `declared ≤ remaining bits` caps it at 2²⁹, but elements are
+        // wider than a bit — never let a declared count pre-reserve more
+        // than a sane chunk; longer frames grow organically.
+        let mut envs = Vec::with_capacity((declared_messages as usize).min(DECODE_RESERVE_CAP));
+        while let Some((reg, count)) = names.next_group()? {
             for _ in 0..count {
-                msgs.push(M::decode(r)?);
+                envs.push(Envelope::new(reg, M::decode(r)?));
             }
-            groups.push(FrameGroup { reg, msgs });
         }
         r.expect_zero_padding()?;
-        Ok(Frame { groups })
+        Ok(Frame { envs })
     }
 }
 
@@ -453,59 +480,6 @@ pub struct FrameHeader {
 }
 
 impl FrameHeader {
-    /// The gamma code of each group's register tag: the first tag absolute
-    /// (offset by one so tag 0 is encodable), every later one as its gap
-    /// from the previous tag.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `groups` violates the type's invariant of strictly
-    /// increasing register ids — possible only through the public field or
-    /// deserialization, since [`Frame::header`] always sorts.
-    fn tag_code(prev: Option<RegisterId>, reg: RegisterId) -> u64 {
-        match prev {
-            None => reg.index() as u64 + 1,
-            Some(p) => reg
-                .index()
-                .checked_sub(p.index())
-                .filter(|&gap| gap > 0)
-                .expect("frame header groups must have strictly increasing register ids")
-                as u64,
-        }
-    }
-
-    /// Size of the delta/gamma body (mode 0), sans count prefix and mode
-    /// bit.
-    fn gamma_body_bits(&self) -> u64 {
-        let mut bits = 0;
-        let mut prev: Option<RegisterId> = None;
-        for &(reg, count) in &self.groups {
-            assert!(count >= 1, "frame header groups must carry messages");
-            bits += gamma_bits(Self::tag_code(prev, reg)) + gamma_bits(count);
-            prev = Some(reg);
-        }
-        bits
-    }
-
-    /// Size of the span-bitmap body (mode 1), sans count prefix and mode
-    /// bit. `None` for an empty header (no bitmap mode exists there).
-    fn bitmap_body_bits(&self) -> Option<u64> {
-        let (first, _) = *self.groups.first()?;
-        let (last, _) = *self.groups.last()?;
-        // Walk the groups to enforce the sorted invariant exactly like the
-        // gamma body does.
-        let mut counts = 0;
-        let mut prev: Option<RegisterId> = None;
-        for &(reg, count) in &self.groups {
-            assert!(count >= 1, "frame header groups must carry messages");
-            let _ = Self::tag_code(prev, reg);
-            counts += gamma_bits(count);
-            prev = Some(reg);
-        }
-        let span = last.index() as u64 - first.index() as u64 + 1;
-        Some(gamma_bits(first.index() as u64 + 1) + gamma_bits(span) + span + counts)
-    }
-
     /// Exact size of the encoded header in bits (before byte padding), with
     /// the per-frame mode chooser applied.
     ///
@@ -513,23 +487,18 @@ impl FrameHeader {
     ///
     /// As for a malformed hand-built header — see [`FrameHeader::encode`].
     pub fn bits(&self) -> u64 {
-        let prefix = gamma_bits(self.groups.len() as u64 + 1);
-        match self.bitmap_body_bits() {
-            None => prefix,
-            Some(bitmap) => prefix + 1 + bitmap.min(self.gamma_body_bits()),
-        }
+        self.shape().bits()
     }
 
     /// Size of the header with the delta/gamma mode forced — what the
     /// pre-chooser codec would emit plus the mode bit. The chooser's
     /// [`FrameHeader::bits`] never exceeds this.
     pub fn bits_gamma(&self) -> u64 {
-        let prefix = gamma_bits(self.groups.len() as u64 + 1);
-        if self.groups.is_empty() {
-            prefix
-        } else {
-            prefix + 1 + self.gamma_body_bits()
-        }
+        self.shape().bits_gamma()
+    }
+
+    fn shape(&self) -> HeaderShape {
+        HeaderShape::of(self.groups.iter().copied())
     }
 
     /// Encodes the header into `w` (no byte padding; the caller finishes
@@ -541,39 +510,7 @@ impl FrameHeader {
     /// strictly increasing, or a zero message count) — constructible only
     /// by hand or via deserialization; [`Frame::header`] always upholds it.
     pub fn encode_into(&self, w: &mut BitWriter) {
-        w.put_gamma(self.groups.len() as u64 + 1);
-        let Some(bitmap) = self.bitmap_body_bits() else {
-            return;
-        };
-        if self.gamma_body_bits() <= bitmap {
-            w.put_bit(false); // mode 0: delta/gamma
-            let mut prev: Option<RegisterId> = None;
-            for &(reg, count) in &self.groups {
-                w.put_gamma(Self::tag_code(prev, reg));
-                w.put_gamma(count);
-                prev = Some(reg);
-            }
-        } else {
-            w.put_bit(true); // mode 1: span bitmap
-            let (first, _) = self.groups[0];
-            let (last, _) = *self.groups.last().expect("non-empty");
-            let span = last.index() as u64 - first.index() as u64 + 1;
-            w.put_gamma(first.index() as u64 + 1);
-            w.put_gamma(span);
-            let mut present = self.groups.iter().map(|&(r, _)| r).peekable();
-            for offset in 0..span {
-                let hit = present
-                    .peek()
-                    .is_some_and(|r| r.index() as u64 == first.index() as u64 + offset);
-                if hit {
-                    present.next();
-                }
-                w.put_bit(hit);
-            }
-            for &(_, count) in &self.groups {
-                w.put_gamma(count);
-            }
-        }
+        self.shape().encode(self.groups.iter().copied(), w);
     }
 
     /// Encodes the header into a [`Bytes`] blob (final byte zero-padded) —
@@ -590,7 +527,7 @@ impl FrameHeader {
     }
 
     /// Decodes a header from the front of `r`, leaving the cursor after
-    /// its last code.
+    /// its last code (where it was, on error).
     ///
     /// # Errors
     ///
@@ -599,82 +536,15 @@ impl FrameHeader {
     /// could hold or a tag leaves its domain; [`WireError::Malformed`] on a
     /// non-canonical bitmap.
     pub fn decode_from(r: &mut BitReader<'_>) -> Result<FrameHeader, WireError> {
-        let d = r.get_gamma()?.checked_sub(1).ok_or(WireError::Overflow)?;
-        // Domain check before trusting d with an allocation: every group
-        // needs at least two more bits (a tag code and a count code), so a
-        // count the remaining input cannot possibly hold is malformed —
-        // not merely truncated — input. The reserve cap keeps even a
-        // bit-plausible d from pre-sizing allocations much larger than the
-        // blob that declared it.
-        if d > r.remaining_bits() / 2 {
-            return Err(WireError::Overflow);
+        let mut walk = HeaderWalk::begin(r.clone())?;
+        // The walk has bounded the group count by the remaining input; the
+        // reserve cap keeps even a bit-plausible count from pre-sizing an
+        // allocation much larger than the blob that declared it.
+        let mut groups = Vec::with_capacity((walk.left as usize).min(DECODE_RESERVE_CAP));
+        while let Some(group) = walk.next_group()? {
+            groups.push(group);
         }
-        if d == 0 {
-            return Ok(FrameHeader { groups: Vec::new() });
-        }
-        let mut groups = Vec::with_capacity((d as usize).min(DECODE_RESERVE_CAP));
-        if !r.get_bit()? {
-            // Mode 0: delta/gamma.
-            let mut prev: Option<u64> = None;
-            for _ in 0..d {
-                let tag_code = r.get_gamma()?;
-                let tag = match prev {
-                    None => tag_code.checked_sub(1).ok_or(WireError::Overflow)?,
-                    Some(p) => {
-                        if tag_code == 0 {
-                            return Err(WireError::Overflow);
-                        }
-                        p.checked_add(tag_code).ok_or(WireError::Overflow)?
-                    }
-                };
-                if tag > u64::from(u32::MAX) {
-                    return Err(WireError::Overflow);
-                }
-                let count = r.get_gamma()?;
-                if count == 0 {
-                    return Err(WireError::Overflow);
-                }
-                groups.push((RegisterId::new(tag as usize), count));
-                prev = Some(tag);
-            }
-        } else {
-            // Mode 1: span bitmap.
-            let first = r.get_gamma()?.checked_sub(1).ok_or(WireError::Overflow)?;
-            let span = r.get_gamma()?;
-            if span < d || span > r.remaining_bits() {
-                return Err(WireError::Overflow);
-            }
-            let last = first.checked_add(span - 1).ok_or(WireError::Overflow)?;
-            if last > u64::from(u32::MAX) {
-                return Err(WireError::Overflow);
-            }
-            let mut tags = Vec::with_capacity((d as usize).min(DECODE_RESERVE_CAP));
-            for offset in 0..span {
-                let present = r.get_bit()?;
-                if present {
-                    // Reject the moment the popcount exceeds the declared
-                    // group count — a span-sized all-ones bitmap must not
-                    // get to accumulate span tags before the final check.
-                    if tags.len() as u64 == d {
-                        return Err(WireError::Malformed("bitmap popcount != group count"));
-                    }
-                    tags.push(first + offset);
-                }
-                if (offset == 0 || offset == span - 1) && !present {
-                    return Err(WireError::Malformed("bitmap span not tight"));
-                }
-            }
-            if tags.len() as u64 != d {
-                return Err(WireError::Malformed("bitmap popcount != group count"));
-            }
-            for tag in tags {
-                let count = r.get_gamma()?;
-                if count == 0 {
-                    return Err(WireError::Overflow);
-                }
-                groups.push((RegisterId::new(tag as usize), count));
-            }
-        }
+        *r = walk.finish();
         Ok(FrameHeader { groups })
     }
 
@@ -691,6 +561,251 @@ impl FrameHeader {
     /// Total message count across all groups.
     pub fn messages(&self) -> u64 {
         self.groups.iter().map(|&(_, c)| c).sum()
+    }
+}
+
+/// What one walk over a header's groups learns — enough to size both tag
+/// encodings, pick the smaller, and write it. Shared by the owned
+/// [`FrameHeader`] and by [`Frame`], which feeds it the register runs of
+/// its flat storage without building a header first.
+#[derive(Clone, Copy, Debug, Default)]
+struct HeaderShape {
+    groups: u64,
+    /// First and last register tag (meaningless when `groups == 0`).
+    first: u64,
+    last: u64,
+    /// Size of the delta/gamma body (mode 0), sans count prefix and mode
+    /// bit.
+    gamma_body: u64,
+    /// Σ γ(count): the part of the span-bitmap body (mode 1) that depends
+    /// on more than the first and last tag.
+    count_bits: u64,
+}
+
+impl HeaderShape {
+    /// # Panics
+    ///
+    /// Panics if `groups` violates the header invariant: strictly
+    /// increasing register ids, every count ≥ 1.
+    fn of(groups: impl Iterator<Item = (RegisterId, u64)>) -> Self {
+        let mut shape = HeaderShape::default();
+        let mut prev: Option<RegisterId> = None;
+        for (reg, count) in groups {
+            assert!(count >= 1, "frame header groups must carry messages");
+            let count_bits = gamma_bits(count);
+            shape.gamma_body += gamma_bits(Self::tag_code(prev, reg)) + count_bits;
+            shape.count_bits += count_bits;
+            if prev.is_none() {
+                shape.first = reg.index() as u64;
+            }
+            shape.last = reg.index() as u64;
+            shape.groups += 1;
+            prev = Some(reg);
+        }
+        shape
+    }
+
+    /// The gamma code of a group's register tag: the first tag absolute
+    /// (offset by one so tag 0 is encodable), every later one as its gap
+    /// from the previous tag.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless register ids are strictly increasing — violable only
+    /// through [`FrameHeader`]'s public field or deserialization, since
+    /// frames always sort.
+    fn tag_code(prev: Option<RegisterId>, reg: RegisterId) -> u64 {
+        match prev {
+            None => reg.index() as u64 + 1,
+            Some(p) => reg
+                .index()
+                .checked_sub(p.index())
+                .filter(|&gap| gap > 0)
+                .expect("frame header groups must have strictly increasing register ids")
+                as u64,
+        }
+    }
+
+    fn span(&self) -> u64 {
+        self.last - self.first + 1
+    }
+
+    /// Size of the span-bitmap body (mode 1), sans count prefix and mode
+    /// bit.
+    fn bitmap_body(&self) -> u64 {
+        gamma_bits(self.first + 1) + gamma_bits(self.span()) + self.span() + self.count_bits
+    }
+
+    fn bits(&self) -> u64 {
+        let prefix = gamma_bits(self.groups + 1);
+        if self.groups == 0 {
+            prefix
+        } else {
+            prefix + 1 + self.gamma_body.min(self.bitmap_body())
+        }
+    }
+
+    fn bits_gamma(&self) -> u64 {
+        let prefix = gamma_bits(self.groups + 1);
+        if self.groups == 0 {
+            prefix
+        } else {
+            prefix + 1 + self.gamma_body
+        }
+    }
+
+    /// Writes the header for `groups` — the same sequence this shape was
+    /// measured from — in whichever mode is smaller (gamma on a tie).
+    fn encode(&self, groups: impl Iterator<Item = (RegisterId, u64)> + Clone, w: &mut BitWriter) {
+        w.put_gamma(self.groups + 1);
+        if self.groups == 0 {
+            return;
+        }
+        if self.gamma_body <= self.bitmap_body() {
+            w.put_bit(false); // mode 0: delta/gamma
+            let mut prev: Option<RegisterId> = None;
+            for (reg, count) in groups {
+                w.put_gamma(Self::tag_code(prev, reg));
+                w.put_gamma(count);
+                prev = Some(reg);
+            }
+        } else {
+            w.put_bit(true); // mode 1: span bitmap
+            w.put_gamma(self.first + 1);
+            w.put_gamma(self.span());
+            // Each tag is its gap's worth of zeros closed by a one.
+            let mut prev: Option<RegisterId> = None;
+            for (reg, _) in groups.clone() {
+                let mut zeros = prev.map_or(0, |p| Self::tag_code(Some(p), reg) - 1);
+                while zeros >= 64 {
+                    w.put_bits(0, 64);
+                    zeros -= 64;
+                }
+                w.put_bits(1, zeros as u32 + 1);
+                prev = Some(reg);
+            }
+            for (_, count) in groups {
+                w.put_gamma(count);
+            }
+        }
+    }
+}
+
+/// Streaming parse of one routing header: yields each group's
+/// `(register, count)` straight off the wire, with every domain and bound
+/// check the format needs, and stores nothing. Both the owned
+/// [`FrameHeader::decode_from`] and the allocation-free
+/// [`Frame::decode`] paths are this walk.
+#[derive(Clone)]
+struct HeaderWalk<'a> {
+    /// Groups not yet yielded.
+    left: u64,
+    /// Reads the γ(count) codes — and in gamma mode the tag codes in front
+    /// of them. Once `left == 0` it rests on the header's last bit.
+    r: BitReader<'a>,
+    tags: TagCursor<'a>,
+}
+
+/// Where a [`HeaderWalk`] finds the next group's register tag.
+#[derive(Clone)]
+enum TagCursor<'a> {
+    /// Mode 0: a γ-coded gap ahead of each count; `prev` is the last tag.
+    Gamma { prev: Option<u64> },
+    /// Mode 1: the set bits of the (already validated) span bitmap, read
+    /// by a cursor of their own; `next` is the tag of its next unread bit.
+    Bitmap { bits: BitReader<'a>, next: u64 },
+}
+
+impl<'a> HeaderWalk<'a> {
+    /// Reads the group count and the mode, and in bitmap mode validates
+    /// the whole bitmap, so that a walk that starts has a well-formed tag
+    /// sequence ahead of it.
+    fn begin(mut r: BitReader<'a>) -> Result<Self, WireError> {
+        let d = r.get_gamma()?.checked_sub(1).ok_or(WireError::Overflow)?;
+        // Domain check before trusting d with anything: every group needs
+        // at least two more bits (a tag code and a count code), so a count
+        // the remaining input cannot possibly hold is malformed — not
+        // merely truncated — input.
+        if d > r.remaining_bits() / 2 {
+            return Err(WireError::Overflow);
+        }
+        if d == 0 || !r.get_bit()? {
+            let tags = TagCursor::Gamma { prev: None };
+            return Ok(HeaderWalk { left: d, r, tags });
+        }
+        let first = r.get_gamma()?.checked_sub(1).ok_or(WireError::Overflow)?;
+        let span = r.get_gamma()?;
+        if span < d || span > r.remaining_bits() {
+            return Err(WireError::Overflow);
+        }
+        let last = first.checked_add(span - 1).ok_or(WireError::Overflow)?;
+        if last > u64::from(u32::MAX) {
+            return Err(WireError::Overflow);
+        }
+        let bits = r.clone();
+        // Canonical bitmap: both ends set (the span is tight) and exactly
+        // d bits set. Checked in the order a bit-by-bit scan that stops at
+        // the (d+1)-th set bit would trip over them.
+        let (mut ones, mut left, mut chunk) = (0u64, span, 0u64);
+        while left > 0 {
+            let width = left.min(64) as u32;
+            chunk = r.get_bits(width)?;
+            if left == span && chunk >> (width - 1) == 0 {
+                return Err(WireError::Malformed("bitmap span not tight"));
+            }
+            ones += u64::from(chunk.count_ones());
+            left -= u64::from(width);
+        }
+        if ones > d {
+            return Err(WireError::Malformed("bitmap popcount != group count"));
+        }
+        if chunk & 1 == 0 {
+            return Err(WireError::Malformed("bitmap span not tight"));
+        }
+        if ones != d {
+            return Err(WireError::Malformed("bitmap popcount != group count"));
+        }
+        let tags = TagCursor::Bitmap { bits, next: first };
+        Ok(HeaderWalk { left: d, r, tags })
+    }
+
+    /// The next group, or `None` once all declared groups were yielded.
+    fn next_group(&mut self) -> Result<Option<(RegisterId, u64)>, WireError> {
+        if self.left == 0 {
+            return Ok(None);
+        }
+        self.left -= 1;
+        let tag = match &mut self.tags {
+            TagCursor::Gamma { prev } => {
+                // γ codes are ≥ 1: a zero gap (a repeated register) or a
+                // zero count below is unrepresentable, not just rejected.
+                let code = self.r.get_gamma()?;
+                let tag = match *prev {
+                    None => code.checked_sub(1).ok_or(WireError::Overflow)?,
+                    Some(p) => p.checked_add(code).ok_or(WireError::Overflow)?,
+                };
+                if tag > u64::from(u32::MAX) {
+                    return Err(WireError::Overflow);
+                }
+                *prev = Some(tag);
+                tag
+            }
+            TagCursor::Bitmap { bits, next } => {
+                let tag = *next + bits.skip_zeros()?;
+                bits.get_bit()?;
+                *next = tag + 1;
+                tag
+            }
+        };
+        let count = self.r.get_gamma()?;
+        Ok(Some((RegisterId::new(tag as usize), count)))
+    }
+
+    /// The reader, resting just past the header. Call once
+    /// [`HeaderWalk::next_group`] has returned `None`.
+    fn finish(self) -> BitReader<'a> {
+        debug_assert_eq!(self.left, 0, "header walk abandoned early");
+        self.r
     }
 }
 

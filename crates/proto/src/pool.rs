@@ -2,15 +2,25 @@
 //!
 //! [`Frame::encode`](crate::Frame::encode) builds a fresh blob per frame —
 //! fine for tests, but on a busy link the allocator becomes the hot path:
-//! one `Vec` per flush, freed as soon as the socket write returns. A
-//! [`BufferPool`] breaks that cycle. Each link owns one pool;
+//! one `Vec` per flush, freed as soon as the frame is done with. A
+//! [`BufferPool`] breaks that cycle. Whoever seals frames (a link thread,
+//! an event loop, the simulator) owns one pool;
 //! [`Frame::encode_pooled`](crate::Frame::encode_pooled) checks a recycled
-//! `Vec<u8>` out, encodes into it (capacity warm from the previous frame of
+//! `Vec<u8>` out, encodes into it (capacity warm from an earlier frame of
 //! similar size), and freezes it into a [`Bytes`] whose owner is a
-//! [`PooledBuf`] — when the last `Bytes` view of the frame drops (after the
-//! socket write, after the simulator delivers it), the buffer returns to
-//! the pool instead of the allocator. Steady state is zero allocations per
-//! frame on the encode side.
+//! [`PooledBuf`] — when the last `Bytes` view of the frame drops, the
+//! buffer returns to the pool instead of the allocator. Steady state is
+//! one allocation per frame on the encode side: the `Bytes` handle itself.
+//!
+//! *When* that last view drops decides how many buffers a pool must
+//! retain. A transport that drops the blob after its socket write has one
+//! or two out at a time, which is what [`BufferPool::new`] retains for. A
+//! transport that parks sealed blobs until a cumulative ack (the reactor:
+//! a whole ack window per link, returned in one burst) must retain the
+//! burst, or it frees most of it and then misses on almost every checkout
+//! until the next ack; it builds its pool with
+//! [`BufferPool::with_retention`]. A miss is not a growth spiral either
+//! way: the encoder sizes a cold buffer exactly, once.
 //!
 //! The pool is deliberately tiny: a mutex-guarded free list, bounded so a
 //! burst cannot pin unbounded memory. The `Bytes` owner holds only a
@@ -21,13 +31,12 @@ use std::sync::{Arc, Mutex, Weak};
 
 use bytes::Bytes;
 
-/// Most buffers a pool retains; beyond this, returned buffers are freed.
-/// Links hold at most a handful of frames in flight, so a small cap keeps
-/// burst memory bounded without ever starving the steady state.
+/// Buffers a [`BufferPool::new`] pool retains; beyond this, returned
+/// buffers are freed. Enough for an owner whose blobs die right after the
+/// write that carried them.
 const POOL_CAP: usize = 8;
 
-/// A bounded free list of encode buffers for one link (or any other
-/// single producer of frames).
+/// A bounded free list of encode buffers for one producer of frames.
 ///
 /// # Examples
 ///
@@ -40,17 +49,32 @@ const POOL_CAP: usize = 8;
 /// let _b = pool.checkout(); // reuses `a`'s allocation
 /// assert_eq!(pool.recycled(), 1);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct BufferPool {
     free: Mutex<Vec<Vec<u8>>>,
+    /// Most buffers the free list holds.
+    retain: usize,
     recycled: std::sync::atomic::AtomicU64,
 }
 
 impl BufferPool {
     /// Creates an empty pool behind an [`Arc`] (the handle
-    /// [`Frame::encode_pooled`](crate::Frame::encode_pooled) takes).
+    /// [`Frame::encode_pooled`](crate::Frame::encode_pooled) takes),
+    /// retaining a handful of buffers.
     pub fn new() -> Arc<BufferPool> {
-        Arc::new(BufferPool::default())
+        BufferPool::with_retention(POOL_CAP)
+    }
+
+    /// Creates an empty pool that retains up to `retain` returned buffers
+    /// — for owners that get their blobs back in bursts (see the module
+    /// docs). The bound is what keeps a burst from pinning memory forever;
+    /// derive it from the protocol constants that size the burst.
+    pub fn with_retention(retain: usize) -> Arc<BufferPool> {
+        Arc::new(BufferPool {
+            free: Mutex::new(Vec::new()),
+            retain,
+            recycled: std::sync::atomic::AtomicU64::new(0),
+        })
     }
 
     /// Hands out a buffer: a recycled one when the free list is non-empty,
@@ -71,7 +95,7 @@ impl BufferPool {
     /// capacity).
     pub fn put_back(&self, buf: Vec<u8>) {
         let mut free = self.free.lock().expect("pool poisoned");
-        if free.len() < POOL_CAP {
+        if free.len() < self.retain {
             free.push(buf);
         }
     }
@@ -163,6 +187,21 @@ mod tests {
         drop(pool);
         // The weak handle is dead; dropping the view frees normally.
         drop(frozen);
+    }
+
+    #[test]
+    fn retention_is_what_the_owner_asked_for() {
+        // A 32-frame ack window returning at once must all be kept...
+        let pool = BufferPool::with_retention(32);
+        for _ in 0..40 {
+            pool.put_back(Vec::with_capacity(16));
+        }
+        assert_eq!(pool.available(), 32);
+        // ...so the next window's checkouts all hit.
+        for _ in 0..32 {
+            assert!(pool.checkout().capacity() >= 16);
+        }
+        assert_eq!(pool.recycled(), 32);
     }
 
     #[test]

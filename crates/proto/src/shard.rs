@@ -65,6 +65,10 @@ pub struct ShardSet<A: Automaton> {
     id: ProcessId,
     routing_bits: u64,
     shards: BTreeMap<RegisterId, A>,
+    /// Where a shard's handler writes its bare effects before they are
+    /// enveloped into the caller's buffer; always empty between calls, its
+    /// capacity reused by every call.
+    inner: Effects<A::Msg, A::Value>,
 }
 
 impl<A: Automaton> std::fmt::Debug for ShardSet<A> {
@@ -114,6 +118,7 @@ impl<A: Automaton> ShardSet<A> {
             id,
             routing_bits: RegisterId::routing_bits(shards.len()),
             shards,
+            inner: Effects::new(),
         }
     }
 
@@ -154,9 +159,8 @@ impl<A: Automaton> ShardSet<A> {
         fx: &mut Effects<Envelope<A::Msg>, A::Value>,
     ) -> Result<(), UnknownRegister> {
         let shard = self.shards.get_mut(&reg).ok_or(UnknownRegister(reg))?;
-        let mut inner = Effects::new();
-        shard.on_invoke(op_id, op, &mut inner);
-        self.wrap(reg, inner, fx);
+        shard.on_invoke(op_id, op, &mut self.inner);
+        Self::wrap(reg, &mut self.inner, fx);
         Ok(())
     }
 
@@ -174,9 +178,8 @@ impl<A: Automaton> ShardSet<A> {
             debug_assert!(false, "envelope for unknown register {reg}");
             return;
         };
-        let mut inner = Effects::new();
-        shard.on_message(from, env.inner, &mut inner);
-        self.wrap(reg, inner, fx);
+        shard.on_message(from, env.inner, &mut self.inner);
+        Self::wrap(reg, &mut self.inner, fx);
     }
 
     /// Donor side of recovery for one register: the hosted automaton's
@@ -217,9 +220,8 @@ impl<A: Automaton> ShardSet<A> {
         fx: &mut Effects<Envelope<A::Msg>, A::Value>,
     ) -> Result<(), UnknownRegister> {
         let shard = self.shards.get_mut(&reg).ok_or(UnknownRegister(reg))?;
-        let mut inner = Effects::new();
-        shard.apply_rejoin(rejoining, snapshot, &mut inner);
-        self.wrap(reg, inner, fx);
+        shard.apply_rejoin(rejoining, snapshot, &mut self.inner);
+        Self::wrap(reg, &mut self.inner, fx);
         Ok(())
     }
 
@@ -241,10 +243,11 @@ impl<A: Automaton> ShardSet<A> {
         Ok(())
     }
 
+    /// Moves one handler's effects out of `inner` (left empty) into `fx`,
+    /// tagging each send with its register.
     fn wrap(
-        &self,
         reg: RegisterId,
-        mut inner: Effects<A::Msg, A::Value>,
+        inner: &mut Effects<A::Msg, A::Value>,
         fx: &mut Effects<Envelope<A::Msg>, A::Value>,
     ) {
         for (to, msg) in inner.drain_sends() {

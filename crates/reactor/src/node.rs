@@ -39,6 +39,7 @@ use twobit_runtime::{
 use crate::poller::{waker_pair, Waker};
 use crate::reactor::{
     dialer_loop, Cmd, DialReq, Hosted, LinkSpec, Reactor, ReconnectPolicy, SendLink,
+    ACK_EVERY_FRAMES,
 };
 
 use twobit_proto::linkseq::LinkHello;
@@ -372,6 +373,9 @@ impl ListeningNode {
             for (k, host) in procs.iter().enumerate() {
                 proc_slot[host.core.id().index()] = Some(k);
             }
+            // Every link parks its sealed blobs until the peer's cumulative
+            // ack, and gets a window of them back at once.
+            let pool = BufferPool::with_retention(links.len() * ACK_EVERY_FRAMES as usize);
             let reactor: Reactor<A> = Reactor {
                 slot,
                 tag_bits,
@@ -393,7 +397,7 @@ impl ListeningNode {
                 procs,
                 proc_slot,
                 links,
-                pool: BufferPool::new(),
+                pool,
                 done_tx: done_tx.clone(),
             };
             reactor_threads.push(std::thread::spawn(move || reactor.run()));

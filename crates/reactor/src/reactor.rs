@@ -65,7 +65,7 @@ use crate::poller::{poll_fds, PollFd, WakeRx, Waker, POLL_IN, POLL_OUT};
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A receiver acks once it owes this many frames on a link...
-const ACK_EVERY_FRAMES: u64 = 32;
+pub(crate) const ACK_EVERY_FRAMES: u64 = 32;
 /// ...or once the oldest frame it owes an ack for is this old.
 const ACK_MAX_DELAY: Duration = Duration::from_millis(10);
 /// Poll rounds one pass spends on input before it seals and writes
@@ -560,6 +560,7 @@ impl<A: Automaton> Reactor<A> {
             let blob = frame
                 .encode_pooled(&self.pool)
                 .expect("the reactor transport requires a codec-capable message type");
+            link.batcher.recycle(frame.into_vec());
             let seq = link.next_seq;
             link.next_seq += 1;
             let depth = link.resend.len() + 1;
@@ -817,9 +818,9 @@ impl<A: Automaton> Reactor<A> {
             };
             let (seq, blob) = match linkseq::split_record(&conn.rbuf[off..]) {
                 Ok(Some((seq, total))) => {
-                    let blob = conn.rbuf[off + linkseq::SEQ_PREFIX_LEN..off + total].to_vec();
+                    let blob = &conn.rbuf[off + linkseq::SEQ_PREFIX_LEN..off + total];
                     off += total;
-                    (seq, Bytes::from(blob))
+                    (seq, blob)
                 }
                 Ok(None) => {
                     conn.rbuf.drain(..off);
@@ -837,8 +838,12 @@ impl<A: Automaton> Reactor<A> {
                 deduped += 1;
                 continue;
             }
+            // Decoded where it landed: the record is never copied out of
+            // the connection's buffer, so a frame costs the one vector its
+            // envelopes live in (byte-string payloads are copied to exactly
+            // their own size rather than pinning the read they arrived in).
             // A corrupt frame from a byzantine-free peer poisons the link.
-            let Ok(frame) = Frame::<A::Msg>::decode_shared(&blob) else {
+            let Ok(frame) = Frame::<A::Msg>::decode(blob) else {
                 poisoned = true;
                 break;
             };

@@ -357,6 +357,18 @@ impl<M> LinkBatcher<M> {
         })
     }
 
+    /// Hands a flushed batch's storage back once the owner is done with it
+    /// (the frame is encoded): the next batch fills that allocation
+    /// instead of growing a fresh one push by push. Whatever `storage`
+    /// still holds is dropped. A no-op when a newer batch already has
+    /// storage of its own.
+    pub fn recycle(&mut self, mut storage: Vec<M>) {
+        if self.pending.capacity() == 0 {
+            storage.clear();
+            self.pending = storage;
+        }
+    }
+
     /// When the current batch's hold expires — the owner's wait bound.
     /// `None` with nothing pending, so an idle owner blocks on its channel
     /// instead of busy-spinning.
@@ -442,6 +454,26 @@ mod tests {
         assert_eq!(f.reason, FlushReason::Size);
         assert_eq!(f.batch, vec![0, 1, 2]);
         assert!(!b.has_pending());
+    }
+
+    #[test]
+    fn recycled_storage_backs_the_next_batch() {
+        let mut b = LinkBatcher::new(FlushPolicy::fixed(3, Duration::from_millis(5)));
+        let t0 = Instant::now();
+        for i in 0..3u32 {
+            b.push(i, at(t0, 0));
+        }
+        let storage = b.take_due(at(t0, 1), false).expect("size bound hit").batch;
+        let (ptr, cap) = (storage.as_ptr(), storage.capacity());
+        b.recycle(storage);
+        assert!(!b.has_pending(), "recycled storage arrives empty");
+        b.push(9, at(t0, 2));
+        // A batch that already has storage keeps it; the late hand-back is
+        // simply dropped.
+        b.recycle(vec![1, 2, 3]);
+        let next = b.take_due(at(t0, 3), true).expect("shutdown flush").batch;
+        assert_eq!(next, vec![9]);
+        assert_eq!((next.as_ptr(), next.capacity()), (ptr, cap));
     }
 
     #[test]

@@ -41,6 +41,7 @@
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,10 +52,10 @@ use twobit_cache::{cache_pair, CacheDecision, CacheMode, CacheReader, CacheWrite
 /// the reader half consulted on read invocations.
 type CachePair<V> = (CacheWriter<V>, CacheReader<V>);
 use twobit_proto::{
-    Automaton, Driver, DriverError, Effects, EnabledEvent, Envelope, FlushReason, Frame, Lifecycle,
-    LifecycleState, NetStats, OpId, OpOutcome, OpRecord, OpTicket, Operation, ProcessId,
-    RecoveryRecord, RegisterId, SchedDecision, Schedule, ScheduleStep, Scheduler, ShardSet,
-    ShardedHistory, Snapshot, SystemConfig, WireMessage,
+    Automaton, BufferPool, Driver, DriverError, Effects, EnabledEvent, Envelope, FlushReason,
+    Frame, Lifecycle, LifecycleState, NetStats, OpId, OpOutcome, OpRecord, OpTicket, Operation,
+    ProcessId, RecoveryRecord, RegisterId, SchedDecision, Schedule, ScheduleStep, Scheduler,
+    ShardSet, ShardedHistory, Snapshot, SystemConfig, WireMessage,
 };
 
 use crate::delay::DelayModel;
@@ -346,6 +347,9 @@ impl SpaceBuilder {
             now: 0,
             queue: BinaryHeap::new(),
             staged: BTreeMap::new(),
+            spare_batches: Vec::new(),
+            fx: Effects::new(),
+            pool: BufferPool::new(),
             flush_hold: self.flush_hold,
             hold_overrides: self.hold_overrides,
             link_gap: BTreeMap::new(),
@@ -418,6 +422,11 @@ impl<M> Ord for SpaceEvent<M> {
 /// One ordered link's staged batch: when staging began, and the envelopes
 /// waiting for the link's flush marker.
 type StagedBatch<M> = (SimTime, Vec<Envelope<M>>);
+
+/// Most emptied batch vectors a space keeps for reuse: a few per link of
+/// the deployments it simulates, so a burst of in-flight frames cannot pin
+/// its high-water mark in idle vectors.
+const SPARE_BATCHES: usize = 64;
 
 /// Lifecycle of one scheduled-mode plan step. Invocation and response are
 /// *separate schedulable events*: the register's external interface is a
@@ -495,8 +504,18 @@ pub struct SimSpace<A: Automaton> {
     queue: BinaryHeap<SpaceEvent<A::Msg>>,
     /// Envelopes staged per ordered link (with the instant staging began),
     /// waiting for the link's flush marker to coalesce them into one
-    /// [`Frame`].
+    /// [`Frame`]. A link's entry stays once it exists; an empty batch means
+    /// nothing is staged.
     staged: BTreeMap<(ProcessId, ProcessId), StagedBatch<A::Msg>>,
+    /// Emptied batch vectors of delivered (or encoded) frames, handed to
+    /// the next link that flushes so staging refills a warm allocation;
+    /// at most [`SPARE_BATCHES`].
+    spare_batches: Vec<Vec<Envelope<A::Msg>>>,
+    /// The effects buffer every handler execution writes into; empty
+    /// between executions, its capacity reused.
+    fx: Effects<Envelope<A::Msg>, A::Value>,
+    /// Encode buffers of the [`SpaceBuilder::wire_codec`] round trip.
+    pool: Arc<BufferPool>,
     /// How long a staged link waits for more envelopes before flushing.
     flush_hold: VirtualHold,
     /// Per-link hold overrides (asymmetric topologies).
@@ -601,9 +620,14 @@ impl<A: Automaton> SimSpace<A> {
     /// Under [`SpaceBuilder::wire_codec`] the frame additionally round-trips
     /// the byte codec here, and the decoded copy is what crosses the link.
     fn flush_link(&mut self, from: ProcessId, to: ProcessId) -> Result<(), DriverError> {
-        let Some((staged_at, envs)) = self.staged.remove(&(from, to)) else {
+        let Some((staged_at, staged)) = self.staged.get_mut(&(from, to)) else {
             return Ok(());
         };
+        if staged.is_empty() {
+            return Ok(());
+        }
+        let staged_at = *staged_at;
+        let envs = std::mem::replace(staged, self.spare_batches.pop().unwrap_or_default());
         let mut frame = Frame::from_envelopes(envs);
         self.stats.record_frame(frame.cost(self.tag_bits));
         // Every simulator flush is the link's hold marker firing; the
@@ -614,13 +638,14 @@ impl<A: Automaton> SimSpace<A> {
         );
         if self.wire_codec {
             let blob = frame
-                .encode()
+                .encode_pooled(&self.pool)
                 .map_err(|e| DriverError::Backend(format!("wire codec encode: {e}")))?;
             self.stats.record_wire_bytes(blob.len() as u64);
             // Zero-copy receive path: decoded payloads are `Bytes` views
             // into `blob` wherever the bit layout byte-aligns them.
-            frame = Frame::decode_shared(&blob)
+            let decoded = Frame::decode_shared(&blob)
                 .map_err(|e| DriverError::Backend(format!("wire codec decode: {e}")))?;
+            self.recycle_batch(std::mem::replace(&mut frame, decoded).into_vec());
         }
         let delay = self.delay.sample(&mut self.rng);
         let seq = self.seq;
@@ -649,13 +674,40 @@ impl<A: Automaton> SimSpace<A> {
         Ok(())
     }
 
+    /// Keeps an emptied batch vector for the next link flush.
+    fn recycle_batch(&mut self, mut batch: Vec<Envelope<A::Msg>>) {
+        if self.spare_batches.len() < SPARE_BATCHES {
+            batch.clear();
+            self.spare_batches.push(batch);
+        }
+    }
+
+    /// Runs one delivered frame through its destination's handlers, in
+    /// wire order, and applies what they emitted.
+    fn deliver_frame(
+        &mut self,
+        from: ProcessId,
+        to: ProcessId,
+        frame: Frame<A::Msg>,
+    ) -> Result<(), DriverError> {
+        let mut batch = frame.into_vec();
+        for env in batch.drain(..) {
+            self.nodes[to.index()].on_message(from, env, &mut self.fx);
+        }
+        self.recycle_batch(batch);
+        self.apply_effects(to)
+    }
+
     /// Processes the next queued event (a flush marker or a frame
     /// delivery). Returns `Ok(false)` at quiescence. A staged link always
     /// has its flush marker in the queue, so quiescence implies nothing is
     /// staged either.
     fn step(&mut self) -> Result<bool, DriverError> {
         let Some(ev) = self.queue.pop() else {
-            debug_assert!(self.staged.is_empty(), "staged links keep a marker queued");
+            debug_assert!(
+                self.staged.values().all(|(_, batch)| batch.is_empty()),
+                "staged links keep a marker queued"
+            );
             return Ok(false);
         };
         debug_assert!(ev.at >= self.now, "time must be monotone");
@@ -681,11 +733,7 @@ impl<A: Automaton> SimSpace<A> {
                     // Atomic delivery: every message in the frame is
                     // handled at this instant, in wire order.
                     self.stats.record_deliveries(frame.len() as u64);
-                    let mut fx = Effects::new();
-                    for env in frame.into_envelopes() {
-                        self.nodes[pi].on_message(from, env, &mut fx);
-                    }
-                    self.apply_effects(to, fx)?;
+                    self.deliver_frame(from, to, frame)?;
                 }
             }
         }
@@ -694,11 +742,10 @@ impl<A: Automaton> SimSpace<A> {
 
     /// Stages one handler execution's sends on their links (arming each
     /// link's flush marker) and applies its completions to the records.
-    fn apply_effects(
-        &mut self,
-        p: ProcessId,
-        mut fx: Effects<Envelope<A::Msg>, A::Value>,
-    ) -> Result<(), DriverError> {
+    /// The handlers wrote into [`SimSpace::fx`]; it is left drained, its
+    /// capacity kept for the next execution.
+    fn apply_effects(&mut self, p: ProcessId) -> Result<(), DriverError> {
+        let mut fx = std::mem::take(&mut self.fx);
         for (to, env) in fx.drain_sends() {
             debug_assert!(to != p, "protocols must not send to self");
             // Per-message cost with the unframed-equivalent tag; the bits
@@ -709,11 +756,14 @@ impl<A: Automaton> SimSpace<A> {
                 // Scheduled mode has no hold windows: stage the envelope
                 // and flush every touched link right after this loop, so
                 // one handler execution = one frame per ordered link.
-                self.staged
+                let (staged_at, staged) = self
+                    .staged
                     .entry((p, to))
-                    .or_insert_with(|| (self.now, Vec::new()))
-                    .1
-                    .push(env);
+                    .or_insert_with(|| (self.now, Vec::new()));
+                if staged.is_empty() {
+                    *staged_at = self.now;
+                }
+                staged.push(env);
                 continue;
             }
             // Feed the link's gap estimate on every arrival — same-instant
@@ -772,7 +822,12 @@ impl<A: Automaton> SimSpace<A> {
         if self.scheduled {
             // Immediate flush, ascending destination order (`staged` is a
             // `BTreeMap`), so frame birth order is schedule-determined.
-            let links: Vec<(ProcessId, ProcessId)> = self.staged.keys().copied().collect();
+            let links: Vec<(ProcessId, ProcessId)> = self
+                .staged
+                .iter()
+                .filter(|(_, (_, batch))| !batch.is_empty())
+                .map(|(link, _)| *link)
+                .collect();
             for (from, to) in links {
                 self.flush_link(from, to)?;
             }
@@ -826,6 +881,7 @@ impl<A: Automaton> SimSpace<A> {
             self.outstanding.remove(&(p, reg));
             self.publish_completion(p, reg, &op, &outcome);
         }
+        self.fx = fx;
         Ok(())
     }
 
@@ -1072,11 +1128,7 @@ impl<A: Automaton> SimSpace<A> {
                 let pi = to.index();
                 debug_assert!(self.life[pi].state.is_up(), "crash pruned frames to p{pi}");
                 self.stats.record_deliveries(frame.len() as u64);
-                let mut fx = Effects::new();
-                for env in frame.into_envelopes() {
-                    self.nodes[pi].on_message(from, env, &mut fx);
-                }
-                self.apply_effects(to, fx)?;
+                self.deliver_frame(from, to, frame)?;
             }
             ScheduleStep::Invoke(plan) => {
                 let idx = plan as usize;
@@ -1119,11 +1171,10 @@ impl<A: Automaton> SimSpace<A> {
                     self.plan[idx].state = PlanState::Ready(OpOutcome::ReadValue(v));
                     self.ready_scratch.push(idx as u64);
                 } else {
-                    let mut fx = Effects::new();
                     self.nodes[proc.index()]
-                        .on_invoke(reg, op_id, op, &mut fx)
+                        .on_invoke(reg, op_id, op, &mut self.fx)
                         .expect("plan_entry checked register presence");
-                    self.apply_effects(proc, fx)?;
+                    self.apply_effects(proc)?;
                 }
             }
             ScheduleStep::Respond(plan) => {
@@ -1300,11 +1351,10 @@ impl<A: Automaton> SimSpace<A> {
                 if q == pi || !self.life[q].state.is_up() {
                     continue;
                 }
-                let mut fx = Effects::new();
                 self.nodes[q]
-                    .apply_rejoin(reg, p, &snap, &mut fx)
+                    .apply_rejoin(reg, p, &snap, &mut self.fx)
                     .expect("the space hosts all of its registers");
-                self.apply_effects(ProcessId::new(q), fx)?;
+                self.apply_effects(ProcessId::new(q))?;
             }
         }
         // Operations the crash orphaned are gone for good; the rejoined
@@ -1493,11 +1543,10 @@ impl<A: Automaton> Driver for SimSpace<A> {
             },
         ));
         self.outstanding.insert((proc, reg), op_id);
-        let mut fx = Effects::new();
         self.nodes[pi]
-            .on_invoke(reg, op_id, op, &mut fx)
+            .on_invoke(reg, op_id, op, &mut self.fx)
             .expect("register presence checked above");
-        self.apply_effects(proc, fx)?;
+        self.apply_effects(proc)?;
         Ok(OpTicket { proc, reg, op_id })
     }
 
@@ -1890,6 +1939,22 @@ mod tests {
         // enabled event at the start) and fires every step exactly once.
         assert_eq!(fired.steps()[0], ScheduleStep::Invoke(w as u64));
         assert!(fired.steps().contains(&ScheduleStep::Respond(r as u64)));
+    }
+
+    #[test]
+    fn scheduled_mode_observes_no_hold() {
+        // Scheduled mode has no hold windows: every link is flushed in the
+        // step that staged it, however many steps apart its frames are.
+        let cfg = SystemConfig::new(3, 1).unwrap();
+        let mut s = scheduled_space(cfg, 1);
+        // Two writes of one process: its links carry a frame for each.
+        s.plan_op(ProcessId::new(0), RegisterId::ZERO, Operation::Write(7));
+        s.plan_op(ProcessId::new(0), RegisterId::ZERO, Operation::Write(8));
+        s.run_scheduled(&mut VirtualTimeScheduler).unwrap();
+        let stats = s.stats();
+        assert!(stats.frames_sent() >= 4, "{} frames", stats.frames_sent());
+        assert_eq!(stats.max_observed_hold_ns(), 0);
+        assert_eq!(stats.observed_hold_ns(), 0);
     }
 
     #[test]

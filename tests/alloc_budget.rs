@@ -1,0 +1,377 @@
+//! Allocation budgets of the codec's hot paths, held by `cargo test`.
+//!
+//! The benchmark package (`perfbench/`) reports `allocs_per_op`, but tier-1
+//! never builds it. This binary installs its own counting allocator and
+//! pins the steady-state figures the flat, streamed codec was built for:
+//!
+//! * sealing a frame — `Frame::from_envelopes(Vec)` + `cost` +
+//!   `encode_pooled` — allocates nothing but the `Bytes` owner;
+//! * `decode_shared` of a small frame allocates once (the flat vector);
+//! * `ShardSet::on_message` allocates nothing;
+//! * a `LinkBatcher` whose storage is handed back allocates nothing;
+//! * `CacheWriter::publish` allocates nothing, from the first call on —
+//!   the `shard_scaling` bench's safe-cache rows beat their protocol twins
+//!   on allocations only while the cache's own bookkeeping is free.
+//!
+//! It also holds the decoder's other promise: whatever bytes arrive —
+//! random, or a valid frame with bits flipped — `Frame::decode`,
+//! `Frame::decode_shared` and `FrameHeader::decode` return a typed
+//! `WireError` or a frame, never panic, and never allocate more than a
+//! fixed multiple of the input's length.
+//!
+//! Counters are per thread, so the tests of this binary can run in
+//! parallel without seeing each other's allocations.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::time::{Duration, Instant};
+
+use proptest::prelude::*;
+use twobit::baselines::mwmr::{MwmrMsg, Timestamp};
+use twobit::cache::{cache_pair, CacheDecision, CacheMode};
+use twobit::core::msg::{Parity, TwoBitMsg};
+use twobit::proto::{
+    BufferPool, Bytes, Effects, Envelope, Frame, FrameHeader, ProcessId, RegisterId, ShardSet,
+    SystemConfig, WireError, WireMessage,
+};
+use twobit::runtime::{FlushPolicy, LinkBatcher};
+use twobit::TwoBitProcess;
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATED: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    // `try_with`: the allocator also runs while a thread's locals are being
+    // torn down, when there is nobody left to count for.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = ALLOCATED.try_with(|c| c.set(c.get() + size as u64));
+}
+
+// SAFETY: every call is forwarded verbatim to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a bump of two thread-local
+// `Cell`s, which neither allocate nor have destructors.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's `layout` obligations pass through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above
+        // with this `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: as for `dealloc`; `new_size` is the caller's to get right.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns its result with the allocations and the bytes this
+/// thread requested meanwhile.
+fn measured<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (a0, b0) = (ALLOCS.get(), ALLOCATED.get());
+    let out = f();
+    (out, ALLOCS.get() - a0, ALLOCATED.get() - b0)
+}
+
+fn env<M>(reg: usize, msg: M) -> Envelope<M> {
+    Envelope::new(RegisterId::new(reg), msg)
+}
+
+/// `k` messages spread over seven registers, out of register order.
+fn batch(k: usize) -> Vec<Envelope<TwoBitMsg<u64>>> {
+    (0..k)
+        .map(|i| {
+            let msg = match i % 3 {
+                0 => TwoBitMsg::Write(Parity::Even, 0xABCD_0000 + i as u64),
+                1 => TwoBitMsg::Read,
+                _ => TwoBitMsg::Proceed,
+            };
+            env((i * 5) % 7, msg)
+        })
+        .collect()
+}
+
+#[test]
+fn sealing_a_frame_allocates_only_the_bytes_owner() {
+    for k in [1, 3, 16] {
+        let pool = BufferPool::new();
+        let mut envs = batch(k);
+        let seal = |envs: Vec<Envelope<TwoBitMsg<u64>>>| {
+            let frame = Frame::from_envelopes(envs);
+            let cost = frame.cost(4);
+            let blob = frame.encode_pooled(&pool).expect("TwoBitMsg has a codec");
+            assert_eq!(cost.messages, k as u64);
+            assert_eq!(blob.len() as u64, 4 + frame.encoded_bits().div_ceil(8));
+            // The blob dies here (its buffer rejoins the pool); the
+            // frame's storage goes back to whoever batches the next one.
+            frame.into_vec()
+        };
+        // Warm-up: the pool's first buffer is sized on its first miss.
+        envs = seal(envs);
+        const ROUNDS: u64 = 100;
+        let ((), allocs, _) = measured(|| {
+            for _ in 0..ROUNDS {
+                // Un-sort the batch so every round pays for the sort too.
+                envs.rotate_left(1);
+                envs = seal(std::mem::take(&mut envs));
+            }
+        });
+        assert_eq!(
+            allocs, ROUNDS,
+            "{k}-message frame: one allocation per seal (the Bytes owner), no more"
+        );
+        assert_eq!(
+            pool.recycled(),
+            ROUNDS,
+            "every encode reused the pooled buffer"
+        );
+    }
+}
+
+#[test]
+fn a_pool_miss_is_one_exactly_sized_allocation() {
+    // A pool with nothing to give: the encoder sizes the cold buffer once
+    // instead of growing it push by push.
+    let pool = BufferPool::with_retention(0);
+    let frame = Frame::from_envelopes(batch(16));
+    let (blob, allocs, bytes) = measured(|| frame.encode_pooled(&pool).expect("codec"));
+    assert_eq!(allocs, 2, "the exactly-sized buffer and the Bytes owner");
+    assert!(
+        bytes < 2 * blob.len() as u64 + 64,
+        "{bytes} B requested for a {} B blob",
+        blob.len()
+    );
+    assert_eq!(pool.recycled(), 0);
+}
+
+#[test]
+fn decoding_a_three_message_frame_allocates_once() {
+    let frame = Frame::from_envelopes(batch(3));
+    let blob = frame.encode().expect("codec");
+    let (decoded, allocs, _) = measured(|| Frame::<TwoBitMsg<u64>>::decode_shared(&blob));
+    assert_eq!(decoded.expect("round trip"), frame);
+    assert_eq!(allocs, 1, "decode_shared: the flat envelope vector only");
+    let (decoded, allocs, _) = measured(|| Frame::<TwoBitMsg<u64>>::decode(&blob));
+    assert_eq!(decoded.expect("round trip"), frame);
+    assert_eq!(allocs, 1, "decode: the flat envelope vector only");
+    // Sixteen messages over seven registers: still one vector, no header.
+    let frame = Frame::from_envelopes(batch(16));
+    let blob = frame.encode().expect("codec");
+    let (decoded, allocs, _) = measured(|| Frame::<TwoBitMsg<u64>>::decode_shared(&blob));
+    assert_eq!(decoded.expect("round trip"), frame);
+    assert_eq!(allocs, 1);
+}
+
+#[test]
+fn shard_dispatch_allocates_nothing_in_steady_state() {
+    let cfg = SystemConfig::new(3, 1).expect("n=3, t=1");
+    let writer = ProcessId::new(0);
+    let registers: Vec<RegisterId> = (0..16).map(RegisterId::new).collect();
+    let mut set = ShardSet::new(ProcessId::new(1), &registers, |_reg, id| {
+        TwoBitProcess::new(id, cfg, writer, 0u64)
+    });
+    let mut fx = Effects::new();
+    let reader = ProcessId::new(2);
+    // A READ is answered with a PROCEED on the spot and leaves no state
+    // behind, so the exchange can repeat forever.
+    let mut exchange = |set: &mut ShardSet<TwoBitProcess<u64>>, round: usize| {
+        set.on_message(reader, env(round % 16, TwoBitMsg::Read), &mut fx);
+        let sent = fx.drain_sends().count();
+        assert_eq!(sent, 1, "READ → PROCEED");
+    };
+    for round in 0..64 {
+        exchange(&mut set, round);
+    }
+    let ((), allocs, _) = measured(|| {
+        for round in 0..1_000 {
+            exchange(&mut set, round);
+        }
+    });
+    assert_eq!(allocs, 0, "ShardSet::on_message reuses its inner effects");
+}
+
+#[test]
+fn a_batcher_whose_storage_comes_back_allocates_nothing() {
+    let mut batcher = LinkBatcher::new(FlushPolicy::fixed(3, Duration::from_millis(5)));
+    let pool = BufferPool::new();
+    let now = Instant::now();
+    let cycle = |batcher: &mut LinkBatcher<Envelope<TwoBitMsg<u64>>>| {
+        for e in batch(3) {
+            batcher.push(e, now);
+        }
+        let flush = batcher.take_due(now, false).expect("size bound hit");
+        let frame = Frame::from_envelopes(flush.batch);
+        let blob = frame.encode_pooled(&pool).expect("codec");
+        batcher.recycle(frame.into_vec());
+        blob.len()
+    };
+    cycle(&mut batcher);
+    // `batch(3)` itself builds a vector per call: count it separately.
+    let ((), per_batch, _) = measured(|| drop(batch(3)));
+    const ROUNDS: u64 = 100;
+    let ((), allocs, _) = measured(|| {
+        for _ in 0..ROUNDS {
+            cycle(&mut batcher);
+        }
+    });
+    assert_eq!(
+        allocs,
+        ROUNDS * (per_batch + 1),
+        "push/take/recycle add nothing to the Bytes owner of each sealed frame"
+    );
+}
+
+#[test]
+fn publishing_to_the_read_cache_allocates_nothing() {
+    const REGISTERS: usize = 64;
+    for mode in [CacheMode::Safe, CacheMode::UnsafeAblated] {
+        // The pair boxes its cells when it is built; nothing after that —
+        // not a slot's first entry, not the first replaced one.
+        let (mut writer, reader) = cache_pair::<u64>(REGISTERS, mode);
+        let ((), allocs, _) = measured(|| {
+            for round in 0..3u64 {
+                for reg in 0..REGISTERS {
+                    writer.publish(reg, round, reg % 2 == 0);
+                    assert_eq!(writer.garbage_len(), 0);
+                }
+            }
+            assert_eq!(reader.try_read(0), CacheDecision::Hit(2));
+        });
+        assert_eq!(allocs, 0, "{mode:?}: publish refills a spare cell");
+    }
+}
+
+/// Most bytes a decoder may request for `len` input bytes: every element
+/// it materialises is backed by at least one input bit (declared counts
+/// are bounded by the remaining input before anything is reserved), a
+/// growing vector at most doubles that, and the smallest vector holds four
+/// elements.
+fn decode_budget<T>(len: usize) -> u64 {
+    ((2 * 8 * len + 4) * std::mem::size_of::<T>()) as u64
+}
+
+/// Feeds `blob` to every frame decoder; each must come back — `Ok` or a
+/// typed error — within the allocation budget.
+fn decode_within_budget<M: WireMessage>(blob: &[u8]) -> Result<(), String> {
+    let budget = decode_budget::<Envelope<M>>(blob.len());
+    let (plain, _, bytes) = measured(|| Frame::<M>::decode(blob));
+    prop_assert!(
+        bytes <= budget,
+        "decode requested {bytes} B for {} input bytes (budget {budget})",
+        blob.len()
+    );
+    let shared = Bytes::copy_from_slice(blob);
+    let (viewed, _, bytes) = measured(|| Frame::<M>::decode_shared(&shared));
+    prop_assert!(
+        bytes <= budget,
+        "decode_shared requested {bytes} B for {} input bytes (budget {budget})",
+        blob.len()
+    );
+    let verdict = |r: &Result<Frame<M>, WireError>| r.as_ref().map(Frame::len).map_err(|e| *e);
+    prop_assert_eq!(
+        verdict(&plain),
+        verdict(&viewed),
+        "the two decoders disagree"
+    );
+    Ok(())
+}
+
+fn header_within_budget(bytes_in: &[u8]) -> Result<(), String> {
+    let budget = decode_budget::<(RegisterId, u64)>(bytes_in.len());
+    let (_, _, bytes) = measured(|| FrameHeader::decode(bytes_in));
+    prop_assert!(
+        bytes <= budget,
+        "FrameHeader::decode requested {bytes} B for {} input bytes (budget {budget})",
+        bytes_in.len()
+    );
+    Ok(())
+}
+
+/// Prefixes `body` with its own length, so the decoder gets past the
+/// length check and into the part that parses hostile bits.
+fn framed(body: &[u8]) -> Vec<u8> {
+    let mut blob = (body.len() as u32).to_be_bytes().to_vec();
+    blob.extend_from_slice(body);
+    blob
+}
+
+/// Bodies biased toward what a header parser finds plausible: short γ
+/// codes up front, long zero and one runs behind them.
+fn hostile_body() -> impl Strategy<Value = Vec<u8>> {
+    (
+        prop::collection::vec(any::<u8>(), 0..6),
+        prop::collection::vec(
+            prop_oneof![Just(0u8), Just(0xFFu8), Just(0x55u8), any::<u8>()],
+            0..200,
+        ),
+    )
+        .prop_map(|(mut head, tail)| {
+            head.extend(tail);
+            head
+        })
+}
+
+proptest! {
+    #[test]
+    fn arbitrary_bytes_never_panic_or_blow_up_a_decoder(body in hostile_body()) {
+        let blob = framed(&body);
+        decode_within_budget::<TwoBitMsg<u64>>(&blob)?;
+        decode_within_budget::<TwoBitMsg<Bytes>>(&blob)?;
+        decode_within_budget::<MwmrMsg<u64>>(&blob)?;
+        // Unframed too: the prefix check itself must hold up.
+        decode_within_budget::<TwoBitMsg<u64>>(&body)?;
+        header_within_budget(&body)?;
+    }
+
+    #[test]
+    fn corrupted_frames_never_panic_or_blow_up_a_decoder(
+        k in 1usize..40,
+        stride in 1usize..9,
+        flips in prop::collection::vec((any::<u16>(), 0u8..8), 1..6),
+    ) {
+        let mut words: Vec<Envelope<TwoBitMsg<u64>>> = batch(k);
+        for e in &mut words {
+            e.reg = RegisterId::new(e.reg.index() * stride);
+        }
+        let payloads: Vec<Envelope<TwoBitMsg<Bytes>>> = (0..k)
+            .map(|i| {
+                let body = vec![i as u8; i % 11];
+                env(i * stride % 23, TwoBitMsg::Write(Parity::Odd, Bytes::from(body)))
+            })
+            .collect();
+        let counters: Vec<Envelope<MwmrMsg<u64>>> = (0..k)
+            .map(|i| {
+                let ts = Timestamp { num: 1 << (i % 50), pid: (i % 5) as u32 };
+                env(i * stride % 23, MwmrMsg::Update { rid: i as u64, ts, value: i as u64 })
+            })
+            .collect();
+        let corrupt = |blob: Bytes| {
+            let mut blob = blob.to_vec();
+            for &(at, bit) in &flips {
+                // Past the length prefix, so the body is what gets parsed.
+                let at = 4 + at as usize % (blob.len() - 4);
+                blob[at] ^= 1 << bit;
+            }
+            blob
+        };
+        let blob = corrupt(Frame::from_envelopes(words).encode().expect("codec"));
+        decode_within_budget::<TwoBitMsg<u64>>(&blob)?;
+        header_within_budget(&blob[4..])?;
+        let blob = corrupt(Frame::from_envelopes(payloads).encode().expect("codec"));
+        decode_within_budget::<TwoBitMsg<Bytes>>(&blob)?;
+        let blob = corrupt(Frame::from_envelopes(counters).encode().expect("codec"));
+        decode_within_budget::<MwmrMsg<u64>>(&blob)?;
+    }
+}
