@@ -27,15 +27,12 @@
 //! * `simnet` / `hotkey` — the contended-hot-key row: every operation
 //!   targets register r0 (readers rotating over the non-writer processes)
 //!   while the other shards sit idle;
-//! * `tcp` / `uniform` — the same portable workload on the real loopback
-//!   TCP backend (`TcpCluster`), proving the byte path end to end;
-//! * `reactor` / `uniform` — the same workload again on the event-driven
-//!   reactor transport (`twobit-reactor`): identical frames and flush
-//!   policy to the `tcp` rows, every link multiplexed over a 4-thread
-//!   pool. CI asserts its `wire_bytes` stays within 1.05x of the
-//!   thread-per-link row. The live-socket rows (`tcp`, `reactor`) also
-//!   publish wall-clock per-op latency percentiles (`lat_p50_us`,
-//!   `lat_p99_us`, from the recorder's invoke/response timestamps);
+//! * `reactor` / `uniform` — the same portable workload on the live-socket
+//!   backend, the event-driven reactor transport (`twobit-reactor`) over
+//!   loopback TCP, every link multiplexed over a 4-thread pool: proves
+//!   the byte path end to end. These rows also publish wall-clock per-op
+//!   latency percentiles (`lat_p50_us`, `lat_p99_us`, from the recorder's
+//!   invoke/response timestamps);
 //!   simnet rows carry `null` there — their clocks are virtual — and
 //!   instead publish the *virtual-time* twins `lat_p50_ticks` /
 //!   `lat_p99_ticks` from the same invoke/response timestamps in
@@ -58,7 +55,7 @@
 //! * the **latency pair**: the read-mostly static-hold 16-shard simnet
 //!   row is re-run with the Oh-RAM automaton (`algo: "ohram"`,
 //!   `mix: "readmostly"`) on the same deterministic workload, and the
-//!   uniform TCP sweep gets an Oh-RAM twin so the live-socket clock
+//!   uniform reactor sweep gets an Oh-RAM twin so the live-socket clock
 //!   domain (`lat_p50_us`) is populated for both algorithms too. CI
 //!   asserts the trade both ways: Oh-RAM must beat two-bit on
 //!   `lat_p50_ticks` for the read-mostly mix (its reads complete in one
@@ -76,7 +73,7 @@
 //! under the static default hold (`hold: "static"`, `flush_hold(500)`) and
 //! once under the adaptive auto-tuner (`hold: "adaptive"`,
 //! `VirtualHold::Adaptive { floor: 0, ceil: 2000 }`), plus a static and an
-//! adaptive TCP row. Every row carries the flush-reason counters
+//! adaptive reactor row. Every row carries the flush-reason counters
 //! (`flushes_size`/`flushes_hold`/`flushes_shutdown`) and the mean
 //! observed hold, so the JSON shows *why* the frames formed, not just how
 //! many. CI's bench smoke job fails if the adaptive rows lose to static
@@ -119,7 +116,6 @@ use twobit_proto::{
 use twobit_reactor::ReactorClusterBuilder;
 use twobit_runtime::FlushPolicy;
 use twobit_simnet::{DelayModel, SimSpace, SpaceBuilder, VirtualHold};
-use twobit_transport::TcpClusterBuilder;
 
 /// Counts heap allocations so every row can publish `allocs_per_op`. The
 /// deallocation path is untouched; the counter is relaxed — we want a
@@ -170,12 +166,12 @@ const ADAPTIVE: VirtualHold = VirtualHold::Adaptive {
     floor: 0,
     ceil: 2_000,
 };
-/// The TCP rows run real-time holds, not virtual ticks: the static row
+/// The live-socket rows run real-time holds, not virtual ticks: the static row
 /// holds 20µs (the `FlushPolicy::default()` window, max_batch 64) and
 /// the adaptive row tunes between 0 and this ceiling — both recorded in
 /// the JSON config block so the rows are reproducible as published.
-const TCP_STATIC_HOLD_US: u64 = 20;
-const TCP_ADAPTIVE_CEIL_US: u64 = 200;
+const LIVE_STATIC_HOLD_US: u64 = 20;
+const LIVE_ADAPTIVE_CEIL_US: u64 = 200;
 
 /// Which hold policy a row ran under (also its JSON label).
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -382,7 +378,7 @@ struct Row {
     mean_hold_us: f64,
     /// Wall-clock per-operation latency percentiles in microseconds,
     /// from the recorder's invoke/response timestamps. Populated on the
-    /// live-socket rows (`tcp`, `reactor`); `None` (JSON `null`) on
+    /// live-socket rows (`reactor`); `None` (JSON `null`) on
     /// simnet rows, whose timestamps are virtual ticks.
     lat_p50_us: Option<f64>,
     lat_p99_us: Option<f64>,
@@ -838,12 +834,13 @@ fn measure_cache_pair(shards: usize, hold: Hold) -> (Row, Row) {
     (run(CacheMode::Off, "proto"), run(CacheMode::Safe, "safe"))
 }
 
-/// The same portable workload on the real loopback TCP backend: the bytes
-/// column is what `write(2)` handed to the kernel. Parameterized over the
-/// automaton so the live-socket clock domain (`lat_p50_us`) is populated
-/// for the Oh-RAM competitor under *exactly* the framing and flush setup
-/// of the two-bit row.
-fn measure_tcp_with<A, F>(
+/// The same portable workload on the reactor transport, the live-socket
+/// backend: the bytes column is what was handed to the kernel, every link
+/// multiplexed over a 4-thread event-loop pool. Published as
+/// `source: "reactor"`. Parameterized over the automaton so the live-socket
+/// clock domain (`lat_p50_us`) is populated for the Oh-RAM competitor under
+/// *exactly* the framing and flush setup of the two-bit row.
+fn measure_reactor<A, F>(
     algo: &'static str,
     shards: usize,
     readers: usize,
@@ -858,101 +855,18 @@ where
     let workload = sweep_workload(shards, readers);
     let policy = match hold {
         Hold::Static => {
-            FlushPolicy::fixed(64, std::time::Duration::from_micros(TCP_STATIC_HOLD_US))
+            FlushPolicy::fixed(64, std::time::Duration::from_micros(LIVE_STATIC_HOLD_US))
         }
         Hold::Adaptive => FlushPolicy::adaptive(
             64,
             std::time::Duration::ZERO,
-            std::time::Duration::from_micros(TCP_ADAPTIVE_CEIL_US),
-        ),
-    };
-    let mut cluster = TcpClusterBuilder::new(cfg)
-        .registers(shards)
-        .flush_policy(policy)
-        .build_sharded(0u64, make)
-        .expect("loopback TCP cluster starts");
-    let a0 = allocs_now();
-    let t0 = Instant::now();
-    workload
-        .run_pipelined_on(&mut cluster)
-        .expect("workload runs over TCP");
-    let wall = t0.elapsed();
-    let allocs = allocs_now() - a0;
-    let (history, stats) = cluster.shutdown();
-    twobit_lincheck::check_swmr_sharded(&history)
-        .expect("TCP rows are verified executions, not just traffic");
-    assert!(
-        stats.wire_bytes() > 0,
-        "TCP rows must populate bytes-on-wire"
-    );
-    assert_eq!(
-        stats.total_delivered() + stats.dropped_to_crashed() + stats.messages_abandoned(),
-        stats.total_sent(),
-        "TCP teardown reconciliation (abandoned accounting included)"
-    );
-    let mut row = row_from_stats(
-        algo,
-        "tcp",
-        "uniform",
-        hold.label(),
-        "off",
-        shards,
-        readers,
-        workload.len(),
-        wall.as_nanos() as f64,
-        allocs,
-        &stats,
-    );
-    let (p50, p99) = latency_percentiles_us(&history);
-    row.lat_p50_us = Some(p50);
-    row.lat_p99_us = Some(p99);
-    row
-}
-
-fn measure_tcp(shards: usize, readers: usize, hold: Hold) -> Row {
-    let cfg = SystemConfig::max_resilience(N);
-    measure_tcp_with("twobit", shards, readers, hold, move |reg, id| {
-        TwoBitProcess::new(id, cfg, ProcessId::new(reg.index() % N), 0u64)
-    })
-}
-
-/// The Oh-RAM TCP twin: the same sweep workload over real sockets, so
-/// both algorithms publish wall-clock latency percentiles, not just the
-/// virtual-tick ones. The history is SWMR-checked like every other
-/// verified row.
-fn measure_ohram_tcp(shards: usize, readers: usize, hold: Hold) -> Row {
-    let cfg = SystemConfig::max_resilience(N);
-    measure_tcp_with("ohram", shards, readers, hold, move |reg, id| {
-        OhRamProcess::new(id, cfg, ProcessId::new(reg.index() % N), 0u64)
-    })
-}
-
-/// The same portable workload on the reactor transport: identical frames
-/// and flush policy to the `tcp` row, but every link multiplexed over a
-/// 4-thread event-loop pool instead of a reader+writer thread pair per
-/// link. Published as `source: "reactor"`; CI asserts its `wire_bytes`
-/// does not exceed the thread-per-link row's (same protocol, same
-/// framing — the reactor must not pay a byte tax for the flat thread
-/// count).
-fn measure_reactor(shards: usize, readers: usize, hold: Hold) -> Row {
-    let cfg = SystemConfig::max_resilience(N);
-    let workload = sweep_workload(shards, readers);
-    let policy = match hold {
-        Hold::Static => {
-            FlushPolicy::fixed(64, std::time::Duration::from_micros(TCP_STATIC_HOLD_US))
-        }
-        Hold::Adaptive => FlushPolicy::adaptive(
-            64,
-            std::time::Duration::ZERO,
-            std::time::Duration::from_micros(TCP_ADAPTIVE_CEIL_US),
+            std::time::Duration::from_micros(LIVE_ADAPTIVE_CEIL_US),
         ),
     };
     let mut node = ReactorClusterBuilder::new(cfg)
         .registers(shards)
         .flush_policy(policy)
-        .build_sharded(0u64, |reg, id| {
-            TwoBitProcess::new(id, cfg, ProcessId::new(reg.index() % N), 0u64)
-        })
+        .build_sharded(0u64, make)
         .expect("loopback reactor cluster starts");
     let a0 = allocs_now();
     let t0 = Instant::now();
@@ -962,6 +876,8 @@ fn measure_reactor(shards: usize, readers: usize, hold: Hold) -> Row {
     let wall = t0.elapsed();
     let allocs = allocs_now() - a0;
     let (history, stats) = node.shutdown();
+    twobit_lincheck::check_swmr_sharded(&history)
+        .expect("reactor rows are verified executions, not just traffic");
     assert!(
         stats.wire_bytes() > 0,
         "reactor rows must populate bytes-on-wire"
@@ -977,7 +893,7 @@ fn measure_reactor(shards: usize, readers: usize, hold: Hold) -> Row {
         "a healthy loopback bench run never reconnects"
     );
     let mut row = row_from_stats(
-        "twobit",
+        algo,
         "reactor",
         "uniform",
         hold.label(),
@@ -993,29 +909,6 @@ fn measure_reactor(shards: usize, readers: usize, hold: Hold) -> Row {
     row.lat_p50_us = Some(p50);
     row.lat_p99_us = Some(p99);
     row
-}
-
-/// The reactor must not pay a wire-byte tax over the thread-per-link
-/// backend: same protocol, same framing, same flush policy — the bytes
-/// should match up to flush-timing noise (1.05x tolerance).
-fn assert_reactor_matches_tcp_bytes(rows: &[Row]) {
-    for hold in ["static", "adaptive"] {
-        let tcp = rows
-            .iter()
-            .find(|r| r.algo == "twobit" && r.source == "tcp" && r.hold == hold)
-            .expect("tcp row present");
-        let reactor = rows
-            .iter()
-            .find(|r| r.algo == "twobit" && r.source == "reactor" && r.hold == hold)
-            .expect("reactor row present");
-        assert!(
-            reactor.wire_bytes as f64 <= tcp.wire_bytes as f64 * 1.05,
-            "reactor pays a byte tax over thread-per-link ({hold} hold): \
-             {} > {} * 1.05",
-            reactor.wire_bytes,
-            tcp.wire_bytes,
-        );
-    }
 }
 
 /// One model-checking throughput row: how big the DPOR-reduced schedule
@@ -1110,9 +1003,9 @@ fn write_json(rows: &[Row], check_rows: &[CheckRow]) {
          \"read_pct\": {READ_PCT}, \"wire_codec\": true, \
          \"simnet_static_hold_ticks\": {STATIC_HOLD}, \
          \"simnet_adaptive_hold_ticks\": [0, 2000], \
-         \"tcp_static_hold_us\": {TCP_STATIC_HOLD_US}, \
-         \"tcp_adaptive_hold_us\": [0, {TCP_ADAPTIVE_CEIL_US}], \"max_batch\": 64, \
-         \"transport\": \"frames\", \"unframed_baseline\": \"BENCH_shards.json\"}},\n"
+         \"live_static_hold_us\": {LIVE_STATIC_HOLD_US}, \
+         \"live_adaptive_hold_us\": [0, {LIVE_ADAPTIVE_CEIL_US}], \"max_batch\": 64, \
+         \"transport\": \"frames\"}},\n"
     ));
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -1444,18 +1337,23 @@ fn main() {
     // The Oh-RAM half of the latency pair: the 16-shard static-hold
     // read-mostly twin of the `measure_mix` row pushed above.
     rows.push(measure_ohram_mix(HEAD_TO_HEAD.0, Hold::Static));
-    rows.push(measure_tcp(16, 2, Hold::Static));
-    rows.push(measure_tcp(16, 2, Hold::Adaptive));
-    rows.push(measure_ohram_tcp(16, 2, Hold::Static));
-    rows.push(measure_reactor(16, 2, Hold::Static));
-    rows.push(measure_reactor(16, 2, Hold::Adaptive));
+    // The live-socket rows; the Oh-RAM twin gives both algorithms
+    // wall-clock latency percentiles, not just the virtual-tick ones.
+    let cfg = SystemConfig::max_resilience(N);
+    for hold in [Hold::Static, Hold::Adaptive] {
+        rows.push(measure_reactor("twobit", 16, 2, hold, |reg, id| {
+            TwoBitProcess::new(id, cfg, ProcessId::new(reg.index() % N), 0u64)
+        }));
+    }
+    rows.push(measure_reactor("ohram", 16, 2, Hold::Static, |reg, id| {
+        OhRamProcess::new(id, cfg, ProcessId::new(reg.index() % N), 0u64)
+    }));
     let (twobit_row, mwmr_row, ohram_row) = measure_head_to_head();
     rows.push(twobit_row);
     rows.push(mwmr_row);
     rows.push(ohram_row);
     rows.push(measure_recovery(16, 2));
     assert_adaptive_not_worse(&rows);
-    assert_reactor_matches_tcp_bytes(&rows);
     assert_safe_cache_pays(&rows);
     assert_two_bit_beats_mwmr(&rows);
     assert_ohram_trades_bits_for_latency(&rows);

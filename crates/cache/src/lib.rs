@@ -21,7 +21,7 @@
 //!   [`CacheMode::UnsafeAblated`] removes the gate as a negative control
 //!   for the model checker.
 //!
-//! Every backend (`twobit-simnet`, `twobit-runtime`, `twobit-transport`)
+//! Every backend (`twobit-simnet`, `twobit-runtime`, `twobit-reactor`)
 //! wires one pair per process and counts hits/misses/fallbacks in
 //! `NetStats`. Lifecycle and the soundness argument: `docs/read-cache.md`.
 

@@ -68,7 +68,7 @@ pub type FrameDecodeError = WireError;
 /// Frames are the transport unit of every execution substrate: the
 /// deterministic simulator coalesces all envelopes staged on a link at the
 /// same virtual instant, the live runtime's links coalesce under a
-/// flush policy, and the TCP backend writes each frame as one
+/// flush policy, and the reactor transport writes each frame as one
 /// length-prefixed byte blob ([`Frame::encode`]). A frame is delivered
 /// **atomically**: either every message in it reaches the destination (in
 /// group order) or — if the destination crashed — none does.

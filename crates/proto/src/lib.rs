@@ -35,7 +35,7 @@
 //!   amortizes across the batch while every message keeps exactly its two
 //!   control bits. [`Frame::encode`] / [`Frame::decode`] turn a frame into
 //!   one contiguous, length-prefixed byte blob (see `docs/wire-format.md`)
-//!   — the unit a real TCP transport writes per link.
+//!   — the unit the reactor's TCP links carry.
 //! * [`RegisterSpace`], [`Workload`], [`ShardedHistory`] — named registers,
 //!   portable operation scripts, and per-register history projection.
 //! * [`linkseq`] — frame sequence numbers, the reconnect handshake, and

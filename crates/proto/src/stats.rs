@@ -170,7 +170,7 @@ impl NetStats {
     /// (one call per encoded frame blob, length prefix included). Only
     /// populated when a backend routes sends through
     /// [`Frame::encode`](crate::Frame::encode) — the substrates' wire-codec
-    /// mode and the TCP transport do; the pure in-memory paths leave it 0.
+    /// mode and the reactor transport do; the pure in-memory paths leave it 0.
     pub fn record_wire_bytes(&mut self, n: u64) {
         self.wire_bytes += n;
     }

@@ -80,7 +80,7 @@ impl MessageCost {
 /// `encode_into` produces. They have defaults so cost-model-only message
 /// types (test probes, emulation internals) keep compiling, but the
 /// defaults **fail at runtime** with [`WireError::Unsupported`] — only
-/// types overriding all three can cross a byte transport (the TCP backend)
+/// types overriding all three can cross a byte transport (the reactor)
 /// or run under the substrates' encode–decode fidelity mode.
 ///
 /// Contract for implementors:

@@ -1,27 +1,27 @@
 //! `twobit-reactor` — event-driven cross-host TCP transport with
 //! reconnect-and-resend.
 //!
-//! The thread-per-link TCP backend (`twobit-transport`) spends two OS
-//! threads per ordered link: fine at `n = 3`, ruinous at `n = 64` (4032
-//! links → 8064 threads). This crate runs *all* of a node's hosted
-//! processes, with all of their links, to completion on a small fixed
-//! pool of event-loop threads built on a vendored `poll(2)`/`ppoll(2)`
-//! readiness poller ([`poller`]) — no `mio`, no `libc` crate, no new
-//! dependencies. The loop that owns a process reads its frames, runs its
+//! A reader and a writer thread per ordered link is fine at `n = 3` and
+//! ruinous at `n = 64` (4032 links → 8064 threads). This crate runs *all*
+//! of a node's hosted processes, with all of their links, to completion on
+//! a small fixed pool of event-loop threads built on a vendored
+//! `poll(2)`/`ppoll(2)` readiness poller ([`poller`]) — no `mio`, no `libc`
+//! crate, no new dependencies. The loop that owns a process reads its frames, runs its
 //! handler inline and batches what the handler sends, so a message never
 //! changes threads inside a node. A node's thread count is
 //! `min(pool_size, hosted processes) + 1 (dialer)`, independent of the
 //! link count.
 //!
-//! Beyond the thread-count fix, the reactor adds two capabilities the
-//! thread-per-link backend lacks:
+//! Beyond the flat thread count, the reactor does two things a socket
+//! per link does not give for free:
 //!
 //! * **Cross-host deployment.** The builder is split into
 //!   [`ReactorNodeBuilder::listen`] (bind, possibly port 0, report the
 //!   bound address) and [`ListeningNode::join`] (peer map → running
 //!   node), so each process set can live in a different OS process or a
-//!   different machine. The all-local [`ReactorClusterBuilder`] remains a
-//!   one-call drop-in for tests and benches.
+//!   different machine. [`ReactorNodeBuilder::build`] is the one-call
+//!   all-local form for tests and benches ([`ReactorClusterBuilder`] names
+//!   the builder in that role).
 //! * **Reconnect-and-resend.** A transient socket failure is *not* a
 //!   crash: the link re-dials with exponential backoff and replays
 //!   un-acked frames from a bounded per-link resend buffer, using the

@@ -1,6 +1,5 @@
-//! Node assembly for the reactor transport: listen/join builders, the
-//! [`ReactorNode`] driver, and the all-local [`ReactorClusterBuilder`]
-//! convenience.
+//! Node assembly for the reactor transport: the listen/join builder (with
+//! its all-local `build` shortcut) and the [`ReactorNode`] driver.
 //!
 //! A *node* hosts a subset of the configuration's processes. Deployment is
 //! split in two so nodes can live on different hosts:
@@ -186,6 +185,42 @@ impl ReactorNodeBuilder {
             listener,
             addr,
         })
+    }
+
+    /// Builds and starts an all-local cluster — this node alone, on an
+    /// ephemeral loopback port, with no peers — with one automaton per
+    /// process.
+    ///
+    /// # Errors
+    ///
+    /// As [`ListeningNode::join`]; a node restricted with
+    /// [`ReactorNodeBuilder::host`] has processes with neither a host nor
+    /// a peer address.
+    pub fn build<A, F>(self, initial: A::Value, mut make: F) -> Result<ReactorNode<A>, BuildError>
+    where
+        A: Automaton,
+        F: FnMut(ProcessId) -> A,
+    {
+        self.build_sharded(initial, move |_reg, id| make(id))
+    }
+
+    /// As [`ReactorNodeBuilder::build`], with one automaton per
+    /// `(register, process)` pair.
+    ///
+    /// # Errors
+    ///
+    /// As [`ReactorNodeBuilder::build`].
+    pub fn build_sharded<A, F>(
+        self,
+        initial: A::Value,
+        make: F,
+    ) -> Result<ReactorNode<A>, BuildError>
+    where
+        A: Automaton,
+        F: FnMut(RegisterId, ProcessId) -> A,
+    {
+        self.listen(("127.0.0.1", 0))?
+            .join(&HashMap::new(), initial, make)
     }
 }
 
@@ -514,6 +549,16 @@ impl<A: Automaton> ReactorNode<A> {
         self.reactor_threads.len() + usize::from(self.dialer.is_some())
     }
 
+    /// The typed refusal for driving a process another node hosts.
+    fn check_hosted(&self, proc: ProcessId) -> Result<(), DriverError> {
+        if self.inbox_txs[proc.index()].is_none() {
+            return Err(DriverError::Backend(format!(
+                "process {proc} is not hosted on this node"
+            )));
+        }
+        Ok(())
+    }
+
     /// Posts `msg` to hosted process `pi`'s mailbox and nudges the event
     /// loop that owns it; `false` when the process is not hosted here or
     /// its loop is gone.
@@ -636,11 +681,7 @@ impl<A: Automaton> Driver for ReactorNode<A> {
         if self.crashed[proc.index()].load(Ordering::Relaxed) {
             return Err(DriverError::ProcessUnavailable(proc));
         }
-        if self.inbox_txs[proc.index()].is_none() {
-            return Err(DriverError::Backend(format!(
-                "process {proc} is not hosted on this node"
-            )));
-        }
+        self.check_hosted(proc)?;
         if self.pending.contains_key(&(proc, reg)) {
             return Err(DriverError::OperationInFlight { proc, reg });
         }
@@ -699,6 +740,10 @@ impl<A: Automaton> Driver for ReactorNode<A> {
         if pi >= self.cfg.n() {
             return Err(DriverError::UnknownProcess(proc));
         }
+        // A remote process's lifecycle belongs to the node hosting it:
+        // flagging it crashed here would drop this node's sends to a live
+        // peer, and `recover` could never undo it.
+        self.check_hosted(proc)?;
         self.life.lock()[pi]
             .crash()
             .map_err(|_| DriverError::AlreadyCrashed(proc))?;
@@ -748,122 +793,9 @@ impl<A: Automaton> Driver for ReactorNode<A> {
     }
 }
 
-/// All-local convenience: a single [`ReactorNode`] hosting every process,
-/// listening on an ephemeral loopback port — the drop-in counterpart of
-/// `TcpClusterBuilder` with a flat thread count.
-#[derive(Debug)]
-pub struct ReactorClusterBuilder {
-    inner: ReactorNodeBuilder,
-}
-
-impl ReactorClusterBuilder {
-    /// Starts configuring a single-node reactor cluster of `cfg.n()`
-    /// processes hosting one register (use
-    /// [`ReactorClusterBuilder::registers`] for more).
-    pub fn new(cfg: SystemConfig) -> Self {
-        ReactorClusterBuilder {
-            inner: ReactorNodeBuilder::new(cfg),
-        }
-    }
-
-    /// Sets the reactor pool size (default 4).
-    pub fn pool_size(mut self, pool: usize) -> Self {
-        self.inner = self.inner.pool_size(pool);
-        self
-    }
-
-    /// Hosts registers `r0 .. r(count-1)`.
-    pub fn registers(mut self, count: usize) -> Self {
-        self.inner = self.inner.registers(count);
-        self
-    }
-
-    /// Hosts exactly the given registers.
-    pub fn register_ids(mut self, registers: Vec<RegisterId>) -> Self {
-        self.inner = self.inner.register_ids(registers);
-        self
-    }
-
-    /// Sets the client-side operation timeout.
-    pub fn op_timeout(mut self, timeout: Duration) -> Self {
-        self.inner = self.inner.op_timeout(timeout);
-        self
-    }
-
-    /// Sets the links' default frame flush policy.
-    pub fn flush_policy(mut self, flush: FlushPolicy) -> Self {
-        self.inner = self.inner.flush_policy(flush);
-        self
-    }
-
-    /// Overrides the flush policy for one ordered link `src → dst`.
-    pub fn flush_policy_for(
-        mut self,
-        src: impl Into<ProcessId>,
-        dst: impl Into<ProcessId>,
-        flush: FlushPolicy,
-    ) -> Self {
-        self.inner = self.inner.flush_policy_for(src, dst, flush);
-        self
-    }
-
-    /// Sets the local read-cache mode.
-    pub fn cache_mode(mut self, mode: CacheMode) -> Self {
-        self.inner = self.inner.cache_mode(mode);
-        self
-    }
-
-    /// Caps the per-link resend buffer.
-    pub fn resend_buffer(mut self, frames: usize) -> Self {
-        self.inner = self.inner.resend_buffer(frames);
-        self
-    }
-
-    /// Sets the reconnect policy.
-    pub fn reconnect_policy(mut self, policy: ReconnectPolicy) -> Self {
-        self.inner = self.inner.reconnect_policy(policy);
-        self
-    }
-
-    /// Sets the drain grace.
-    pub fn drain_grace(mut self, grace: Duration) -> Self {
-        self.inner = self.inner.drain_grace(grace);
-        self
-    }
-
-    /// Builds and starts the cluster with one automaton per process.
-    ///
-    /// # Errors
-    ///
-    /// As [`ListeningNode::join`].
-    pub fn build<A, F>(self, initial: A::Value, mut make: F) -> Result<ReactorNode<A>, BuildError>
-    where
-        A: Automaton,
-        F: FnMut(ProcessId) -> A,
-    {
-        self.build_sharded(initial, move |_reg, id| make(id))
-    }
-
-    /// Builds and starts the cluster with one automaton per
-    /// `(register, process)` pair.
-    ///
-    /// # Errors
-    ///
-    /// As [`ListeningNode::join`].
-    pub fn build_sharded<A, F>(
-        self,
-        initial: A::Value,
-        make: F,
-    ) -> Result<ReactorNode<A>, BuildError>
-    where
-        A: Automaton,
-        F: FnMut(RegisterId, ProcessId) -> A,
-    {
-        self.inner
-            .listen(("127.0.0.1", 0))?
-            .join(&HashMap::new(), initial, make)
-    }
-}
+/// The all-local spelling of [`ReactorNodeBuilder`]: every process hosted on
+/// one node ([`ReactorNodeBuilder::build`] / `build_sharded`).
+pub type ReactorClusterBuilder = ReactorNodeBuilder;
 
 #[cfg(test)]
 mod tests {
@@ -900,6 +832,21 @@ mod tests {
             stats.flushes_total(),
             "every sealed frame carries exactly one flush reason"
         );
+        assert_eq!(
+            stats.control_bits(),
+            2 * stats.total_sent(),
+            "two control bits per message survive real serialization"
+        );
+
+        // The degenerate deployment: one process, no links, no traffic.
+        let c = SystemConfig::new(1, 0).unwrap();
+        let mut node = ReactorClusterBuilder::new(c)
+            .build(0u64, |id| TwoBitProcess::new(id, c, writer, 0u64))
+            .unwrap();
+        node.write(writer, RegisterId::ZERO, 3).unwrap();
+        assert_eq!(node.read(writer, RegisterId::ZERO).unwrap(), 3);
+        let (_, stats) = node.shutdown();
+        assert_eq!(stats.total_sent(), 0);
     }
 
     #[test]
@@ -914,16 +861,22 @@ mod tests {
             err,
             Err(BuildError::Config(ConfigError::ZeroMaxBatch { link: None }))
         ));
+        // Per-link overrides are validated too, naming the link.
+        let err = ReactorClusterBuilder::new(c)
+            .flush_policy_for(1, 2, FlushPolicy::fixed(0, Duration::ZERO))
+            .build(0u64, |id| TwoBitProcess::new(id, c, writer, 0u64));
+        assert!(matches!(
+            err,
+            Err(BuildError::Config(ConfigError::ZeroMaxBatch {
+                link: Some((a, b))
+            })) if (a, b) == (ProcessId::new(1), ProcessId::new(2))
+        ));
 
         // Hosting p0 only without a peer address for p1/p2 is a typed
         // deployment error, not a hang.
         let err = ReactorNodeBuilder::new(c)
             .host([0usize])
-            .listen(("127.0.0.1", 0))
-            .unwrap()
-            .join::<TwoBitProcess<u64>, _>(&HashMap::new(), 0u64, |_, id| {
-                TwoBitProcess::new(id, c, writer, 0u64)
-            });
+            .build(0u64, |id| TwoBitProcess::new(id, c, writer, 0u64));
         assert!(matches!(err, Err(BuildError::Io(_))));
     }
 
@@ -955,12 +908,39 @@ mod tests {
             })
             .unwrap();
         assert_eq!(node.hosted_processes(), &[ProcessId::new(0)]);
-        match node.invoke(ProcessId::new(1), RegisterId::ZERO, Operation::Read) {
+        let remote = ProcessId::new(1);
+        let not_hosted = |res: Result<(), DriverError>| match res {
             Err(DriverError::Backend(msg)) => {
                 assert!(msg.contains("not hosted"), "got: {msg}");
             }
             other => panic!("expected a Backend error, got {other:?}"),
-        }
+        };
+        not_hosted(
+            node.invoke(remote, RegisterId::ZERO, Operation::Read)
+                .map(drop),
+        );
+        // Crashing it is refused the same way and touches nothing: p1's
+        // lifecycle is its own node's business, and a flag set here could
+        // never be recovered here.
+        not_hosted(node.crash(remote));
+        assert_eq!(node.lifecycle(remote), Lifecycle::Up);
+        assert!(!node.crashed[remote.index()].load(Ordering::Relaxed));
+        not_hosted(
+            node.invoke(remote, RegisterId::ZERO, Operation::Read)
+                .map(drop),
+        );
+        not_hosted(node.recover(remote));
+        // Addresses outside the configuration are typed as well.
+        assert_eq!(
+            node.invoke(ProcessId::new(9), RegisterId::ZERO, Operation::Read)
+                .unwrap_err(),
+            DriverError::UnknownProcess(ProcessId::new(9))
+        );
+        assert_eq!(
+            node.invoke(writer, RegisterId::new(7), Operation::Read)
+                .unwrap_err(),
+            DriverError::UnknownRegister(RegisterId::new(7))
+        );
         drop(node);
     }
 }

@@ -9,9 +9,9 @@
 //! [`LinkBatcher`]s — no inbox hop, no envelope channel, no process
 //! thread. One `poll(2)` set per loop watches its sockets plus a
 //! [`Waker`](crate::poller::Waker) and — on loop 0 — the node's listener.
-//! The per-link [`LinkBatcher`] is the same flush engine the
-//! thread-per-link backends use; its hold deadline becomes the poll
-//! timeout instead of a parked thread's `recv_timeout`.
+//! The per-link [`LinkBatcher`] is the same flush engine the runtime's
+//! chaos-link threads use; its hold deadline becomes the poll timeout
+//! instead of a parked thread's `recv_timeout`.
 //!
 //! Each pass services input first — it keeps reading while a zero-timeout
 //! re-poll still reports ready sockets, for at most [`MAX_INPUT_ROUNDS`]
@@ -38,8 +38,7 @@
 //! crash-adjacent bookkeeping (`links_abandoned`, `messages_abandoned`)
 //! that tells the teardown reconciliation the books may not balance.
 //!
-//! Accounting matches the thread-per-link TCP backend: `frames_sent` /
-//! `flushes_total` tick once at seal time, `wire_bytes` counts frame blob
+//! Accounting: `frames_sent` / `flushes_total` tick once at seal time, `wire_bytes` counts frame blob
 //! bytes handed to a socket (sequence prefixes, acks and handshakes are
 //! transport overhead and excluded; a replayed frame's bytes count again),
 //! and deliveries tick in the call that runs the destination's handler.

@@ -1,9 +1,8 @@
 //! The one batching state machine every real-time link shares.
 //!
-//! Before this module existed the pending/hold/gulp loop was written twice
-//! — once in the chaos links (`crates/runtime/src/link.rs`) and once in the
-//! TCP transport's socket writers — and the two copies had started to
-//! drift. [`LinkBatcher`] is the single implementation both now drive:
+//! [`LinkBatcher`] is the one implementation of the pending/hold/gulp loop
+//! — the chaos links (`crates/runtime/src/link.rs`) and the reactor's send
+//! links both drive it, because a copy per owner drifts:
 //! items accumulate in a pending batch, a whole channel backlog is gulped
 //! in one pass (coalescing without holding), and the batch flushes as one
 //! frame when **either** bound of its [`FlushPolicy`] is hit — `max_batch`
@@ -502,7 +501,7 @@ mod tests {
     fn idle_batcher_reports_no_deadline_so_owners_block_instead_of_spinning() {
         // The no-busy-spin contract: with nothing pending there is nothing
         // to wait for, so the owning loop must land in a blocking recv.
-        // All three owner loops (chaos link, socket writer) key their wait
+        // Both owner loops (chaos link, reactor event loop) key their wait
         // on flush_deadline() — None means "block indefinitely".
         let b = LinkBatcher::<u32>::new(FlushPolicy::fixed(64, Duration::ZERO));
         assert!(b.flush_deadline().is_none());

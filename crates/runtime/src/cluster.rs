@@ -155,9 +155,7 @@ pub(crate) type InflightMap<V> = HashMap<(ProcessId, RegisterId), Slot<V>>;
 
 /// One process's outbound channels, one envelope per link item so the
 /// links' [`FlushPolicy`] counts real messages (`None` on the self slot).
-/// Public alias because [`process_loop`] — shared with the TCP transport
-/// backend — takes one.
-pub type OutboundLinks<M> = Vec<Option<Sender<Envelope<M>>>>;
+type OutboundLinks<M> = Vec<Option<Sender<Envelope<M>>>>;
 
 /// The full link-channel matrix, indexed `[src][dst]`.
 type LinkTxs<M> = Vec<OutboundLinks<M>>;
@@ -492,8 +490,8 @@ struct PendingOp<A: Automaton> {
 /// One process's handler state, and the one handler body every live
 /// backend runs: [`ProcessCore::handle`] takes one [`Incoming`], runs the
 /// automaton atomically, accounts and hands out the resulting envelopes,
-/// and answers completions. The thread-per-process backends wrap it in a
-/// `recv` loop ([`process_loop`]); the reactor transport calls it directly
+/// and answers completions. The thread-per-process cluster wraps it in a
+/// `recv` loop (`process_loop`); the reactor transport calls it directly
 /// on the event loop that owns the process's links. The protocol semantics
 /// (crash checks, send accounting with the deployment's tag width, drop
 /// recording for crashed destinations) are therefore identical by
@@ -753,10 +751,9 @@ impl<A: Automaton> ProcessCore<A> {
     }
 }
 
-/// The body of one process thread on the thread-per-process backends: the
-/// in-process cluster hands `outs` to chaos-link threads, the TCP transport
-/// to socket-writer threads. Everything else is [`ProcessCore::handle`].
-pub fn process_loop<A: Automaton>(
+/// The body of one process thread of the in-process cluster, which hands
+/// `outs` to chaos-link threads. Everything else is [`ProcessCore::handle`].
+fn process_loop<A: Automaton>(
     shards: ShardSet<A>,
     inbox: Receiver<Incoming<A>>,
     outs: OutboundLinks<A::Msg>,

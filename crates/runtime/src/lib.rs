@@ -48,8 +48,6 @@ pub mod recovery;
 
 pub use batcher::{BuildError, ConfigError, Flush, FlushPolicy, HoldPolicy, LinkBatcher};
 pub use client::{ClientError, OpHandle, RegisterClient};
-pub use cluster::{
-    process_loop, Cluster, ClusterBuilder, Incoming, OutboundLinks, ProcessCore, RegisterSnapshots,
-};
+pub use cluster::{Cluster, ClusterBuilder, Incoming, ProcessCore, RegisterSnapshots};
 pub use recorder::Recorder;
 pub use recovery::{recover_process, RecoveryParts};

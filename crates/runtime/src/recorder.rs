@@ -12,7 +12,7 @@ use twobit_proto::{
 /// Records operation invocations/responses from many client threads,
 /// tagging each operation with its target register.
 ///
-/// Public so other live backends (the TCP transport) can record histories
+/// Public so other live backends (the reactor transport) can record histories
 /// with the same clock and projection semantics as the in-process cluster.
 pub struct Recorder<V> {
     start: Instant,

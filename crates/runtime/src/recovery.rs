@@ -3,7 +3,7 @@
 //! The deterministic simulator recovers a process by running the event
 //! queue to quiescence and then transferring state synchronously — there
 //! is nothing in flight by construction. The live backends (in-process
-//! cluster, TCP transport, reactor transport) reproduce the same recipe
+//! cluster, reactor transport) reproduce the same recipe
 //! against real threads and sockets:
 //!
 //! 1. **Quiesce**: wait until the wire books balance

@@ -110,7 +110,7 @@ impl WireMessage for EchoMsg {
         }
     }
     // Codec-capable so the engines' encode–decode fidelity mode (and the
-    // TCP transport) can run the test automatons too: 1-bit tag, then the
+    // reactor transport) can run the test automatons too: 1-bit tag, then the
     // value for pings — bit-for-bit the modeled cost.
     fn encoded_bits(&self) -> u64 {
         match self {

@@ -28,13 +28,13 @@
 //! Since the wire-codec redesign frames are real byte blobs
 //! (`Frame::encode`/`Frame::decode`, layout in `docs/wire-format.md`).
 //! The simulator runs below with `wire_codec(true)` — every frame crosses
-//! as encoded-then-decoded bytes — and the TCP backend has no other mode:
-//! its `wire_bytes` are what the kernel actually carried.
+//! as encoded-then-decoded bytes — and the reactor has no other mode: its
+//! `wire_bytes` are what the kernel actually carried.
 //!
 //! # Flush semantics: when does a frame form?
 //!
 //! How long a link holds a batch open is the latency/overhead knob. A
-//! `FlushPolicy` (runtime + TCP; `flush_hold`/`flush_hold_policy` is the
+//! `FlushPolicy` (runtime + reactor; `flush_hold`/`flush_hold_policy` is the
 //! simulator's virtual-time analogue) flushes on **size** (`max_batch`
 //! pending), on **hold** (the oldest item waited out the window), or on
 //! **shutdown** — and the stats say which, per frame
@@ -53,8 +53,8 @@
 use std::time::Duration;
 
 use twobit::{
-    ClusterBuilder, DelayModel, Driver, FlushPolicy, Operation, ProcessId, RegisterId,
-    SpaceBuilder, SystemConfig, TcpClusterBuilder, TwoBitProcess, Workload,
+    ClusterBuilder, DelayModel, Driver, FlushPolicy, Operation, ProcessId, ReactorClusterBuilder,
+    RegisterId, SpaceBuilder, SystemConfig, TwoBitProcess, Workload,
 };
 
 /// Writes 1..=10 from the writer interleaved with reads from two readers —
@@ -141,11 +141,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build(0u64, |id| TwoBitProcess::new(id, cfg, writer, 0u64))?;
     run("runtime", &mut cluster)?;
 
-    // Backend 3: real loopback TCP — one socket per ordered process pair,
-    // each frame a length-prefixed byte blob. Same workload, same checks.
-    let mut tcp =
-        TcpClusterBuilder::new(cfg).build(0u64, |id| TwoBitProcess::new(id, cfg, writer, 0u64))?;
-    run("tcp", &mut tcp)?;
+    // Backend 3: the reactor over real loopback TCP — one socket per
+    // ordered process pair, each frame a sequence-numbered byte blob, every
+    // process and link on a fixed event-loop pool. Same workload, same checks.
+    let mut node = ReactorClusterBuilder::new(cfg)
+        .build(0u64, |id| TwoBitProcess::new(id, cfg, writer, 0u64))?;
+    run("reactor", &mut node)?;
 
     println!("same workload, same checks, three execution substrates");
     Ok(())

@@ -13,8 +13,8 @@
 //! * **[`Driver`]** — the backend-agnostic driving interface
 //!   (`invoke`/`poll`/`crash`/`history`/`stats`), implemented by the
 //!   deterministic simulator ([`Simulation`], [`SimSpace`]), the live
-//!   threaded runtime ([`Cluster`]), and the real-socket TCP backend
-//!   ([`TcpCluster`]). Workloads, checkers, and benchmarks are written
+//!   threaded runtime ([`Cluster`]), and the real-socket reactor
+//!   ([`ReactorNode`]). Workloads, checkers, and benchmarks are written
 //!   once and run on every backend.
 //! * **[`RegisterSpace`]** — many independent *named* registers multiplexed
 //!   over one deployment. Each register runs the paper's protocol
@@ -141,7 +141,7 @@
 //! `(process, register)` pair are rejected with a typed
 //! [`ClientError::OperationInFlight`] instead of wedging the process.
 //!
-//! ## The wire codec and the TCP backend
+//! ## The wire codec and the socket backend: the reactor transport
 //!
 //! The unit of exchange on every link is bytes, not clones: a frame is one
 //! contiguous, length-prefixed byte blob ([`Frame::encode`] /
@@ -152,39 +152,26 @@
 //! per message in the byte stream. The deterministic backends prove
 //! fidelity on demand (`SpaceBuilder::wire_codec(true)`,
 //! `ClusterBuilder::wire_codec(true)`: every frame is delivered from its
-//! decoded bytes); [`TcpCluster`] has no other mode — one loopback TCP
-//! connection per ordered process pair, one frame blob per socket write:
+//! decoded bytes); the socket backend has no other mode — one TCP
+//! connection per ordered process pair, carrying sequence-numbered frame
+//! blobs.
 //!
-//! ```
-//! use twobit::{Driver, ProcessId, RegisterId, SystemConfig, TcpClusterBuilder, TwoBitProcess};
-//!
-//! let cfg = SystemConfig::new(3, 1)?;
-//! let writer = ProcessId::new(0);
-//! let mut tcp = TcpClusterBuilder::new(cfg)
-//!     .build(0u64, |id| TwoBitProcess::new(id, cfg, writer, 0u64))?;
-//! tcp.write(writer, RegisterId::ZERO, 9)?;
-//! assert_eq!(tcp.read(ProcessId::new(2), RegisterId::ZERO)?, 9);
-//! assert!(tcp.stats().wire_bytes() > 0); // real bytes, real sockets
-//! # Ok::<(), Box<dyn std::error::Error>>(())
-//! ```
-//!
-//! ## Scaling out: the reactor transport
-//!
-//! [`TcpCluster`] spends a reader + writer thread per ordered link —
-//! transparent at `n = 3`, untenable at `n = 64` (4032 links). The
-//! reactor backend ([`ReactorClusterBuilder`] / [`ReactorNodeBuilder`],
-//! crate `twobit-reactor`) runs every hosted process to completion on a
-//! small fixed pool of event-loop threads (`poll(2)`-based, no new
-//! dependencies): the loop that owns a process owns its links, decodes
-//! its frames, runs its handler inline and batches what the handler
-//! sends — no process threads, no channel hop per message — so a node
-//! runs `min(pool_size, hosted processes) + 1` threads no matter how
-//! many links it owns. It adds two things the thread-per-link backend
-//! cannot do: **cross-host deployment** (split `listen(addr)` → report
-//! the bound port → `join(peer_map)`) and **reconnect-and-resend** —
-//! a transiently failed socket re-dials with backoff and replays un-acked
-//! frames from a bounded resend buffer (receivers ack cumulatively, every
-//! 32 frames or 10 ms), with sequence-number dedup on the receive side, all visible in [`proto::NetStats`] (`reconnects`,
+//! That backend is the reactor ([`ReactorNodeBuilder`], crate
+//! `twobit-reactor`). A thread pair per ordered link is transparent at
+//! `n = 3` and untenable at `n = 64` (4032 links), so the reactor runs
+//! every hosted process to completion on a small fixed pool of
+//! event-loop threads (`poll(2)`-based, no new dependencies): the loop
+//! that owns a process owns its links, decodes its frames, runs its
+//! handler inline and batches what the handler sends — no process
+//! threads, no channel hop per message — so a node runs
+//! `min(pool_size, hosted processes) + 1` threads no matter how many
+//! links it owns. It deploys **across hosts** (split `listen(addr)` →
+//! report the bound port → `join(peer_map)`) and gives the paper's
+//! reliable channels over sockets that fail, by **reconnect-and-resend**
+//! — a transiently failed socket re-dials with backoff and replays
+//! un-acked frames from a bounded resend buffer (receivers ack
+//! cumulatively, every 32 frames or 10 ms), with sequence-number dedup on
+//! the receive side, all visible in [`proto::NetStats`] (`reconnects`,
 //! `frames_resent`, `frames_deduped`, `resend_buffer_high_water`).
 //!
 //! ```
@@ -198,17 +185,19 @@
 //! node.write(writer, RegisterId::ZERO, 9)?;
 //! assert_eq!(node.read(ProcessId::new(2), RegisterId::ZERO)?, 9);
 //! assert_eq!(node.thread_count(), 3);
+//! assert!(node.stats().wire_bytes() > 0); // real bytes, real sockets
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! **Migrating from `TcpClusterBuilder`:** `ReactorClusterBuilder` is a
-//! drop-in for the all-local case — same `registers` / `flush_policy` /
-//! `cache_mode` / `op_timeout` knobs, same `Driver` surface, same
-//! history and stats semantics. For multi-host deployments switch to
+//! [`ReactorClusterBuilder`] is [`ReactorNodeBuilder`] under its all-local
+//! name: `build`/`build_sharded` start one node hosting every process on
+//! an ephemeral loopback port. For multi-host deployments use
 //! `ReactorNodeBuilder::new(cfg).host([..]).listen(addr)?.join(&peers,
 //! ..)` and drive each process through the node that hosts it (a
 //! non-hosted process is a typed `DriverError::Backend`). See
 //! `docs/transport.md` for the architecture and deployment guide.
+//! **Migrating from the retired thread-per-link TCP builder:** construct
+//! `ReactorClusterBuilder::new(cfg)` instead — same setters.
 //!
 //! ## Migrating to the byte-level frame API
 //!
@@ -220,8 +209,8 @@
 //! * `FrameDecodeError` is an alias of `proto::WireError` (the old
 //!   `Truncated`/`Overflow` variants remain, with new ones alongside).
 //! * Custom `WireMessage`/`Payload` impls keep compiling — the codec
-//!   methods have defaults — but must override them to cross [`TcpCluster`]
-//!   or a `wire_codec(true)` backend. See `docs/wire-format.md`.
+//!   methods have defaults — but must override them to cross the reactor's
+//!   sockets or a `wire_codec(true)` backend. See `docs/wire-format.md`.
 //!
 //! ## Flush semantics: static and adaptive holds
 //!
@@ -235,7 +224,7 @@
 //! link flushes a lone message immediately while a bursty link converges
 //! toward full frames. One shared state machine
 //! ([`runtime::LinkBatcher`]) drives the runtime's chaos links and the
-//! TCP socket writers; [`SpaceBuilder::flush_hold_policy`] /
+//! reactor's send links; [`SpaceBuilder::flush_hold_policy`] /
 //! [`VirtualHold`] is the simulator's virtual-time analogue. Per-link
 //! overrides (`flush_policy_for`, `flush_hold_for`) handle asymmetric
 //! topologies, and unsatisfiable policies (`max_batch == 0`, inverted
@@ -317,8 +306,9 @@
 //! * [`cache`] — the epoch-reclaimed per-process read cache and its
 //!   writer-co-location safety gate ([`CacheMode`]);
 //! * [`runtime`] — the live threaded runtime with chaos links;
-//! * [`transport`] — the real-socket backend: the same cluster over
-//!   loopback TCP, one length-prefixed frame stream per ordered link;
+//! * [`reactor`] — the real-socket backend: hosted processes and all of
+//!   their TCP links on a fixed event-loop pool, across hosts, with
+//!   reconnect-and-resend;
 //! * [`lincheck`] — atomicity checking, per register;
 //! * [`check`] — the DPOR model checker: exhaustive schedule exploration
 //!   for the deterministic backend on small configurations;
@@ -341,7 +331,6 @@ pub use twobit_proto as proto;
 pub use twobit_reactor as reactor;
 pub use twobit_runtime as runtime;
 pub use twobit_simnet as simnet;
-pub use twobit_transport as transport;
 
 pub use twobit_baselines::{
     AbdProcess, MixedMsg, MixedProcess, MwmrProcess, OhRamProcess, PhasedProcess,
@@ -365,4 +354,3 @@ pub use twobit_simnet::{
     ClientPlan, CrashPlan, CrashPoint, DelayModel, SimBuilder, SimSpace, Simulation, SpaceBuilder,
     VirtualHold,
 };
-pub use twobit_transport::{TcpCluster, TcpClusterBuilder};

@@ -1,6 +1,7 @@
 //! Backend equivalence through the `Driver` trait: one workload definition
-//! — no backend-specific code — executes on the deterministic simulator and
-//! on the live threaded runtime, and both runs must be atomic per register.
+//! — no backend-specific code — executes on the deterministic simulator, on
+//! the live threaded runtime and on the reactor's real sockets, and every
+//! run must be atomic per register.
 //!
 //! This is the contract the API redesign exists to enforce: anything
 //! expressible as a `Workload` means the same thing on every backend.
@@ -11,7 +12,7 @@ use twobit::lincheck::{check_mwmr_sharded, check_swmr_sharded};
 use twobit::{
     CacheMode, ClusterBuilder, Driver, DriverError, FlushPolicy, Lifecycle, MwmrProcess,
     OhRamProcess, Operation, ProcessId, ReactorClusterBuilder, RegisterId, SpaceBuilder,
-    SystemConfig, TcpClusterBuilder, TwoBitProcess, VirtualHold, Workload,
+    SystemConfig, TwoBitProcess, VirtualHold, Workload,
 };
 
 const N: usize = 5;
@@ -81,22 +82,6 @@ fn same_workload_runs_on_runtime_backend() {
         })
         .unwrap();
     check_backend(&mut cluster, "runtime");
-}
-
-#[test]
-fn same_workload_runs_on_tcp_backend() {
-    let cfg = cfg();
-    let mut cluster = TcpClusterBuilder::new(cfg)
-        .registers(REGISTERS)
-        .build_sharded(0u64, |reg, id| {
-            TwoBitProcess::new(id, cfg, writer_of(reg), 0u64)
-        })
-        .expect("loopback TCP cluster starts");
-    check_backend(&mut cluster, "tcp");
-    assert!(
-        cluster.stats().wire_bytes() > 0,
-        "tcp: the workload crossed real sockets as encoded frames"
-    );
 }
 
 #[test]
@@ -173,56 +158,6 @@ fn reactor_histories_match_simnet_per_register() {
     );
 }
 
-/// The TCP backend and the simulator agree per register: same completed
-/// operation counts, same per-register atomicity verdicts (write/read
-/// tallies), and — since the workload's writes are fixed — the same
-/// written-value sequences. Interleavings differ (real scheduler vs
-/// virtual time); the *register semantics* must not.
-#[test]
-fn tcp_histories_match_simnet_per_register() {
-    let cfg = cfg();
-    let w = workload();
-
-    let mut sim = SpaceBuilder::new(cfg)
-        .seed(7)
-        .registers(REGISTERS)
-        .wire_codec(true)
-        .build(0u64, |reg, id| {
-            TwoBitProcess::new(id, cfg, writer_of(reg), 0u64)
-        });
-    w.run_on(&mut sim).unwrap();
-    let sim_hist = sim.history();
-    let sim_verdicts = check_swmr_sharded(&sim_hist).unwrap();
-
-    let mut tcp = TcpClusterBuilder::new(cfg)
-        .registers(REGISTERS)
-        .build_sharded(0u64, |reg, id| {
-            TwoBitProcess::new(id, cfg, writer_of(reg), 0u64)
-        })
-        .unwrap();
-    w.run_on(&mut tcp).unwrap();
-    let tcp_hist = Driver::history(&tcp);
-    let tcp_verdicts = check_swmr_sharded(&tcp_hist).unwrap();
-
-    assert_eq!(sim_hist.len(), tcp_hist.len(), "register count");
-    assert_eq!(sim_hist.total_ops(), tcp_hist.total_ops(), "op count");
-    for ((reg_s, v_s), (reg_t, v_t)) in sim_verdicts.iter().zip(tcp_verdicts.iter()) {
-        assert_eq!(reg_s, reg_t);
-        assert_eq!(v_s.writes, v_t.writes, "{reg_s}: write count");
-        assert_eq!(v_s.reads_checked, v_t.reads_checked, "{reg_s}: read count");
-    }
-    for (reg, sim_shard) in sim_hist.iter() {
-        let tcp_shard = tcp_hist.shard(reg).unwrap();
-        let writes = |h: &twobit::History<u64>| -> Vec<u64> {
-            h.records
-                .iter()
-                .filter_map(|r| r.op.written_value().copied())
-                .collect()
-        };
-        assert_eq!(writes(sim_shard), writes(tcp_shard), "{reg}: write values");
-    }
-}
-
 /// The adaptive flush policy is a transport knob, not a semantics knob:
 /// the same workload under auto-tuned per-link holds (plus a per-link
 /// override, exercising asymmetric configurations) must still produce
@@ -269,17 +204,31 @@ fn adaptive_flush_policies_stay_linearizable_on_all_backends() {
         "runtime/adaptive: one flush reason per frame"
     );
 
-    let mut tcp = TcpClusterBuilder::new(cfg)
+    let mut node = ReactorClusterBuilder::new(cfg)
         .registers(REGISTERS)
         .flush_policy(adaptive)
         .flush_policy_for(0, 1, FlushPolicy::immediate())
         .build_sharded(0u64, |reg, id| {
             TwoBitProcess::new(id, cfg, writer_of(reg), 0u64)
         })
-        .expect("loopback TCP cluster starts");
-    check_backend(&mut tcp, "tcp/adaptive");
-    let stats = tcp.stats();
-    assert_eq!(stats.links_abandoned(), 0, "tcp/adaptive: no failed links");
+        .expect("loopback reactor cluster starts");
+    check_backend(&mut node, "reactor/adaptive");
+    let (_, stats) = node.shutdown();
+    assert_eq!(
+        stats.links_abandoned(),
+        0,
+        "reactor/adaptive: no failed links"
+    );
+    assert_eq!(
+        stats.flushes_total(),
+        stats.frames_sent(),
+        "reactor/adaptive: one flush reason per frame"
+    );
+    assert_eq!(
+        stats.total_delivered() + stats.dropped_to_crashed() + stats.messages_abandoned(),
+        stats.total_sent(),
+        "reactor/adaptive: delivered + dropped + abandoned == sent"
+    );
 }
 
 /// A script whose cache decisions are fully determined: each round writes
@@ -351,21 +300,21 @@ fn safe_read_cache_decisions_agree_across_backends() {
     check("runtime/cache", &Driver::history(&cluster));
     let rt_stats = Driver::stats(&cluster);
 
-    let mut tcp = TcpClusterBuilder::new(cfg)
+    let mut node = ReactorClusterBuilder::new(cfg)
         .registers(REGISTERS)
         .cache_mode(CacheMode::Safe)
         .build_sharded(0u64, |reg, id| {
             TwoBitProcess::new(id, cfg, writer_of(reg), 0u64)
         })
-        .expect("loopback TCP cluster starts");
-    cached_workload().run_on(&mut tcp).unwrap();
-    check("tcp/cache", &Driver::history(&tcp));
-    let (_, tcp_stats) = tcp.shutdown();
+        .expect("loopback reactor cluster starts");
+    cached_workload().run_on(&mut node).unwrap();
+    check("reactor/cache", &Driver::history(&node));
+    let (_, node_stats) = node.shutdown();
 
     for (label, stats) in [
         ("simnet/cache", &sim_stats),
         ("runtime/cache", &rt_stats),
-        ("tcp/cache", &tcp_stats),
+        ("reactor/cache", &node_stats),
     ] {
         assert_eq!(stats.cache_hits(), expect_hits, "{label}: hits");
         assert_eq!(stats.cache_misses(), expect_misses, "{label}: misses");
@@ -382,11 +331,11 @@ fn safe_read_cache_decisions_agree_across_backends() {
         "simnet/cache: delivered + dropped == sent"
     );
     assert_eq!(
-        tcp_stats.total_delivered()
-            + tcp_stats.dropped_to_crashed()
-            + tcp_stats.messages_abandoned(),
-        tcp_stats.total_sent(),
-        "tcp/cache: delivered + dropped + abandoned == sent"
+        node_stats.total_delivered()
+            + node_stats.dropped_to_crashed()
+            + node_stats.messages_abandoned(),
+        node_stats.total_sent(),
+        "reactor/cache: delivered + dropped + abandoned == sent"
     );
 }
 
@@ -467,25 +416,29 @@ fn mwmr_workload_runs_on_all_three_backends() {
     check_mwmr_backend(&mut cluster, "runtime/mwmr");
     let runtime_hist = Driver::history(&cluster);
 
-    let mut tcp = TcpClusterBuilder::new(cfg)
+    let mut node = ReactorClusterBuilder::new(cfg)
         .registers(REGISTERS)
         .build_sharded(0u64, |_reg, id| MwmrProcess::new(id, cfg, 0u64))
-        .expect("loopback TCP cluster starts");
-    check_mwmr_backend(&mut tcp, "tcp/mwmr");
-    let tcp_hist = Driver::history(&tcp);
-    let (_, tcp_stats) = tcp.shutdown();
+        .expect("loopback reactor cluster starts");
+    check_mwmr_backend(&mut node, "reactor/mwmr");
+    let node_hist = Driver::history(&node);
+    let (_, node_stats) = node.shutdown();
     assert!(
-        tcp_stats.wire_bytes() > 0,
-        "tcp/mwmr: real bytes on real sockets"
+        node_stats.wire_bytes() > 0,
+        "reactor/mwmr: real bytes on real sockets"
     );
     assert_eq!(
-        tcp_stats.total_delivered()
-            + tcp_stats.dropped_to_crashed()
-            + tcp_stats.messages_abandoned(),
-        tcp_stats.total_sent(),
-        "tcp/mwmr: delivered + dropped + abandoned == sent"
+        node_stats.total_delivered()
+            + node_stats.dropped_to_crashed()
+            + node_stats.messages_abandoned(),
+        node_stats.total_sent(),
+        "reactor/mwmr: delivered + dropped + abandoned == sent"
     );
-    assert_eq!(tcp_stats.links_abandoned(), 0, "tcp/mwmr: no failed links");
+    assert_eq!(
+        node_stats.links_abandoned(),
+        0,
+        "reactor/mwmr: no failed links"
+    );
     assert_eq!(
         sim_stats.total_delivered() + sim_stats.dropped_to_crashed(),
         sim_stats.total_sent(),
@@ -506,7 +459,7 @@ fn mwmr_workload_runs_on_all_three_backends() {
     };
     for (reg, sim_shard) in sim_hist.iter() {
         let rt_shard = runtime_hist.shard(reg).unwrap();
-        let tcp_shard = tcp_hist.shard(reg).unwrap();
+        let node_shard = node_hist.shard(reg).unwrap();
         assert_eq!(
             writes_of(sim_shard),
             writes_of(rt_shard),
@@ -514,8 +467,8 @@ fn mwmr_workload_runs_on_all_three_backends() {
         );
         assert_eq!(
             writes_of(sim_shard),
-            writes_of(tcp_shard),
-            "{reg}: sim vs tcp"
+            writes_of(node_shard),
+            "{reg}: sim vs reactor"
         );
         assert_eq!(
             sim_shard.len(),
@@ -524,8 +477,8 @@ fn mwmr_workload_runs_on_all_three_backends() {
         );
         assert_eq!(
             sim_shard.len(),
-            tcp_shard.len(),
-            "{reg}: op counts sim vs tcp"
+            node_shard.len(),
+            "{reg}: op counts sim vs reactor"
         );
     }
 }
@@ -609,12 +562,31 @@ fn pipelined_execution_is_equivalent_too() {
         .unwrap();
     w.run_pipelined_on(&mut cluster).unwrap();
     check_swmr_sharded(&Driver::history(&cluster)).unwrap();
+
+    // Overlapping operations on real sockets share frames across shards:
+    // the tags are routed, and the per-frame header-mode choice is never
+    // worse than always taking the delta/gamma layout.
+    let mut node = ReactorClusterBuilder::new(cfg)
+        .registers(REGISTERS)
+        .build_sharded(0u64, |reg, id| {
+            TwoBitProcess::new(id, cfg, writer_of(reg), 0u64)
+        })
+        .expect("loopback reactor cluster starts");
+    w.run_pipelined_on(&mut node).unwrap();
+    let (history, stats) = node.shutdown();
+    assert_eq!(history.len(), REGISTERS);
+    check_swmr_sharded(&history).unwrap();
+    assert!(stats.frame_header_bits() > 0, "shard tags were routed");
+    assert!(
+        stats.frame_header_bits() <= stats.frame_header_gamma_bits(),
+        "the header-mode chooser never loses to forced gamma"
+    );
 }
 
 #[test]
 fn crash_tolerance_is_portable() {
-    // Crash t processes mid-workload through the same Driver calls on both
-    // backends; surviving quorums must keep every register live and atomic.
+    // Crash t processes mid-workload through the same Driver calls on every
+    // backend; surviving quorums must keep every register live and atomic.
     let cfg = cfg();
     let run = |driver: &mut dyn Driver<Value = u64>| {
         let reg = RegisterId::new(0);
@@ -648,18 +620,34 @@ fn crash_tolerance_is_portable() {
         })
         .unwrap();
     run(&mut cluster);
+
+    // On real sockets too, where every frame toward a crashed process is
+    // dropped whole and the books still balance to the message.
+    let mut node = ReactorClusterBuilder::new(cfg)
+        .registers(REGISTERS)
+        .build_sharded(0u64, |reg, id| {
+            TwoBitProcess::new(id, cfg, writer_of(reg), 0u64)
+        })
+        .expect("loopback reactor cluster starts");
+    run(&mut node);
+    let (_, stats) = node.shutdown();
+    assert_eq!(
+        stats.total_delivered() + stats.dropped_to_crashed(),
+        stats.total_sent(),
+        "reactor: every sent message was delivered or dropped whole-frame"
+    );
 }
 
-/// One crash-recover-rejoin workload, four backends, identical per-register
+/// One crash-recover-rejoin workload, three backends, identical per-register
 /// histories. A replica crashes and rejoins mid-run (it must then serve
 /// reads through the protocol again), and afterwards the *writer* crashes
 /// and rejoins (the rejoin must re-admit it as the writer with a fresh
 /// incarnation). The extracted history fingerprint — completed-op count,
 /// written-value sequence, read results, and `(process, incarnation)`
 /// recovery records — must be the same on the deterministic simulator, the
-/// threaded runtime, real TCP, and the reactor.
+/// threaded runtime and the reactor's real sockets.
 #[test]
-fn crash_recover_rejoin_is_portable_across_all_four_backends() {
+fn crash_recover_rejoin_is_portable_across_all_three_backends() {
     let cfg = cfg();
     let reg = RegisterId::new(0);
     let writer = writer_of(reg); // p0
@@ -755,19 +743,6 @@ fn crash_recover_rejoin_is_portable_across_all_four_backends() {
     let rt_fp = run(&mut cluster, "runtime");
     assert_eq!(sim_fp, rt_fp, "runtime fingerprint diverges from simnet");
 
-    let mut tcp = TcpClusterBuilder::new(cfg)
-        .registers(1)
-        .build_sharded(0u64, move |reg, id| {
-            TwoBitProcess::new(id, cfg, writer_of(reg), 0u64)
-        })
-        .expect("loopback TCP cluster starts");
-    let tcp_fp = run(&mut tcp, "tcp");
-    assert_eq!(sim_fp, tcp_fp, "tcp fingerprint diverges from simnet");
-    assert!(
-        tcp.stats().snapshot_frames() > 0,
-        "tcp: snapshots crossed real sockets"
-    );
-
     let mut node = ReactorClusterBuilder::new(cfg)
         .registers(1)
         .build_sharded(0u64, move |reg, id| {
@@ -778,6 +753,10 @@ fn crash_recover_rejoin_is_portable_across_all_four_backends() {
     assert_eq!(
         sim_fp, reactor_fp,
         "reactor fingerprint diverges from simnet"
+    );
+    assert!(
+        node.stats().snapshot_frames() > 0,
+        "reactor: snapshots crossed real sockets"
     );
 }
 
@@ -829,13 +808,13 @@ fn ohram_fingerprint(
 
 /// The Oh-RAM automaton is a first-class citizen of every backend: the
 /// same workload runs identically on the deterministic simulator, the
-/// threaded runtime, real TCP and the reactor; every history passes the
+/// threaded runtime and the reactor's real sockets; every history passes the
 /// SWMR atomicity checker (Oh-RAM keeps the single-writer contract); the
 /// per-register fingerprints agree; and message accounting reconciles
 /// *exactly* — `delivered + dropped + abandoned == sent` — even with the
 /// n² relay traffic in flight at shutdown.
 #[test]
-fn ohram_workload_runs_on_all_four_backends() {
+fn ohram_workload_runs_on_all_three_backends() {
     let cfg = cfg();
     let w = ohram_workload();
 
@@ -881,28 +860,6 @@ fn ohram_workload_runs_on_all_four_backends() {
     check("runtime/ohram", &Driver::history(&cluster));
     let rt_fp = ohram_fingerprint(&Driver::history(&cluster));
 
-    let mut tcp = TcpClusterBuilder::new(cfg)
-        .registers(REGISTERS)
-        .build_sharded(0u64, |reg, id| {
-            OhRamProcess::new(id, cfg, writer_of(reg), 0u64)
-        })
-        .expect("loopback TCP cluster starts");
-    w.run_pipelined_on(&mut tcp).unwrap();
-    check("tcp/ohram", &Driver::history(&tcp));
-    let tcp_fp = ohram_fingerprint(&Driver::history(&tcp));
-    let (_, tcp_stats) = tcp.shutdown();
-    assert!(
-        tcp_stats.wire_bytes() > 0,
-        "tcp/ohram: real bytes on real sockets"
-    );
-    assert_eq!(
-        tcp_stats.total_delivered()
-            + tcp_stats.dropped_to_crashed()
-            + tcp_stats.messages_abandoned(),
-        tcp_stats.total_sent(),
-        "tcp/ohram: delivered + dropped + abandoned == sent"
-    );
-
     let mut node = ReactorClusterBuilder::new(cfg)
         .registers(REGISTERS)
         .build_sharded(0u64, |reg, id| {
@@ -913,6 +870,10 @@ fn ohram_workload_runs_on_all_four_backends() {
     check("reactor/ohram", &Driver::history(&node));
     let reactor_fp = ohram_fingerprint(&Driver::history(&node));
     let (_, node_stats) = node.shutdown();
+    assert!(
+        node_stats.wire_bytes() > 0,
+        "reactor/ohram: real bytes on real sockets"
+    );
     assert_eq!(
         node_stats.total_delivered()
             + node_stats.dropped_to_crashed()
@@ -935,19 +896,14 @@ fn ohram_workload_runs_on_all_four_backends() {
     );
     assert_eq!(
         writes_only(&sim_fp),
-        writes_only(&tcp_fp),
-        "tcp fingerprint diverges from simnet"
-    );
-    assert_eq!(
-        writes_only(&sim_fp),
         writes_only(&reactor_fp),
         "reactor fingerprint diverges from simnet"
     );
 }
 
 /// Lifecycle misuse is a *typed* error on every backend — no panics, no
-/// silently-accepted double crash (the TCP and reactor builders used to
-/// absorb a second `crash` of the same process without complaint).
+/// silently-accepted double crash (the reactor used to absorb a second
+/// `crash` of the same process without complaint).
 #[test]
 fn lifecycle_errors_are_typed_and_uniform_across_backends() {
     let cfg = cfg();
@@ -996,14 +952,6 @@ fn lifecycle_errors_are_typed_and_uniform_across_backends() {
         })
         .unwrap();
     run(&mut cluster, "runtime");
-
-    let mut tcp = TcpClusterBuilder::new(cfg)
-        .registers(1)
-        .build_sharded(0u64, move |reg, id| {
-            TwoBitProcess::new(id, cfg, writer_of(reg), 0u64)
-        })
-        .expect("loopback TCP cluster starts");
-    run(&mut tcp, "tcp");
 
     let mut node = ReactorClusterBuilder::new(cfg)
         .registers(1)

@@ -125,8 +125,7 @@ fn framed_routing_at_most_half_of_unframed_at_64_shards() {
     assert_eq!(stats.max_msg_control_bits(), 2);
 
     // Routing: the shared delta-encoded headers versus what per-envelope
-    // 6-bit tags would have cost (= the unframed transport preserved in
-    // BENCH_shards.json; same workload, same message count).
+    // 6-bit tags would have cost (same workload, same message count).
     let unframed = stats.routing_bits();
     let framed = stats.frame_header_bits();
     assert_eq!(unframed, 6 * stats.total_sent(), "⌈log₂ 64⌉ per message");

@@ -1,6 +1,7 @@
 //! Integration tests for the reactor transport: flat thread count under
-//! many links, reconnect-and-resend accounting, and the two-node
-//! listen/join deployment path.
+//! many links, reconnect-and-resend accounting, the two-node listen/join
+//! deployment path, and the failure paths of a real socket — hostile bytes
+//! and a peer that never comes back.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -12,9 +13,10 @@ use std::time::{Duration, Instant};
 use twobit::core::TwoBitMsg;
 use twobit::lincheck::{check_swmr, check_swmr_sharded};
 use twobit::proto::linkseq::{self, LinkHello, LinkWelcome, ACK_LEN, HELLO_LEN, WELCOME_LEN};
+use twobit::proto::MAX_FRAME_BODY_BYTES;
 use twobit::{
-    Driver, Envelope, FlushPolicy, Frame, ProcessId, ReactorClusterBuilder, ReactorNodeBuilder,
-    RegisterId, SystemConfig, TwoBitProcess,
+    Driver, Envelope, FlushPolicy, FlushReason, Frame, ProcessId, ReactorClusterBuilder,
+    ReactorNode, ReactorNodeBuilder, ReconnectPolicy, RegisterId, SystemConfig, TwoBitProcess,
 };
 
 /// How many OS threads this process currently runs (from
@@ -28,7 +30,7 @@ fn os_thread_count() -> Option<usize> {
 }
 
 /// Satellite: the reactor's reason to exist. 16 processes × 64 shards is
-/// 240 ordered links; the thread-per-link backend would burn 480 socket
+/// 240 ordered links; a thread pair per link would burn 480 socket
 /// threads plus 16 process threads, the reactor runs `pool + dialer`
 /// regardless — handlers run on the loops that own their links.
 #[test]
@@ -49,7 +51,7 @@ fn thread_count_is_flat_in_the_link_count() {
     if let (Some(b), Some(a)) = (before, os_thread_count()) {
         // Real OS accounting, with slack for unrelated test-harness
         // threads (sibling tests start their own nodes meanwhile): far
-        // under the 480 link threads the old backend needs.
+        // under the 480 threads a thread pair per link would need.
         assert!(
             a.saturating_sub(b) < 60,
             "spawned {} threads for 240 links",
@@ -391,6 +393,14 @@ fn short_burst_then_silence_drains_with_nothing_abandoned() {
         stats.total_sent(),
         "books balance with nothing abandoned"
     );
+    // Immediate means no frame waits: every one is sealed by the size
+    // bound in the pass that produced it. It does not mean one message per
+    // frame here — what one pass of a loop emits onto a link shares a frame.
+    assert_eq!(
+        stats.flushes(FlushReason::Size),
+        stats.frames_sent(),
+        "immediate policy: no frame was held or left for shutdown"
+    );
 }
 
 /// The far end of the reactor's link protocol, scripted: stands in for the
@@ -476,10 +486,39 @@ impl ScriptedPeer {
         }
     }
 
+    /// Blocks until `want` messages have arrived on fresh records.
+    fn await_received(&self, want: u64) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while self.received.load(Ordering::SeqCst) < want {
+            assert!(Instant::now() < deadline, "the PROCEEDs never arrived");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     fn finish(self) {
         self.stop.store(true, Ordering::SeqCst);
         self.acceptor.join().unwrap();
     }
+}
+
+/// A real node hosting p0 alone, with `peer` standing in for the node that
+/// hosts p1 and p2.
+fn node_hosting_p0(peer: &ScriptedPeer) -> ReactorNode<TwoBitProcess<u64>> {
+    let cfg = SystemConfig::max_resilience(3);
+    let writer = ProcessId::new(0);
+    let peers = HashMap::from([
+        (ProcessId::new(1), peer.addr),
+        (ProcessId::new(2), peer.addr),
+    ]);
+    ReactorNodeBuilder::new(cfg)
+        .host([0usize])
+        .flush_policy(FlushPolicy::immediate())
+        .listen("127.0.0.1:0")
+        .expect("node binds")
+        .join(&peers, 0u64, move |_reg, id| {
+            TwoBitProcess::new(id, cfg, writer, 0u64)
+        })
+        .expect("node joins")
 }
 
 /// Dials the node as link `p1 → p0`; returns the socket and the resume
@@ -539,22 +578,8 @@ fn await_ack(stream: &mut TcpStream, want: u64) -> u64 {
 /// each `READ` having reached p0 exactly once.
 #[test]
 fn owed_acks_survive_a_sever_and_replays_are_deduped() {
-    let cfg = SystemConfig::max_resilience(3);
-    let writer = ProcessId::new(0);
     let peer = ScriptedPeer::start();
-    let peers = HashMap::from([
-        (ProcessId::new(1), peer.addr),
-        (ProcessId::new(2), peer.addr),
-    ]);
-    let node = ReactorNodeBuilder::new(cfg)
-        .host([0usize])
-        .flush_policy(FlushPolicy::immediate())
-        .listen("127.0.0.1:0")
-        .expect("node binds")
-        .join(&peers, 0u64, move |_reg, id| {
-            TwoBitProcess::new(id, cfg, writer, 0u64)
-        })
-        .expect("node joins");
+    let node = node_hosting_p0(&peer);
 
     // A burst well short of 32 frames, then silence: one lazy ack.
     let (mut link, resume) = dial_p1_to_p0(node.local_addr());
@@ -586,11 +611,7 @@ fn owed_acks_survive_a_sever_and_replays_are_deduped() {
     assert_eq!(await_ack(&mut link, 9), 9);
 
     // p0 answered every READ it handled with one PROCEED toward p1.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while peer.received.load(Ordering::SeqCst) < 9 {
-        assert!(Instant::now() < deadline, "the PROCEEDs never arrived");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    peer.await_received(9);
     let (_, stats) = node.shutdown();
     drop(link);
     peer.finish();
@@ -613,5 +634,165 @@ fn owed_acks_survive_a_sever_and_replays_are_deduped() {
             + stats.messages_abandoned(),
         stats.total_sent(),
         "delivered + dropped + stale + abandoned == sent"
+    );
+}
+
+/// Reads `stream` to its end: the node hung up (a timeout instead means it
+/// never did). Returns what it sent first.
+fn await_hangup(stream: &mut TcpStream) -> Vec<u8> {
+    let mut rest = Vec::new();
+    if let Err(e) = stream.read_to_end(&mut rest) {
+        assert_eq!(
+            e.kind(),
+            std::io::ErrorKind::ConnectionReset,
+            "the node never hung up: {e}"
+        );
+    }
+    rest
+}
+
+/// Satellite: hostile bytes on a link. The peer is crash-prone, not
+/// byzantine, so a record no correct sender could have produced means the
+/// stream is corrupt from there on: the node must refuse the length before
+/// allocating for it, hang up, and put the link on the books as abandoned
+/// rather than bail out silently — while a record merely cut short by a
+/// dying peer is not an offence, and none of it harms the node: the link
+/// re-dials and resumes from a cursor the bad bytes never moved.
+#[test]
+fn hostile_bytes_close_the_connection_and_spare_the_node() {
+    let peer = ScriptedPeer::start();
+    let node = node_hosting_p0(&peer);
+    let seq_one = 1u64.to_be_bytes();
+
+    // A length prefix past the frame bound.
+    let oversized = [&seq_one[..], &(MAX_FRAME_BODY_BYTES + 1).to_be_bytes()].concat();
+    // A well-framed record whose body is no frame.
+    let garbage = [&seq_one[..], &[0, 0, 0, 8], &[0xFF; 8]].concat();
+    for (bytes, what) in [(oversized, "oversized prefix"), (garbage, "corrupt frame")] {
+        let before = node.stats().links_abandoned();
+        let (mut link, resume) = dial_p1_to_p0(node.local_addr());
+        assert_eq!(resume, 0, "{what}: nothing was ever consumed");
+        link.write_all(&bytes).unwrap();
+        assert!(
+            await_hangup(&mut link).is_empty(),
+            "{what}: hung up on, never acked"
+        );
+        let stats = node.stats();
+        assert_eq!(stats.links_abandoned(), before + 1, "{what} is accounted");
+        assert_eq!(stats.total_delivered(), 0, "{what}: nothing delivered");
+    }
+
+    // One byte short of a record, then the peer dies: nothing to deliver,
+    // nothing to hold against the link.
+    let (mut link, resume) = dial_p1_to_p0(node.local_addr());
+    assert_eq!(resume, 0);
+    let record = read_records(1..=1);
+    link.write_all(&record[..record.len() - 1]).unwrap();
+    drop(link);
+
+    // The node is unharmed: the link comes back from cursor 0 and works.
+    let (mut link, resume) = dial_p1_to_p0(node.local_addr());
+    assert_eq!(resume, 0, "the truncated record was never consumed");
+    link.write_all(&read_records(1..=3)).unwrap();
+    assert_eq!(await_ack(&mut link, 3), 3);
+    peer.await_received(3);
+    let (_, stats) = node.shutdown();
+    drop(link);
+    peer.finish();
+    assert_eq!(stats.total_delivered(), 3, "each READ handled exactly once");
+    assert_eq!(
+        stats.links_abandoned(),
+        2,
+        "the two poisonings, not the truncation"
+    );
+}
+
+/// Satellite: a peer gone for good. Reconnect-and-resend makes a failed
+/// socket transient only while the peer comes back; when the re-dial
+/// budget runs out the links toward it are abandoned, and everything they
+/// still owed — sealed and un-acked, pending, or sent afterwards — goes on
+/// the books as abandoned instead of vanishing. The surviving majority
+/// never notices, and the deployment-wide ledger stays exact.
+#[test]
+fn a_peer_gone_for_good_is_abandoned_and_the_books_still_balance() {
+    let cfg = SystemConfig::max_resilience(3);
+    let writer = ProcessId::new(0);
+    let p1 = ProcessId::new(1);
+    let p2 = ProcessId::new(2);
+    let reg = RegisterId::ZERO;
+    let make = move |_reg: RegisterId, id: ProcessId| TwoBitProcess::new(id, cfg, writer, 0u64);
+
+    let left = ReactorNodeBuilder::new(cfg)
+        .host([0usize, 1])
+        .reconnect_policy(ReconnectPolicy {
+            max_attempts: 5,
+            max_backoff: Duration::from_millis(5),
+            ..ReconnectPolicy::default()
+        })
+        .listen("127.0.0.1:0")
+        .expect("left binds");
+    let right = ReactorNodeBuilder::new(cfg)
+        .host([2usize])
+        .listen("127.0.0.1:0")
+        .expect("right binds");
+    let (left_addr, right_addr) = (left.local_addr(), right.local_addr());
+    // Right first: left's dial budget is short, so its peer must already
+    // be answering hellos.
+    let mut right = right
+        .join(
+            &HashMap::from([(writer, left_addr), (p1, left_addr)]),
+            0u64,
+            make,
+        )
+        .expect("right joins");
+    let mut left = left
+        .join(&HashMap::from([(p2, right_addr)]), 0u64, make)
+        .expect("left joins");
+
+    // Cross-node traffic: p2's reads need a left process in their quorum.
+    left.write(writer, reg, 1).unwrap();
+    assert_eq!(right.read(p2, reg).unwrap(), 1);
+    left.write(writer, reg, 2).unwrap();
+    assert_eq!(right.read(p2, reg).unwrap(), 2);
+    left.write(writer, reg, 3).unwrap();
+
+    // Quiesce — every message sent so far delivered — so that what left
+    // abandons below is exactly what it sends from here on.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let (l, r) = (left.stats(), right.stats());
+        if l.total_delivered() + r.total_delivered() == l.total_sent() + r.total_sent() {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the deployment never quiesced");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // A draining node acks all it consumed before it goes, so left's
+    // resend buffers toward p2 are empty when the sockets die.
+    let (_, right_stats) = right.shutdown();
+    assert_eq!(right_stats.links_abandoned(), 0);
+
+    // p0 and p1 are a majority: the register stays live while left's two
+    // links toward p2 burn through their re-dial budget.
+    for v in 4..24u64 {
+        left.write(writer, reg, v).unwrap();
+        assert_eq!(left.read(p1, reg).unwrap(), v);
+    }
+    let (left_hist, left_stats) = left.shutdown();
+    let verdict = check_swmr(left_hist.shard(reg).unwrap()).unwrap();
+    assert_eq!(verdict.writes, 23);
+    assert_eq!(verdict.reads_checked, 20);
+    assert_eq!(left_stats.links_abandoned(), 2, "p0 → p2 and p1 → p2");
+    assert!(left_stats.messages_abandoned() > 0);
+
+    use twobit::proto::NetStats;
+    let sum = |f: fn(&NetStats) -> u64| f(&left_stats) + f(&right_stats);
+    assert_eq!(
+        sum(NetStats::total_delivered)
+            + sum(NetStats::dropped_to_crashed)
+            + sum(NetStats::dropped_stale)
+            + sum(NetStats::messages_abandoned),
+        sum(NetStats::total_sent),
+        "summed across nodes: delivered + dropped + stale + abandoned == sent"
     );
 }
