@@ -112,11 +112,11 @@ impl std::error::Error for DriverError {}
 
 /// A running register deployment that can be driven one operation at a time.
 ///
-/// Implemented by `twobit_simnet::Simulation` (single register, virtual
-/// time), `twobit_simnet::SimSpace` (sharded, virtual time) and
-/// `twobit_runtime::Cluster` (sharded, real threads). Code written against
-/// this trait — workloads, equivalence tests, benchmarks — runs unchanged on
-/// every backend.
+/// Implemented by `twobit_simnet::SimSpace` (virtual time),
+/// `twobit_runtime::Cluster` (real threads) and `twobit_reactor::ReactorNode`
+/// (real sockets), all sharded. Code written against this trait —
+/// workloads, equivalence tests, benchmarks — runs unchanged on every
+/// backend.
 pub trait Driver {
     /// The register value type.
     type Value: Payload;
@@ -148,8 +148,13 @@ pub trait Driver {
     ///
     /// # Errors
     ///
-    /// [`DriverError::Timeout`] / [`DriverError::Stalled`] if the operation
-    /// cannot complete (e.g. no quorum after crashes).
+    /// [`DriverError::Timeout`] means *not yet*: the backend's time budget
+    /// for one call ran out, the operation is still in flight, and the
+    /// ticket stays valid — poll it again. [`DriverError::Stalled`] means
+    /// it cannot complete (the simulator went quiescent, e.g. no quorum
+    /// after crashes, or the ticket was superseded by a later operation on
+    /// its pair); [`DriverError::ProcessUnavailable`] that its process
+    /// crashed with it.
     fn poll(&mut self, ticket: &OpTicket) -> Result<OpOutcome<Self::Value>, DriverError>;
 
     /// Crashes `proc`: it stops taking steps; messages to it are dropped.

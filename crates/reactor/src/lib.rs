@@ -35,7 +35,10 @@
 //! invariant (`delivered + dropped + abandoned == sent`, exact while
 //! `links_abandoned == 0`) are shared with the other live backends;
 //! reconnect activity is visible as `reconnects`, `frames_resent`,
-//! `frames_deduped`, and `resend_buffer_high_water`.
+//! `frames_deduped`, and `resend_buffer_high_water`. The `Driver` surface
+//! is shared outright: a node forwards to the same
+//! [`twobit_runtime::Spine`] as the in-process cluster, so tickets,
+//! timeouts, crash and recovery mean one thing on both.
 //!
 //! See `docs/transport.md` for the architecture tour and deployment
 //! guide.

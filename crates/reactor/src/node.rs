@@ -19,20 +19,18 @@
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use twobit_cache::CacheMode;
 use twobit_proto::{
-    Automaton, BufferPool, Driver, DriverError, Lifecycle, LifecycleState, NetStats, OpId,
-    OpOutcome, OpTicket, Operation, ProcessId, RegisterId, ShardSet, ShardedHistory, SystemConfig,
+    Automaton, BufferPool, Driver, DriverError, Lifecycle, NetStats, OpOutcome, OpTicket,
+    Operation, ProcessId, RegisterId, ShardSet, ShardedHistory, SystemConfig,
 };
 use twobit_runtime::{
-    recover_process, BuildError, FlushPolicy, Incoming, ProcessCore, Recorder, RecoveryParts,
+    recover_process, BuildError, DeployConfig, FlushPolicy, Incoming, ProcessCore, Spine,
 };
 
 use crate::poller::{waker_pair, Waker};
@@ -54,11 +52,7 @@ pub struct ReactorNodeBuilder {
     cfg: SystemConfig,
     local: Vec<ProcessId>,
     pool_size: usize,
-    registers: Vec<RegisterId>,
-    op_timeout: Duration,
-    flush: FlushPolicy,
-    flush_overrides: HashMap<(ProcessId, ProcessId), FlushPolicy>,
-    cache_mode: CacheMode,
+    deploy: DeployConfig,
     resend_cap: usize,
     reconnect: ReconnectPolicy,
     drain_grace: Duration,
@@ -74,11 +68,7 @@ impl ReactorNodeBuilder {
             cfg,
             local: (0..cfg.n()).map(ProcessId::new).collect(),
             pool_size: 4,
-            registers: vec![RegisterId::ZERO],
-            op_timeout: Duration::from_secs(10),
-            flush: FlushPolicy::default(),
-            flush_overrides: HashMap::new(),
-            cache_mode: CacheMode::Off,
+            deploy: DeployConfig::default(),
             resend_cap: 4096,
             reconnect: ReconnectPolicy::default(),
             drain_grace: Duration::from_secs(3),
@@ -106,19 +96,19 @@ impl ReactorNodeBuilder {
 
     /// Hosts registers `r0 .. r(count-1)`.
     pub fn registers(mut self, count: usize) -> Self {
-        self.registers = RegisterId::first(count);
+        self.deploy.registers = RegisterId::first(count);
         self
     }
 
     /// Hosts exactly the given registers.
     pub fn register_ids(mut self, registers: Vec<RegisterId>) -> Self {
-        self.registers = registers;
+        self.deploy.registers = registers;
         self
     }
 
     /// Sets the client-side operation timeout.
     pub fn op_timeout(mut self, timeout: Duration) -> Self {
-        self.op_timeout = timeout;
+        self.deploy.op_timeout = timeout;
         self
     }
 
@@ -126,7 +116,7 @@ impl ReactorNodeBuilder {
     /// semantics as the other live backends; the hold deadline is kept as
     /// a reactor timer instead of a parked thread's sleep.
     pub fn flush_policy(mut self, flush: FlushPolicy) -> Self {
-        self.flush = flush;
+        self.deploy.flush = flush;
         self
     }
 
@@ -137,13 +127,15 @@ impl ReactorNodeBuilder {
         dst: impl Into<ProcessId>,
         flush: FlushPolicy,
     ) -> Self {
-        self.flush_overrides.insert((src.into(), dst.into()), flush);
+        self.deploy
+            .flush_overrides
+            .insert((src.into(), dst.into()), flush);
         self
     }
 
     /// Sets the local read-cache mode (default [`CacheMode::Off`]).
     pub fn cache_mode(mut self, mode: CacheMode) -> Self {
-        self.cache_mode = mode;
+        self.deploy.cache_mode = mode;
         self
     }
 
@@ -286,11 +278,6 @@ impl ListeningNode {
         let b = self.builder;
         let listener = self.listener;
         let n = b.cfg.n();
-        assert!(!b.registers.is_empty(), "node needs at least one register");
-        b.flush.validate()?;
-        for (link, policy) in &b.flush_overrides {
-            policy.validate_for(Some(*link))?;
-        }
 
         // Deployment checks: locals are distinct and known, peers cover
         // exactly the complement.
@@ -324,67 +311,12 @@ impl ListeningNode {
         }
 
         let pool = b.pool_size.min(b.local.len());
-        let tag_bits = RegisterId::routing_bits(b.registers.len());
+        let tag_bits = RegisterId::routing_bits(b.deploy.registers.len());
         listener.set_nonblocking(true)?;
 
-        let crashed: Vec<Arc<AtomicBool>> =
-            (0..n).map(|_| Arc::new(AtomicBool::new(false))).collect();
-        let stats = Arc::new(Mutex::new(NetStats::new()));
+        // Per-thread plumbing first: the spine's wake hook needs the wakers.
         let (done_tx, done_rx) = unbounded::<usize>();
         let (dial_tx, dial_rx) = unbounded::<DialReq>();
-
-        // Deal the hosted processes over the pool. The loop that owns a
-        // process owns its handler state, its mailbox, every ordered link
-        // it sends on, and (routed there by the accepting loop) every
-        // connection toward it.
-        let mut owners: Vec<Option<usize>> = vec![None; n];
-        let mut inbox_txs: Vec<Option<Sender<Incoming<A>>>> = (0..n).map(|_| None).collect();
-        let mut procs: Vec<Vec<Hosted<A>>> = (0..pool).map(|_| Vec::new()).collect();
-        let mut links: Vec<Vec<SendLink<A::Msg>>> = (0..pool).map(|_| Vec::new()).collect();
-        let mut dials: Vec<DialReq> = Vec::new();
-        let now = Instant::now();
-        for (k, &src) in b.local.iter().enumerate() {
-            let slot = k % pool;
-            owners[src.index()] = Some(slot);
-            let (tx, mailbox) = unbounded();
-            inbox_txs[src.index()] = Some(tx);
-            let mut out = vec![None; n];
-            for dst in (0..n).map(ProcessId::new).filter(|&dst| dst != src) {
-                let addr = if local_set.contains(&dst) {
-                    self_addr
-                } else {
-                    peers[&dst]
-                };
-                let policy = b
-                    .flush_overrides
-                    .get(&(src, dst))
-                    .copied()
-                    .unwrap_or(b.flush);
-                let li = links[slot].len();
-                let mut link = SendLink::new(LinkSpec { src, dst, addr }, policy);
-                link.dialing = true; // the initial dial is enqueued below
-                links[slot].push(link);
-                out[dst.index()] = Some(li);
-                dials.push(DialReq {
-                    thread: slot,
-                    li,
-                    hello: LinkHello { src, dst },
-                    addr,
-                    attempt: 0,
-                    not_before: now,
-                });
-            }
-            let shards = ShardSet::new(src, &b.registers, &mut make);
-            procs[slot].push(Hosted {
-                core: ProcessCore::new(shards, crashed.clone(), Arc::clone(&stats), b.cache_mode),
-                mailbox,
-                out,
-                retired: false,
-            });
-        }
-        let owners: Arc<[Option<usize>]> = owners.into();
-
-        // Per-thread plumbing, then the reactors themselves.
         let mut cmd_txs = Vec::with_capacity(pool);
         let mut cmd_rxs = Vec::with_capacity(pool);
         let mut wakers: Vec<Arc<Waker>> = Vec::with_capacity(pool);
@@ -397,6 +329,77 @@ impl ListeningNode {
             wakers.push(w);
             wake_rxs.push(wr);
         }
+
+        // Deal the hosted processes over the pool. The loop that owns a
+        // process owns its handler state, its mailbox, every ordered link
+        // it sends on, and (routed there by the accepting loop) every
+        // connection toward it.
+        let mut owners: Vec<Option<usize>> = vec![None; n];
+        let mut inboxes: Vec<Option<Sender<Incoming<A>>>> = (0..n).map(|_| None).collect();
+        let mut mailboxes = Vec::with_capacity(b.local.len());
+        for (k, &src) in b.local.iter().enumerate() {
+            owners[src.index()] = Some(k % pool);
+            let (tx, mailbox) = unbounded();
+            inboxes[src.index()] = Some(tx);
+            mailboxes.push(mailbox);
+        }
+        let owners: Arc<[Option<usize>]> = owners.into();
+        // An event loop parked in `poll(2)` does not see a channel send:
+        // every post to a mailbox nudges the loop that owns the process.
+        let wake = {
+            let (owners, wakers) = (Arc::clone(&owners), wakers.clone());
+            move |p: ProcessId| {
+                if let Some(owner) = owners[p.index()] {
+                    wakers[owner].wake();
+                }
+            }
+        };
+        let spine = Spine::new(b.cfg, &b.deploy, inboxes, wake, initial)?;
+        let crashed = spine.crash_flags();
+        let stats = spine.stats_handle();
+
+        let mut procs: Vec<Vec<Hosted<A>>> = (0..pool).map(|_| Vec::new()).collect();
+        let mut links: Vec<Vec<SendLink<A::Msg>>> = (0..pool).map(|_| Vec::new()).collect();
+        let mut dials: Vec<DialReq> = Vec::new();
+        let now = Instant::now();
+        for ((k, &src), mailbox) in b.local.iter().enumerate().zip(mailboxes) {
+            let slot = k % pool;
+            let mut out = vec![None; n];
+            for dst in (0..n).map(ProcessId::new).filter(|&dst| dst != src) {
+                let addr = if local_set.contains(&dst) {
+                    self_addr
+                } else {
+                    peers[&dst]
+                };
+                let li = links[slot].len();
+                let mut link =
+                    SendLink::new(LinkSpec { src, dst, addr }, b.deploy.policy_for(src, dst));
+                link.dialing = true; // the initial dial is enqueued below
+                links[slot].push(link);
+                out[dst.index()] = Some(li);
+                dials.push(DialReq {
+                    thread: slot,
+                    li,
+                    hello: LinkHello { src, dst },
+                    addr,
+                    attempt: 0,
+                    not_before: now,
+                });
+            }
+            let shards = ShardSet::new(src, &b.deploy.registers, &mut make);
+            procs[slot].push(Hosted {
+                core: ProcessCore::new(
+                    shards,
+                    crashed.to_vec(),
+                    Arc::clone(stats),
+                    b.deploy.cache_mode,
+                ),
+                mailbox,
+                out,
+                retired: false,
+            });
+        }
+
         let mut reactor_threads = Vec::with_capacity(pool);
         let mut listener_slot = Some(listener);
         let parts = cmd_rxs
@@ -416,8 +419,8 @@ impl ListeningNode {
                 tag_bits,
                 resend_cap: b.resend_cap,
                 drain_grace: b.drain_grace,
-                stats: Arc::clone(&stats),
-                crashed: crashed.clone(),
+                stats: Arc::clone(stats),
+                crashed: crashed.to_vec(),
                 owners: Arc::clone(&owners),
                 cmd_rx,
                 cmd_txs: cmd_txs.clone(),
@@ -450,20 +453,9 @@ impl ListeningNode {
         }
 
         Ok(ReactorNode {
-            cfg: b.cfg,
-            registers: b.registers,
+            spine,
             local: b.local,
             addr: bound_addr,
-            inbox_txs,
-            owners,
-            crashed,
-            life: Mutex::new(vec![LifecycleState::new(); n]),
-            recorder: Recorder::new(initial),
-            stats,
-            op_ids: AtomicU64::new(0),
-            op_timeout: b.op_timeout,
-            pending: HashMap::new(),
-            completed: HashMap::new(),
             reactor_threads,
             dialer: Some(dialer),
             dial_tx: Some(dial_tx),
@@ -483,24 +475,11 @@ impl ListeningNode {
 /// hosted elsewhere is a typed [`DriverError::Backend`] — drive that
 /// process through its own node.
 pub struct ReactorNode<A: Automaton> {
-    cfg: SystemConfig,
-    registers: Vec<RegisterId>,
+    /// The live-backend state and its one `Driver` body; hosted processes'
+    /// mailboxes are posted to through it, which nudges the owning loop.
+    spine: Spine<A>,
     local: Vec<ProcessId>,
     addr: SocketAddr,
-    /// Mailbox senders, one per hosted process (`None` for remote slots).
-    inbox_txs: Vec<Option<Sender<Incoming<A>>>>,
-    /// Which event loop owns each hosted process (`None` for remote ones).
-    owners: Arc<[Option<usize>]>,
-    crashed: Vec<Arc<AtomicBool>>,
-    life: Mutex<Vec<LifecycleState>>,
-    recorder: Recorder<A::Value>,
-    stats: Arc<Mutex<NetStats>>,
-    op_ids: AtomicU64,
-    op_timeout: Duration,
-    #[allow(clippy::type_complexity)]
-    pending: HashMap<(ProcessId, RegisterId), (OpId, Receiver<OpOutcome<A::Value>>)>,
-    #[allow(clippy::type_complexity)]
-    completed: HashMap<(ProcessId, RegisterId), (OpId, OpOutcome<A::Value>)>,
     reactor_threads: Vec<JoinHandle<()>>,
     dialer: Option<JoinHandle<()>>,
     dial_tx: Option<Sender<DialReq>>,
@@ -514,7 +493,7 @@ pub struct ReactorNode<A: Automaton> {
 impl<A: Automaton> std::fmt::Debug for ReactorNode<A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReactorNode")
-            .field("cfg", &self.cfg)
+            .field("cfg", &self.spine.config())
             .field("local", &self.local)
             .field("addr", &self.addr)
             .field("pool", &self.reactor_threads.len())
@@ -538,7 +517,7 @@ impl<A: Automaton> ReactorNode<A> {
     /// shows up in `reconnects`, `frames_resent`, `frames_deduped` and
     /// `resend_buffer_high_water`.
     pub fn stats(&self) -> NetStats {
-        self.stats.lock().clone()
+        self.spine.stats()
     }
 
     /// Total OS threads this node runs: the event-loop pool (`pool_size`,
@@ -547,36 +526,6 @@ impl<A: Automaton> ReactorNode<A> {
     /// processes the node hosts: handlers run on the loops.
     pub fn thread_count(&self) -> usize {
         self.reactor_threads.len() + usize::from(self.dialer.is_some())
-    }
-
-    /// The typed refusal for driving a process another node hosts.
-    fn check_hosted(&self, proc: ProcessId) -> Result<(), DriverError> {
-        if self.inbox_txs[proc.index()].is_none() {
-            return Err(DriverError::Backend(format!(
-                "process {proc} is not hosted on this node"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Posts `msg` to hosted process `pi`'s mailbox and nudges the event
-    /// loop that owns it; `false` when the process is not hosted here or
-    /// its loop is gone.
-    fn post(&self, pi: usize, msg: Incoming<A>) -> bool {
-        let posted = self.inbox_txs[pi]
-            .as_ref()
-            .is_some_and(|inbox| inbox.send(msg).is_ok());
-        if posted {
-            self.wake_owner(pi);
-        }
-        posted
-    }
-
-    /// Nudges the event loop that owns hosted process `pi` out of its poll.
-    fn wake_owner(&self, pi: usize) {
-        if let Some(owner) = self.owners[pi] {
-            self.wakers[owner].wake();
-        }
     }
 
     /// Fault injection: shuts down every established link socket on this
@@ -595,10 +544,7 @@ impl<A: Automaton> ReactorNode<A> {
     /// per-register histories and statistics.
     pub fn shutdown(mut self) -> (ShardedHistory<A::Value>, NetStats) {
         self.shutdown_inner();
-        (
-            self.recorder.snapshot_sharded(&self.registers),
-            self.stats.lock().clone(),
-        )
+        (self.spine.sharded_history(), self.spine.stats())
     }
 
     fn shutdown_inner(&mut self) {
@@ -655,15 +601,17 @@ impl<A: Automaton> Drop for ReactorNode<A> {
     }
 }
 
+/// Drives the hosted processes through the one ticket table every live
+/// backend shares (see [`Spine`]).
 impl<A: Automaton> Driver for ReactorNode<A> {
     type Value = A::Value;
 
     fn config(&self) -> SystemConfig {
-        self.cfg
+        self.spine.config()
     }
 
     fn registers(&self) -> Vec<RegisterId> {
-        self.registers.clone()
+        self.spine.registers().to_vec()
     }
 
     fn invoke(
@@ -672,124 +620,31 @@ impl<A: Automaton> Driver for ReactorNode<A> {
         reg: RegisterId,
         op: Operation<A::Value>,
     ) -> Result<OpTicket, DriverError> {
-        if proc.index() >= self.cfg.n() {
-            return Err(DriverError::UnknownProcess(proc));
-        }
-        if !self.registers.contains(&reg) {
-            return Err(DriverError::UnknownRegister(reg));
-        }
-        if self.crashed[proc.index()].load(Ordering::Relaxed) {
-            return Err(DriverError::ProcessUnavailable(proc));
-        }
-        self.check_hosted(proc)?;
-        if self.pending.contains_key(&(proc, reg)) {
-            return Err(DriverError::OperationInFlight { proc, reg });
-        }
-        let op_id = OpId::new(self.op_ids.fetch_add(1, Ordering::Relaxed));
-        let (reply_tx, reply_rx) = bounded(1);
-        let invoked_at = self.recorder.now();
-        let invoke = Incoming::Invoke {
-            reg,
-            op_id,
-            op: op.clone(),
-            reply: reply_tx,
-        };
-        if !self.post(proc.index(), invoke) {
-            return Err(DriverError::ProcessUnavailable(proc));
-        }
-        self.recorder.invoked(op_id, proc, reg, op, invoked_at);
-        self.pending.insert((proc, reg), (op_id, reply_rx));
-        Ok(OpTicket { proc, reg, op_id })
+        self.spine.invoke(proc, reg, op)
     }
 
     fn poll(&mut self, ticket: &OpTicket) -> Result<OpOutcome<A::Value>, DriverError> {
-        let key = (ticket.proc, ticket.reg);
-        if let Some((op_id, outcome)) = self.completed.get(&key) {
-            if *op_id == ticket.op_id {
-                return Ok(outcome.clone());
-            }
-        }
-        let Some((op_id, rx)) = self.pending.get(&key) else {
-            return Err(DriverError::Stalled(ticket.op_id));
-        };
-        if *op_id != ticket.op_id {
-            let op_id = *op_id;
-            return Err(DriverError::Backend(format!(
-                "ticket {} superseded by {op_id}",
-                ticket.op_id
-            )));
-        }
-        match rx.recv_timeout(self.op_timeout) {
-            Ok(outcome) => {
-                self.recorder
-                    .completed(ticket.op_id, self.recorder.now(), outcome.clone());
-                self.pending.remove(&key);
-                self.completed.insert(key, (ticket.op_id, outcome.clone()));
-                Ok(outcome)
-            }
-            Err(RecvTimeoutError::Timeout) => Err(DriverError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => {
-                self.pending.remove(&key);
-                Err(DriverError::ProcessUnavailable(ticket.proc))
-            }
-        }
+        self.spine.poll(ticket)
     }
 
     fn crash(&mut self, proc: ProcessId) -> Result<(), DriverError> {
-        let pi = proc.index();
-        if pi >= self.cfg.n() {
-            return Err(DriverError::UnknownProcess(proc));
-        }
-        // A remote process's lifecycle belongs to the node hosting it:
-        // flagging it crashed here would drop this node's sends to a live
-        // peer, and `recover` could never undo it.
-        self.check_hosted(proc)?;
-        self.life.lock()[pi]
-            .crash()
-            .map_err(|_| DriverError::AlreadyCrashed(proc))?;
-        self.crashed[pi].store(true, Ordering::Relaxed);
-        // Nudge the process so it observes the flag (and drops its
-        // in-flight replies) even when idle. Not a shutdown — the parked
-        // process must survive for a later recovery.
-        self.post(pi, Incoming::Nudge);
-        Ok(())
+        self.spine.crash(proc)
     }
 
     fn recover(&mut self, proc: ProcessId) -> Result<(), DriverError> {
-        // The stop-the-world coordinator needs a quiesced cluster; an op
-        // still in flight anywhere would keep the books open forever.
-        if let Some((p, r)) = self.pending.keys().next() {
-            return Err(DriverError::OperationInFlight { proc: *p, reg: *r });
-        }
-        recover_process(
-            proc,
-            &RecoveryParts {
-                cfg: self.cfg,
-                registers: &self.registers,
-                inboxes: &self.inbox_txs,
-                wake: &|p| self.wake_owner(p.index()),
-                life: &self.life,
-                crashed: &self.crashed,
-                stats: &self.stats,
-                recorder: &self.recorder,
-                quiesce_timeout: self.op_timeout,
-            },
-        )
+        recover_process(proc, &self.spine)
     }
 
     fn lifecycle(&self, proc: ProcessId) -> Lifecycle {
-        self.life
-            .lock()
-            .get(proc.index())
-            .map_or(Lifecycle::Crashed, |l| l.state)
+        self.spine.lifecycle(proc)
     }
 
     fn history(&self) -> ShardedHistory<A::Value> {
-        self.recorder.snapshot_sharded(&self.registers)
+        self.spine.sharded_history()
     }
 
     fn stats(&self) -> NetStats {
-        ReactorNode::stats(self)
+        self.spine.stats()
     }
 }
 
@@ -800,6 +655,7 @@ pub type ReactorClusterBuilder = ReactorNodeBuilder;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
     use twobit_core::TwoBitProcess;
 
     fn cfg(n: usize) -> SystemConfig {
@@ -924,7 +780,7 @@ mod tests {
         // never be recovered here.
         not_hosted(node.crash(remote));
         assert_eq!(node.lifecycle(remote), Lifecycle::Up);
-        assert!(!node.crashed[remote.index()].load(Ordering::Relaxed));
+        assert!(!node.spine.crash_flags()[remote.index()].load(Ordering::Relaxed));
         not_hosted(
             node.invoke(remote, RegisterId::ZERO, Operation::Read)
                 .map(drop),

@@ -11,13 +11,11 @@
 //! behaviour of panicking the process thread.
 
 use std::fmt;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use crossbeam::channel::{bounded, Receiver, TryRecvError};
-use twobit_proto::{Automaton, OpId, OpOutcome, Operation, ProcessId, RegisterId};
+use twobit_proto::{Automaton, OpId, OpOutcome, OpTicket, Operation, ProcessId, RegisterId};
 
-use crate::cluster::{Incoming, Shared, Slot};
+use crate::spine::{Reply, Spine};
 
 /// Errors surfaced by the blocking client API.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,7 +63,7 @@ impl std::error::Error for ClientError {}
 /// pair — even through different clients — are rejected with
 /// [`ClientError::OperationInFlight`].
 pub struct RegisterClient<A: Automaton> {
-    shared: Arc<Shared<A>>,
+    shared: Arc<Spine<A>>,
     proc: ProcessId,
     reg: RegisterId,
 }
@@ -80,7 +78,7 @@ impl<A: Automaton> std::fmt::Debug for RegisterClient<A> {
 }
 
 impl<A: Automaton> RegisterClient<A> {
-    pub(crate) fn new(shared: Arc<Shared<A>>, proc: ProcessId, reg: RegisterId) -> Self {
+    pub(crate) fn new(shared: Arc<Spine<A>>, proc: ProcessId, reg: RegisterId) -> Self {
         RegisterClient { shared, proc, reg }
     }
 
@@ -107,65 +105,11 @@ impl<A: Automaton> RegisterClient<A> {
     /// [`ClientError::ProcessUnavailable`] if the process crashed or shut
     /// down.
     pub fn issue(&mut self, op: Operation<A::Value>) -> Result<OpHandle<A>, ClientError> {
-        let key = (self.proc, self.reg);
-        {
-            let mut inflight = self.shared.inflight.lock();
-            match inflight.get(&key) {
-                Some(Slot::Busy) => {
-                    return Err(ClientError::OperationInFlight {
-                        proc: self.proc,
-                        reg: self.reg,
-                    })
-                }
-                Some(Slot::Abandoned(op_id, rx)) => match rx.try_recv() {
-                    Ok(outcome) => {
-                        // The abandoned op finally completed: record it so
-                        // the history stays truthful, then free the slot.
-                        self.shared
-                            .recorder
-                            .completed(*op_id, self.shared.recorder.now(), outcome);
-                        inflight.remove(&key);
-                    }
-                    Err(TryRecvError::Empty) => {
-                        return Err(ClientError::OperationInFlight {
-                            proc: self.proc,
-                            reg: self.reg,
-                        })
-                    }
-                    Err(TryRecvError::Disconnected) => {
-                        // Process died mid-op; the op can never complete.
-                        inflight.remove(&key);
-                    }
-                },
-                None => {}
-            }
-            inflight.insert(key, Slot::Busy);
-        }
-
-        let op_id = OpId::new(self.shared.op_ids.fetch_add(1, Ordering::Relaxed));
-        let (reply_tx, reply_rx) = bounded(1);
-        let invoked_at = self.shared.recorder.now();
-        if self.shared.inbox_txs[self.proc.index()]
-            .send(Incoming::Invoke {
-                reg: self.reg,
-                op_id,
-                op: op.clone(),
-                reply: reply_tx,
-            })
-            .is_err()
-        {
-            self.shared.inflight.lock().remove(&key);
-            return Err(ClientError::ProcessUnavailable);
-        }
-        self.shared
-            .recorder
-            .invoked(op_id, self.proc, self.reg, op, invoked_at);
+        let (ticket, rx) = self.shared.issue(self.proc, self.reg, op)?;
         Ok(OpHandle {
             shared: Arc::clone(&self.shared),
-            proc: self.proc,
-            reg: self.reg,
-            op_id,
-            rx: Some(reply_rx),
+            ticket,
+            rx: Some(rx),
         })
     }
 
@@ -204,19 +148,15 @@ impl<A: Automaton> RegisterClient<A> {
 /// `(process, register)` pair stays busy, and the next
 /// [`RegisterClient::issue`] on the pair reaps the outcome once it lands.
 pub struct OpHandle<A: Automaton> {
-    shared: Arc<Shared<A>>,
-    proc: ProcessId,
-    reg: RegisterId,
-    op_id: OpId,
-    rx: Option<Receiver<OpOutcome<A::Value>>>,
+    shared: Arc<Spine<A>>,
+    ticket: OpTicket,
+    rx: Option<Reply<A::Value>>,
 }
 
 impl<A: Automaton> fmt::Debug for OpHandle<A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("OpHandle")
-            .field("proc", &self.proc)
-            .field("reg", &self.reg)
-            .field("op_id", &self.op_id)
+            .field("ticket", &self.ticket)
             .finish_non_exhaustive()
     }
 }
@@ -224,17 +164,17 @@ impl<A: Automaton> fmt::Debug for OpHandle<A> {
 impl<A: Automaton> OpHandle<A> {
     /// The operation id assigned at issue time.
     pub fn op_id(&self) -> OpId {
-        self.op_id
+        self.ticket.op_id
     }
 
     /// The issuing process.
     pub fn process(&self) -> ProcessId {
-        self.proc
+        self.ticket.proc
     }
 
     /// The target register.
     pub fn register(&self) -> RegisterId {
-        self.reg
+        self.ticket.reg
     }
 
     /// Blocks until the operation completes (up to the cluster's configured
@@ -247,29 +187,7 @@ impl<A: Automaton> OpHandle<A> {
     /// [`ClientError::ProcessUnavailable`] if the process died.
     pub fn wait(mut self) -> Result<OpOutcome<A::Value>, ClientError> {
         let rx = self.rx.take().expect("wait consumes the receiver once");
-        match rx.recv_timeout(self.shared.op_timeout) {
-            Ok(outcome) => {
-                self.shared.recorder.completed(
-                    self.op_id,
-                    self.shared.recorder.now(),
-                    outcome.clone(),
-                );
-                self.shared.inflight.lock().remove(&(self.proc, self.reg));
-                Ok(outcome)
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                // Leave the pair busy; park the receiver for reaping.
-                self.shared
-                    .inflight
-                    .lock()
-                    .insert((self.proc, self.reg), Slot::Abandoned(self.op_id, rx));
-                Err(ClientError::Timeout)
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                self.shared.inflight.lock().remove(&(self.proc, self.reg));
-                Err(ClientError::ProcessUnavailable)
-            }
-        }
+        self.shared.await_reply(self.ticket, rx)
     }
 }
 
@@ -278,10 +196,7 @@ impl<A: Automaton> Drop for OpHandle<A> {
     /// outcome (see the type docs).
     fn drop(&mut self) {
         if let Some(rx) = self.rx.take() {
-            self.shared
-                .inflight
-                .lock()
-                .insert((self.proc, self.reg), Slot::Abandoned(self.op_id, rx));
+            self.shared.park(self.ticket, rx);
         }
     }
 }

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -23,15 +23,16 @@ use parking_lot::Mutex;
 use twobit_cache::{cache_pair, CacheDecision, CacheMode, CacheReader, CacheWriter};
 use twobit_proto::{
     Automaton, BufferPool, Driver, DriverError, Effects, Envelope, Frame, History, Lifecycle,
-    LifecycleState, NetStats, OpId, OpOutcome, OpTicket, Operation, ProcessId, RegisterId,
-    ShardSet, ShardedHistory, SystemConfig, WireMessage,
+    NetStats, OpId, OpOutcome, OpTicket, Operation, ProcessId, RegisterId, ShardSet,
+    ShardedHistory, SystemConfig, WireMessage,
 };
 use twobit_simnet::DelayModel;
 
 use crate::batcher::{BuildError, FlushPolicy};
-use crate::client::{ClientError, OpHandle, RegisterClient};
+use crate::client::{ClientError, RegisterClient};
 use crate::link::{spawn_link, LinkConfig};
-use crate::recorder::Recorder;
+use crate::recovery::recover_process;
+use crate::spine::{DeployConfig, Spine};
 
 /// One recovery's worth of per-register snapshots, shared between the
 /// coordinator, the recovering process, and every live peer (the same
@@ -137,22 +138,6 @@ impl<A: Automaton> std::fmt::Debug for Incoming<A> {
     }
 }
 
-/// One `(process, register)` pair's client-side in-flight state. The API
-/// layer enforces the model's per-register sequentiality with this table:
-/// a second `issue` on a busy pair gets [`ClientError::OperationInFlight`]
-/// instead of panicking the process thread.
-pub(crate) enum Slot<V> {
-    /// An [`OpHandle`] holds the reply receiver.
-    Busy,
-    /// The handle was dropped or timed out with the operation still
-    /// running; the receiver is parked here so a later `issue` can reap the
-    /// outcome once it lands.
-    Abandoned(OpId, Receiver<OpOutcome<V>>),
-}
-
-/// The per-pair in-flight table guarded by [`Shared::inflight`].
-pub(crate) type InflightMap<V> = HashMap<(ProcessId, RegisterId), Slot<V>>;
-
 /// One process's outbound channels, one envelope per link item so the
 /// links' [`FlushPolicy`] counts real messages (`None` on the self slot).
 type OutboundLinks<M> = Vec<Option<Sender<Envelope<M>>>>;
@@ -160,38 +145,14 @@ type OutboundLinks<M> = Vec<Option<Sender<Envelope<M>>>>;
 /// The full link-channel matrix, indexed `[src][dst]`.
 type LinkTxs<M> = Vec<OutboundLinks<M>>;
 
-/// Latest polled driver outcome per `(process, register)` pair.
-type CompletedMap<V> = HashMap<(ProcessId, RegisterId), (OpId, OpOutcome<V>)>;
-
-/// State shared between the cluster, its clients, and its handles.
-pub(crate) struct Shared<A: Automaton> {
-    pub(crate) cfg: SystemConfig,
-    pub(crate) registers: Vec<RegisterId>,
-    pub(crate) inbox_txs: Vec<Sender<Incoming<A>>>,
-    pub(crate) crashed: Vec<Arc<AtomicBool>>,
-    /// Lifecycle records (state + incarnation) behind the hot-path
-    /// `crashed` flags; the driver surface validates transitions here.
-    pub(crate) life: Mutex<Vec<LifecycleState>>,
-    pub(crate) recorder: Recorder<A::Value>,
-    /// Shared with the process and adapter threads, which update it.
-    pub(crate) stats: Arc<Mutex<NetStats>>,
-    pub(crate) op_ids: AtomicU64,
-    pub(crate) op_timeout: Duration,
-    pub(crate) inflight: Mutex<InflightMap<A::Value>>,
-}
-
 /// Builder for a [`Cluster`].
 #[derive(Debug)]
 pub struct ClusterBuilder {
     cfg: SystemConfig,
     seed: u64,
     delay: DelayModel,
-    op_timeout: Duration,
-    registers: Vec<RegisterId>,
-    flush: FlushPolicy,
-    flush_overrides: HashMap<(ProcessId, ProcessId), FlushPolicy>,
     wire_codec: bool,
-    cache_mode: CacheMode,
+    deploy: DeployConfig,
 }
 
 impl ClusterBuilder {
@@ -202,12 +163,8 @@ impl ClusterBuilder {
             cfg,
             seed: 0,
             delay: DelayModel::Uniform { lo: 50, hi: 500 }, // 50–500µs
-            op_timeout: Duration::from_secs(10),
-            registers: vec![RegisterId::ZERO],
-            flush: FlushPolicy::default(),
-            flush_overrides: HashMap::new(),
             wire_codec: false,
-            cache_mode: CacheMode::Off,
+            deploy: DeployConfig::default(),
         }
     }
 
@@ -219,7 +176,7 @@ impl ClusterBuilder {
     /// `cache_fallbacks`. [`CacheMode::UnsafeAblated`] drops the gate — a
     /// deliberately unsound negative control.
     pub fn cache_mode(mut self, mode: CacheMode) -> Self {
-        self.cache_mode = mode;
+        self.deploy.cache_mode = mode;
         self
     }
 
@@ -242,7 +199,7 @@ impl ClusterBuilder {
     /// at build time — an unsatisfiable policy is a typed
     /// [`BuildError::Config`], not a panic inside a link thread.
     pub fn flush_policy(mut self, flush: FlushPolicy) -> Self {
-        self.flush = flush;
+        self.deploy.flush = flush;
         self
     }
 
@@ -257,7 +214,9 @@ impl ClusterBuilder {
         dst: impl Into<ProcessId>,
         flush: FlushPolicy,
     ) -> Self {
-        self.flush_overrides.insert((src.into(), dst.into()), flush);
+        self.deploy
+            .flush_overrides
+            .insert((src.into(), dst.into()), flush);
         self
     }
 
@@ -275,19 +234,19 @@ impl ClusterBuilder {
 
     /// Sets the client-side operation timeout.
     pub fn op_timeout(mut self, timeout: Duration) -> Self {
-        self.op_timeout = timeout;
+        self.deploy.op_timeout = timeout;
         self
     }
 
     /// Hosts registers `r0 .. r(count-1)`.
     pub fn registers(mut self, count: usize) -> Self {
-        self.registers = RegisterId::first(count);
+        self.deploy.registers = RegisterId::first(count);
         self
     }
 
     /// Hosts exactly the given registers.
     pub fn register_ids(mut self, registers: Vec<RegisterId>) -> Self {
-        self.registers = registers;
+        self.deploy.registers = registers;
         self
     }
 
@@ -326,27 +285,26 @@ impl ClusterBuilder {
         F: FnMut(RegisterId, ProcessId) -> A,
     {
         let n = self.cfg.n();
-        assert!(
-            !self.registers.is_empty(),
-            "cluster needs at least one register"
-        );
-        self.flush.validate()?;
-        for (link, policy) in &self.flush_overrides {
-            policy.validate_for(Some(*link))?;
-        }
-        let crashed: Vec<Arc<AtomicBool>> =
-            (0..n).map(|_| Arc::new(AtomicBool::new(false))).collect();
-        let stats = Arc::new(Mutex::new(NetStats::new()));
-
         // Inboxes (one per process).
         let (inbox_txs, inbox_rxs): (Vec<_>, Vec<_>) =
             (0..n).map(|_| unbounded::<Incoming<A>>()).unzip();
+        // Each process thread blocks in `recv` on its own inbox: a post
+        // needs no further wake.
+        let shared = Arc::new(Spine::new(
+            self.cfg,
+            &self.deploy,
+            inbox_txs.iter().cloned().map(Some).collect(),
+            |_| {},
+            initial,
+        )?);
+        let crashed = shared.crash_flags();
+        let stats = shared.stats_handle();
 
         // Links: input channel per ordered pair (i → j). Items are single
         // envelopes — the link's flush policy decides how many coalesce
         // into a frame, so `max_batch` caps envelopes per frame and
         // `FlushPolicy::immediate` really sends each message alone.
-        let tag_bits = RegisterId::routing_bits(self.registers.len());
+        let tag_bits = RegisterId::routing_bits(self.deploy.registers.len());
         let mut link_txs: LinkTxs<A::Msg> =
             (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
         let mut link_threads = Vec::new();
@@ -357,22 +315,16 @@ impl ClusterBuilder {
                     continue;
                 }
                 let (tx, rx) = unbounded::<Envelope<A::Msg>>();
-                // Wrap delivery: the link forwards whole frames; a small
-                // adapter channel tags them with the sender id.
-                let (framed_tx, framed_rx) = unbounded::<Frame<A::Msg>>();
-                let inbox = inbox_txs[j].clone();
                 let from = ProcessId::new(i);
-                let stats_d = Arc::clone(&stats);
-                // Adapter thread: frame → Incoming::Frame (kept separate
-                // from the link so the link stays generic over its items).
-                let adapter = std::thread::spawn(move || {
-                    while let Ok(frame) = framed_rx.recv() {
-                        stats_d.lock().record_deliveries(frame.len() as u64);
-                        if inbox.send(Incoming::Frame { from, frame }).is_err() {
-                            return;
-                        }
-                    }
-                });
+                // A frame that reaches its deadline with the destination up
+                // is counted delivered and lands in its inbox, tagged with
+                // the sender id (the inbox may already be gone on shutdown).
+                let inbox = inbox_txs[j].clone();
+                let stats_d = Arc::clone(stats);
+                let deliver = move |frame: Frame<A::Msg>| {
+                    stats_d.lock().record_deliveries(frame.len() as u64);
+                    let _ = inbox.send(Incoming::Frame { from, frame });
+                };
                 let seed = self
                     .seed
                     .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -381,7 +333,7 @@ impl ClusterBuilder {
                 // where the shared-header routing cost, the flush reason,
                 // and the observed hold are accounted, plus the byte-codec
                 // round trip under `wire_codec`.
-                let stats_f = Arc::clone(&stats);
+                let stats_f = Arc::clone(stats);
                 let wire_codec = self.wire_codec;
                 // Per-link buffer pool: encode reuses the link's last flush
                 // buffers instead of allocating fresh ones per frame.
@@ -414,22 +366,17 @@ impl ClusterBuilder {
                 // crashed drop whole — and must still be accounted, so
                 // delivered + dropped reconciles with sent like on the
                 // deterministic backend.
-                let stats_x = Arc::clone(&stats);
+                let stats_x = Arc::clone(stats);
                 let drop_frame = move |frame: Frame<A::Msg>| {
                     stats_x
                         .lock()
                         .record_frame_drop_to_crashed(frame.len() as u64);
                 };
-                let policy = self
-                    .flush_overrides
-                    .get(&(from, ProcessId::new(j)))
-                    .copied()
-                    .unwrap_or(self.flush);
                 let link = spawn_link(
                     rx,
-                    framed_tx,
+                    deliver,
                     LinkConfig {
-                        policy,
+                        policy: self.deploy.policy_for(from, ProcessId::new(j)),
                         delay: self.delay,
                         seed,
                         dest_crashed: Arc::clone(&crashed[j]),
@@ -438,7 +385,6 @@ impl ClusterBuilder {
                     drop_frame,
                 );
                 link_threads.push(link);
-                link_threads.push(adapter);
                 link_txs[i][j] = Some(tx);
             }
         }
@@ -446,31 +392,18 @@ impl ClusterBuilder {
         // Process threads.
         let mut proc_threads = Vec::new();
         for (i, inbox_rx) in inbox_rxs.into_iter().enumerate() {
-            let shards = ShardSet::new(ProcessId::new(i), &self.registers, &mut make);
+            let shards = ShardSet::new(ProcessId::new(i), &self.deploy.registers, &mut make);
             let outs: OutboundLinks<A::Msg> = link_txs[i].clone();
-            let crashed = crashed.clone();
-            let stats = Arc::clone(&stats);
-            let cache_mode = self.cache_mode;
+            let crashed = crashed.to_vec();
+            let stats = Arc::clone(stats);
+            let cache_mode = self.deploy.cache_mode;
             proc_threads.push(std::thread::spawn(move || {
                 process_loop(shards, inbox_rx, outs, crashed, stats, cache_mode);
             }));
         }
 
         Ok(Cluster {
-            shared: Arc::new(Shared {
-                cfg: self.cfg,
-                registers: self.registers,
-                inbox_txs,
-                crashed,
-                life: Mutex::new(vec![LifecycleState::new(); n]),
-                recorder: Recorder::new(initial),
-                stats,
-                op_ids: AtomicU64::new(0),
-                op_timeout: self.op_timeout,
-                inflight: Mutex::new(HashMap::new()),
-            }),
-            driver_pending: HashMap::new(),
-            driver_completed: HashMap::new(),
+            shared,
             proc_threads,
             link_threads,
         })
@@ -500,7 +433,7 @@ struct PendingOp<A: Automaton> {
 /// A crashed process *parks* instead of going away: `handle` keeps
 /// accepting messages but discards everything except a recovery
 /// [`Incoming::Install`] from the coordinator (see
-/// [`recover_process`](crate::recover_process)) or a teardown
+/// [`recover_process`]) or a teardown
 /// [`Incoming::Shutdown`] — so [`Driver::recover`] can bring the process
 /// back without rebuilding it.
 ///
@@ -782,13 +715,7 @@ fn process_loop<A: Automaton>(
 /// [`Cluster::shutdown`] (which also returns the recorded history for
 /// linearizability checking).
 pub struct Cluster<A: Automaton> {
-    pub(crate) shared: Arc<Shared<A>>,
-    /// Tickets issued through [`Driver::invoke`] and not yet polled.
-    driver_pending: HashMap<(ProcessId, RegisterId), OpHandle<A>>,
-    /// The most recently polled outcome per pair (so re-polling the latest
-    /// ticket is idempotent; bounded at one entry per pair, evicted by the
-    /// pair's next poll).
-    driver_completed: CompletedMap<A::Value>,
+    shared: Arc<Spine<A>>,
     proc_threads: Vec<JoinHandle<()>>,
     link_threads: Vec<JoinHandle<()>>,
 }
@@ -805,12 +732,12 @@ impl<A: Automaton> std::fmt::Debug for Cluster<A> {
 impl<A: Automaton> Cluster<A> {
     /// The system configuration.
     pub fn config(&self) -> SystemConfig {
-        self.shared.cfg
+        self.shared.config()
     }
 
     /// The registers this cluster hosts.
     pub fn hosted_registers(&self) -> &[RegisterId] {
-        &self.shared.registers
+        self.shared.registers()
     }
 
     /// Creates a client handle bound to process `proc` on the default
@@ -835,7 +762,7 @@ impl<A: Automaton> Cluster<A> {
         proc: impl Into<ProcessId>,
         reg: RegisterId,
     ) -> Result<RegisterClient<A>, ClientError> {
-        if !self.shared.registers.contains(&reg) {
+        if !self.shared.registers().contains(&reg) {
             return Err(ClientError::UnknownRegister(reg));
         }
         Ok(RegisterClient::new(
@@ -853,62 +780,28 @@ impl<A: Automaton> Cluster<A> {
     /// [`DriverError::AlreadyCrashed`] when `proc` is not up;
     /// [`DriverError::UnknownProcess`] for an out-of-range id.
     pub fn crash(&self, proc: impl Into<ProcessId>) -> Result<(), DriverError> {
-        let proc = proc.into();
-        let pi = proc.index();
-        if pi >= self.shared.cfg.n() {
-            return Err(DriverError::UnknownProcess(proc));
-        }
-        self.shared.life.lock()[pi]
-            .crash()
-            .map_err(|_| DriverError::AlreadyCrashed(proc))?;
-        self.shared.crashed[pi].store(true, Ordering::Relaxed);
-        // Nudge the thread so it observes the flag even when idle (the
-        // parked thread ignores the nudge itself).
-        let _ = self.shared.inbox_txs[pi].send(Incoming::Nudge);
-        Ok(())
+        self.shared.crash(proc.into())
     }
 
     /// Recovers a crashed process: quiesces the cluster, transfers a
     /// frame-aligned snapshot from the live peers, rejoins the quorums and
     /// bumps the incarnation — the shared live-backend recipe, see
-    /// [`recover_process`](crate::recover_process).
+    /// [`recover_process`].
     ///
     /// Requires a quiet cluster: no operation may be in flight on any
-    /// process (blocking clients included), or the quiesce phase times
-    /// out.
+    /// process (blocking clients included).
     ///
     /// # Errors
     ///
-    /// See [`recover_process`](crate::recover_process).
+    /// See [`recover_process`].
     pub fn recover(&self, proc: impl Into<ProcessId>) -> Result<(), DriverError> {
-        let proc = proc.into();
-        let inboxes: Vec<Option<Sender<Incoming<A>>>> =
-            self.shared.inbox_txs.iter().cloned().map(Some).collect();
-        crate::recovery::recover_process(
-            proc,
-            &crate::recovery::RecoveryParts {
-                cfg: self.shared.cfg,
-                registers: &self.shared.registers,
-                inboxes: &inboxes,
-                wake: &|_| {},
-                life: &self.shared.life,
-                crashed: &self.shared.crashed,
-                stats: &self.shared.stats,
-                recorder: &self.shared.recorder,
-                quiesce_timeout: self.shared.op_timeout,
-            },
-        )
+        recover_process(proc.into(), &self.shared)
     }
 
     /// The current lifecycle state of `proc` (out-of-range ids report
     /// [`Lifecycle::Crashed`], matching the [`Driver`] contract).
     pub fn lifecycle(&self, proc: impl Into<ProcessId>) -> Lifecycle {
-        let proc = proc.into();
-        self.shared
-            .life
-            .lock()
-            .get(proc.index())
-            .map_or(Lifecycle::Crashed, |l| l.state)
+        self.shared.lifecycle(proc.into())
     }
 
     /// Snapshot of the flat operation history recorded so far (all
@@ -920,33 +813,33 @@ impl<A: Automaton> Cluster<A> {
 
     /// Snapshot of the per-register operation histories recorded so far.
     pub fn sharded_history(&self) -> ShardedHistory<A::Value> {
-        self.shared
-            .recorder
-            .snapshot_sharded(&self.shared.registers)
+        self.shared.sharded_history()
     }
 
     /// Snapshot of the network statistics.
     pub fn stats(&self) -> NetStats {
-        self.shared.stats.lock().clone()
+        self.shared.stats()
+    }
+
+    /// Asks every process thread to stop.
+    fn post_shutdown(&self) {
+        for i in 0..self.shared.config().n() {
+            self.shared.post(ProcessId::new(i), Incoming::Shutdown);
+        }
     }
 
     /// Gracefully stops all threads and returns the final (flat) history
     /// and statistics. Take [`Cluster::sharded_history`] first if you need
     /// the per-register projection.
     pub fn shutdown(mut self) -> (History<A::Value>, NetStats) {
-        for tx in &self.shared.inbox_txs {
-            let _ = tx.send(Incoming::Shutdown);
-        }
+        self.post_shutdown();
         for h in self.proc_threads.drain(..) {
             let _ = h.join();
         }
         for h in self.link_threads.drain(..) {
             let _ = h.join();
         }
-        (
-            self.shared.recorder.snapshot(),
-            self.shared.stats.lock().clone(),
-        )
+        (self.history(), self.stats())
     }
 }
 
@@ -954,40 +847,23 @@ impl<A: Automaton> Drop for Cluster<A> {
     /// Best-effort, non-blocking teardown signal (C-DTOR-BLOCK: the
     /// blocking variant is the explicit [`Cluster::shutdown`]).
     fn drop(&mut self) {
-        for tx in &self.shared.inbox_txs {
-            let _ = tx.send(Incoming::Shutdown);
-        }
+        self.post_shutdown();
     }
 }
 
-fn to_driver_error(e: ClientError, proc: ProcessId) -> DriverError {
-    match e {
-        ClientError::ProcessUnavailable => DriverError::ProcessUnavailable(proc),
-        ClientError::Timeout => DriverError::Timeout,
-        ClientError::ProtocolMismatch => DriverError::ProtocolMismatch,
-        ClientError::OperationInFlight { proc, reg } => {
-            DriverError::OperationInFlight { proc, reg }
-        }
-        ClientError::UnknownRegister(r) => DriverError::UnknownRegister(r),
-    }
-}
-
-/// Backend-agnostic driving of the live cluster. `invoke` issues through
+/// Backend-agnostic driving of the live cluster, through the one ticket
+/// table every live backend shares (see [`Spine`]): `invoke` issues through
 /// the same per-register in-flight accounting as the blocking clients;
 /// `poll` blocks (up to the configured operation timeout) for the reply.
-///
-/// A ticket whose `poll` timed out cannot be re-polled — its outcome, if
-/// the quorum eventually answers, is reaped by the next `invoke` on the
-/// same `(process, register)` pair.
 impl<A: Automaton> Driver for Cluster<A> {
     type Value = A::Value;
 
     fn config(&self) -> SystemConfig {
-        self.shared.cfg
+        self.shared.config()
     }
 
     fn registers(&self) -> Vec<RegisterId> {
-        self.shared.registers.clone()
+        self.shared.registers().to_vec()
     }
 
     fn invoke(
@@ -996,80 +872,31 @@ impl<A: Automaton> Driver for Cluster<A> {
         reg: RegisterId,
         op: Operation<A::Value>,
     ) -> Result<OpTicket, DriverError> {
-        if proc.index() >= self.shared.cfg.n() {
-            return Err(DriverError::UnknownProcess(proc));
-        }
-        if self.shared.crashed[proc.index()].load(Ordering::Relaxed) {
-            return Err(DriverError::ProcessUnavailable(proc));
-        }
-        let mut client = self
-            .client_for(proc, reg)
-            .map_err(|e| to_driver_error(e, proc))?;
-        // An unpolled driver ticket on this pair counts as in flight.
-        if self.driver_pending.contains_key(&(proc, reg)) {
-            return Err(DriverError::OperationInFlight { proc, reg });
-        }
-        let handle = client.issue(op).map_err(|e| to_driver_error(e, proc))?;
-        let ticket = OpTicket {
-            proc,
-            reg,
-            op_id: handle.op_id(),
-        };
-        self.driver_pending.insert((proc, reg), handle);
-        Ok(ticket)
+        self.shared.invoke(proc, reg, op)
     }
 
     fn poll(&mut self, ticket: &OpTicket) -> Result<OpOutcome<A::Value>, DriverError> {
-        let key = (ticket.proc, ticket.reg);
-        if let Some((op_id, outcome)) = self.driver_completed.get(&key) {
-            if *op_id == ticket.op_id {
-                return Ok(outcome.clone());
-            }
-        }
-        let handle = self
-            .driver_pending
-            .remove(&key)
-            .ok_or(DriverError::Stalled(ticket.op_id))?;
-        if handle.op_id() != ticket.op_id {
-            // A newer ticket superseded this one; put it back.
-            let op_id = handle.op_id();
-            self.driver_pending.insert(key, handle);
-            return Err(DriverError::Backend(format!(
-                "ticket {} superseded by {op_id}",
-                ticket.op_id
-            )));
-        }
-        let outcome = handle.wait().map_err(|e| to_driver_error(e, ticket.proc))?;
-        // Replaces the pair's previous cached outcome, keeping the cache
-        // bounded at one entry per (process, register) pair.
-        self.driver_completed
-            .insert(key, (ticket.op_id, outcome.clone()));
-        Ok(outcome)
+        self.shared.poll(ticket)
     }
 
     fn crash(&mut self, proc: ProcessId) -> Result<(), DriverError> {
-        Cluster::crash(self, proc)
+        self.shared.crash(proc)
     }
 
     fn recover(&mut self, proc: ProcessId) -> Result<(), DriverError> {
-        // Driver-issued operations must all be polled first: an unpolled
-        // ticket is in flight and would defeat the quiesce.
-        if let Some((p, r)) = self.driver_pending.keys().next() {
-            return Err(DriverError::OperationInFlight { proc: *p, reg: *r });
-        }
-        Cluster::recover(self, proc)
+        recover_process(proc, &self.shared)
     }
 
     fn lifecycle(&self, proc: ProcessId) -> Lifecycle {
-        Cluster::lifecycle(self, proc)
+        self.shared.lifecycle(proc)
     }
 
     fn history(&self) -> ShardedHistory<A::Value> {
-        self.sharded_history()
+        self.shared.sharded_history()
     }
 
     fn stats(&self) -> NetStats {
-        Cluster::stats(self)
+        self.shared.stats()
     }
 }
 
@@ -1303,6 +1130,7 @@ mod tests {
             .seed(1)
             .build(0u64, |id| TwoBitProcess::new(id, c, writer, 0u64))
             .unwrap();
+        assert_eq!(cluster.link_threads.len(), 3 * 2, "one thread per link");
         let mut w = cluster.client(0);
         let mut r = cluster.client(1);
         w.write(7).unwrap();

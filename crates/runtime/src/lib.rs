@@ -14,6 +14,13 @@
 //! and can be fed to `twobit-lincheck` for post-hoc atomicity checking, so
 //! the live runtime doubles as an end-to-end stress test (experiment E10).
 //!
+//! What a live deployment *is*, whatever moves its frames — mailboxes, crash
+//! flags, lifecycle, recorder, statistics, the per-pair in-flight table, and
+//! the one `Driver` body over them — lives in [`Spine`]; [`Cluster`] adds
+//! threads and chaos links, the reactor transport adds event loops and
+//! sockets, and both share [`DeployConfig`] for the knobs they have in
+//! common.
+//!
 //! # Examples
 //!
 //! ```
@@ -45,9 +52,11 @@ pub mod cluster;
 mod link;
 pub mod recorder;
 pub mod recovery;
+pub mod spine;
 
 pub use batcher::{BuildError, ConfigError, Flush, FlushPolicy, HoldPolicy, LinkBatcher};
 pub use client::{ClientError, OpHandle, RegisterClient};
 pub use cluster::{Cluster, ClusterBuilder, Incoming, ProcessCore, RegisterSnapshots};
 pub use recorder::Recorder;
-pub use recovery::{recover_process, RecoveryParts};
+pub use recovery::recover_process;
+pub use spine::{DeployConfig, Spine};

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, RecvTimeoutError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use twobit_proto::FlushReason;
@@ -84,7 +84,7 @@ pub(crate) struct LinkConfig {
 /// the heap has drained.
 pub(crate) fn spawn_link<M, B, F, D>(
     rx: Receiver<M>,
-    deliver: Sender<B>,
+    mut deliver: impl FnMut(B) + Send + 'static,
     config: LinkConfig,
     mut flush: F,
     mut on_drop: D,
@@ -118,8 +118,7 @@ where
                 if dest_crashed.load(Ordering::Relaxed) {
                     on_drop(q.unit);
                 } else {
-                    // The destination inbox may already be gone on shutdown.
-                    let _ = deliver.send(q.unit);
+                    deliver(q.unit);
                 }
             }
 
@@ -188,7 +187,7 @@ mod tests {
 
     use super::*;
     use crate::batcher::HoldPolicy;
-    use crossbeam::channel::unbounded;
+    use crossbeam::channel::{unbounded, Sender};
 
     /// Spawns a link whose flush unit is simply the batch itself; dropped
     /// messages (not batches) accumulate in the returned counter.
@@ -210,7 +209,9 @@ mod tests {
         let dropped_w = Arc::clone(&dropped);
         let h = spawn_link(
             link_rx,
-            deliver_tx,
+            move |b| {
+                let _ = deliver_tx.send(b);
+            },
             LinkConfig {
                 policy,
                 delay,

@@ -24,9 +24,9 @@
 //!    handlers, so it still proves that every frame the books call
 //!    delivered to the donor has been handled and that its sends are in
 //!    the books the coordinator re-reads — which is all the barrier is
-//!    used for. Posting to a mailbox goes through the backend's
-//!    [`RecoveryParts::wake`], because an event loop parked in `poll(2)`
-//!    does not see a channel send.
+//!    used for. Every request goes through the spine's `post`, which wakes
+//!    the mailbox's owner, because an event loop parked in `poll(2)` does
+//!    not see a channel send.
 //! 2. **Select**: per register, take the longest confirmed snapshot among
 //!    the live peers (a quiesced cluster agrees on a prefix; the writer's
 //!    copy is the longest — Lemma 3's `w_sync[me] = max` shape).
@@ -50,62 +50,36 @@
 //! frames survive into the rejoin (its negative-control knob skips the
 //! fence), which is where the model checker proves the fence necessary.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Sender};
-use parking_lot::Mutex;
-use twobit_proto::{
-    Automaton, DriverError, LifecycleState, NetStats, ProcessId, RegisterId, Snapshot, SystemConfig,
-};
+use twobit_proto::{Automaton, DriverError, NetStats, ProcessId, RegisterId, Snapshot};
 
 use crate::cluster::{Incoming, RegisterSnapshots};
-use crate::recorder::Recorder;
+use crate::spine::Spine;
 
 /// How long each individual control round-trip (snapshot request, install,
 /// rejoin ack) may take before the recovery is abandoned.
 const STEP_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Everything the shared coordinator needs from a backend. All three live
-/// backends own these pieces already — this struct just borrows them for
-/// the duration of one [`recover_process`] call.
-#[allow(missing_debug_implementations)]
-pub struct RecoveryParts<'a, A: Automaton> {
-    /// The system configuration.
-    pub cfg: SystemConfig,
-    /// The hosted registers, in id order.
-    pub registers: &'a [RegisterId],
-    /// Mailbox senders, one per process (`None` for processes hosted on
-    /// another node — the reactor's multi-host case).
-    pub inboxes: &'a [Option<Sender<Incoming<A>>>],
-    /// Called after every post to a process's mailbox: makes whoever
-    /// drains it look. The reactor nudges the event loop that owns the
-    /// process; a backend whose process thread blocks in `recv` on the
-    /// mailbox itself passes a no-op.
-    pub wake: &'a dyn Fn(ProcessId),
-    /// The per-process lifecycle records (state + incarnation).
-    pub life: &'a Mutex<Vec<LifecycleState>>,
-    /// The hot-path crash flags the links and process loops consult.
-    pub crashed: &'a [Arc<AtomicBool>],
-    /// The shared wire statistics.
-    pub stats: &'a Mutex<NetStats>,
-    /// The history recorder (recoveries are appended here).
-    pub recorder: &'a Recorder<A::Value>,
-    /// Overall deadline budget for the quiesce phase.
-    pub quiesce_timeout: Duration,
-}
-
-/// Posts `msg` to process `q`'s mailbox and wakes its owner; `false` when
-/// the mailbox is gone (or `q` is not hosted here).
-fn post<A: Automaton>(parts: &RecoveryParts<'_, A>, q: usize, msg: Incoming<A>) -> bool {
-    let posted = parts.inboxes[q]
-        .as_ref()
-        .is_some_and(|inbox| inbox.send(msg).is_ok());
-    if posted {
-        (parts.wake)(ProcessId::new(q));
+/// One control round trip: posts the request `make` builds around a fresh
+/// reply channel to `q`'s mailbox (waking its owner) and awaits the answer.
+fn ask<A: Automaton, T>(
+    spine: &Spine<A>,
+    q: ProcessId,
+    what: &str,
+    make: impl FnOnce(Sender<T>) -> Incoming<A>,
+) -> Result<T, DriverError> {
+    let (tx, rx) = bounded(1);
+    if !spine.post(q, make(tx)) {
+        return Err(DriverError::Backend(format!(
+            "process {q} is gone (node shutting down?)"
+        )));
     }
-    posted
+    rx.recv_timeout(STEP_TIMEOUT)
+        .map_err(|_| DriverError::Backend(format!("process {q} did not answer the {what}")))
 }
 
 /// Returns `true` when every sent message is accounted as delivered,
@@ -122,55 +96,52 @@ fn books_balance(st: &NetStats) -> bool {
 /// Recovers `proc` on a live backend: quiesce, snapshot, install, rejoin,
 /// bump. See the module docs for the full recipe and its safety argument.
 ///
-/// The caller must hold no operation in flight anywhere in the cluster —
-/// the driver surfaces enforce this for driver-issued operations and
-/// document it for raw blocking clients.
+/// Requires a quiet deployment: an operation still in flight anywhere — a
+/// driver ticket or dropped handle whose reply has not landed, a blocking
+/// client mid-`wait` — would keep the books open forever, so it is
+/// refused up front (a parked reply that has landed is reaped instead).
 ///
 /// # Errors
 ///
 /// [`DriverError::UnknownProcess`] / [`DriverError::NotCrashed`] for bad
-/// targets; [`DriverError::RecoveryUnsupported`] when the automaton has no
+/// targets; [`DriverError::Backend`] for a process another node hosts;
+/// [`DriverError::OperationInFlight`] naming a busy pair;
+/// [`DriverError::RecoveryUnsupported`] when the automaton has no
 /// recovery hooks; [`DriverError::Backend`] when no live donor exists or
 /// the cluster does not quiesce within the budget. On any error the
 /// process is left `Crashed` (never half-recovered).
-pub fn recover_process<A: Automaton>(
-    proc: ProcessId,
-    parts: &RecoveryParts<'_, A>,
-) -> Result<(), DriverError> {
+pub fn recover_process<A: Automaton>(proc: ProcessId, spine: &Spine<A>) -> Result<(), DriverError> {
     let pi = proc.index();
-    if pi >= parts.cfg.n() {
+    if pi >= spine.cfg.n() {
         return Err(DriverError::UnknownProcess(proc));
     }
-    if parts.inboxes[pi].is_none() {
-        return Err(DriverError::Backend(format!(
-            "process {proc} is not hosted on this node"
-        )));
+    spine.check_hosted(proc)?;
+    if let Some((proc, reg)) = spine.first_in_flight() {
+        return Err(DriverError::OperationInFlight { proc, reg });
     }
-    parts.life.lock()[pi]
+    spine.life.lock()[pi]
         .begin_recovery()
         .map_err(|_| DriverError::NotCrashed(proc))?;
-    match run_recovery(proc, parts) {
+    match run_recovery(proc, spine) {
         Ok(()) => Ok(()),
         Err(e) => {
             // Never half-recovered: back to Crashed, flag re-set (it may
             // have been cleared between install and a failed rejoin).
-            parts.crashed[pi].store(true, Ordering::Relaxed);
-            parts.life.lock()[pi].abort_recovery();
+            spine.crashed[pi].store(true, Ordering::Relaxed);
+            spine.life.lock()[pi].abort_recovery();
             Err(e)
         }
     }
 }
 
-fn run_recovery<A: Automaton>(
-    proc: ProcessId,
-    parts: &RecoveryParts<'_, A>,
-) -> Result<(), DriverError> {
+fn run_recovery<A: Automaton>(proc: ProcessId, spine: &Spine<A>) -> Result<(), DriverError> {
     let pi = proc.index();
-    let n = parts.cfg.n();
-    let live: Vec<usize> = (0..n)
+    let n = spine.cfg.n();
+    let live: Vec<ProcessId> = (0..n)
         .filter(|&q| {
-            q != pi && !parts.crashed[q].load(Ordering::Relaxed) && parts.inboxes[q].is_some()
+            q != pi && !spine.crashed[q].load(Ordering::Relaxed) && spine.inboxes[q].is_some()
         })
+        .map(ProcessId::new)
         .collect();
     if live.is_empty() {
         return Err(DriverError::Backend(
@@ -183,9 +154,9 @@ fn run_recovery<A: Automaton>(
     // live process (the snapshot request), then confirm nothing moved —
     // handling a backlog frame can emit fresh sends, which reopen the
     // books and force another round.
-    let deadline = Instant::now() + parts.quiesce_timeout;
+    let deadline = Instant::now() + spine.op_timeout;
     let donor_snaps: Vec<Vec<(RegisterId, Vec<A::Value>)>> = loop {
-        while !books_balance(&parts.stats.lock()) {
+        while !books_balance(&spine.stats.lock()) {
             if Instant::now() >= deadline {
                 return Err(DriverError::Backend(
                     "recovery quiesce timed out: messages still in flight".into(),
@@ -193,26 +164,15 @@ fn run_recovery<A: Automaton>(
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        let sent_before = parts.stats.lock().total_sent();
+        let sent_before = spine.stats.lock().total_sent();
         let mut replies = Vec::with_capacity(live.len());
         for &q in &live {
-            let (tx, rx) = bounded(1);
-            if !post(parts, q, Incoming::SnapshotReq { reply: tx }) {
-                return Err(DriverError::Backend(format!(
-                    "donor process p{q} is gone (node shutting down?)"
-                )));
-            }
-            match rx.recv_timeout(STEP_TIMEOUT) {
-                Ok(Some(snaps)) => replies.push(snaps),
-                Ok(None) => return Err(DriverError::RecoveryUnsupported),
-                Err(_) => {
-                    return Err(DriverError::Backend(format!(
-                        "donor process p{q} did not answer the snapshot request"
-                    )))
-                }
-            }
+            let snaps = ask(spine, q, "snapshot request", |reply| {
+                Incoming::SnapshotReq { reply }
+            })?;
+            replies.push(snaps.ok_or(DriverError::RecoveryUnsupported)?);
         }
-        let st = parts.stats.lock();
+        let st = spine.stats.lock();
         if books_balance(&st) && st.total_sent() == sent_before {
             break replies;
         }
@@ -225,8 +185,8 @@ fn run_recovery<A: Automaton>(
     };
 
     // Phase 2: per register, the longest confirmed snapshot wins.
-    let mut barrier: Vec<(RegisterId, Vec<A::Value>)> = Vec::with_capacity(parts.registers.len());
-    for &reg in parts.registers {
+    let mut barrier: Vec<(RegisterId, Vec<A::Value>)> = Vec::with_capacity(spine.registers.len());
+    for &reg in &spine.registers {
         let mut best: Option<Vec<A::Value>> = None;
         for donor in &donor_snaps {
             if let Some((_, s)) = donor.iter().find(|(r, _)| *r == reg) {
@@ -247,7 +207,7 @@ fn run_recovery<A: Automaton>(
     // that survived encode → decode.
     let mut installed: Vec<(RegisterId, Vec<A::Value>)> = Vec::with_capacity(barrier.len());
     {
-        let mut st = parts.stats.lock();
+        let mut st = spine.stats.lock();
         for (reg, values) in barrier {
             let snap = Snapshot::new(reg, values);
             let blob = snap.encode().map_err(|e| {
@@ -263,52 +223,32 @@ fn run_recovery<A: Automaton>(
     let snapshots: RegisterSnapshots<A::Value> = Arc::new(installed);
 
     // Phase 4a: install at the parked process.
-    {
-        let (tx, rx) = bounded(1);
-        let install = Incoming::Install {
-            snapshots: Arc::clone(&snapshots),
-            reply: tx,
-        };
-        if !post(parts, pi, install) {
-            return Err(DriverError::Backend(format!(
-                "process {proc} thread is gone (node shutting down?)"
-            )));
-        }
-        rx.recv_timeout(STEP_TIMEOUT).map_err(|_| {
-            DriverError::Backend(format!("process {proc} did not ack the snapshot install"))
-        })?;
-    }
+    ask(spine, proc, "snapshot install", |reply| Incoming::Install {
+        snapshots: Arc::clone(&snapshots),
+        reply,
+    })?;
 
     // Phase 4b: un-crash (links deliver to it again; the network is empty,
     // so the first frame it sees is post-barrier), then rejoin the peers.
-    parts.crashed[pi].store(false, Ordering::Relaxed);
+    spine.crashed[pi].store(false, Ordering::Relaxed);
     for &q in &live {
-        let (tx, rx) = bounded(1);
-        let rejoin = Incoming::Rejoin {
+        ask(spine, q, "rejoin", |reply| Incoming::Rejoin {
             rejoining: proc,
             snapshots: Arc::clone(&snapshots),
-            reply: tx,
-        };
-        if !post(parts, q, rejoin) {
-            return Err(DriverError::Backend(format!(
-                "peer process p{q} is gone (node shutting down?)"
-            )));
-        }
-        rx.recv_timeout(STEP_TIMEOUT).map_err(|_| {
-            DriverError::Backend(format!("peer process p{q} did not ack the rejoin"))
+            reply,
         })?;
     }
 
     // Phase 5: bump the incarnation, open a fresh stats ledger, record the
     // recovery in the history.
     let incarnation = {
-        let mut life = parts.life.lock();
+        let mut life = spine.life.lock();
         life[pi].complete_recovery(true);
         life[pi].incarnation
     };
-    parts.stats.lock().record_recovery();
-    parts
+    spine.stats.lock().record_recovery();
+    spine
         .recorder
-        .recovered(proc, parts.recorder.now(), incarnation);
+        .recovered(proc, spine.recorder.now(), incarnation);
     Ok(())
 }

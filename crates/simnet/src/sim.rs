@@ -16,8 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use twobit_proto::{
-    Automaton, Driver, DriverError, Effects, History, Lifecycle, OpId, OpOutcome, OpRecord,
-    OpTicket, Operation, ProcessId, RegisterId, ShardedHistory, SystemConfig, WireMessage,
+    Automaton, Effects, History, OpId, OpRecord, Operation, ProcessId, SystemConfig, WireMessage,
 };
 
 use crate::crash::{CrashPlan, CrashPoint};
@@ -238,11 +237,6 @@ enum EventKind<A: Automaton> {
     },
     Invoke {
         op: Operation<A::Value>,
-        /// `Some(op_id)` for interactively-driven invocations (the record
-        /// and the outstanding slot were created at [`Driver::invoke`]
-        /// time); `None` for plan-scripted ones, which allocate on
-        /// processing.
-        pre_allocated: Option<OpId>,
     },
     Crash,
 }
@@ -307,9 +301,9 @@ pub struct Simulation<A: Automaton> {
     /// order of `client_plan` calls never leaks into event sequence
     /// numbers (a prerequisite for byte-stable schedule replay).
     started: bool,
-    /// Per process: the outstanding op and whether it came from a plan
-    /// (plan-issued completions schedule the next scripted op).
-    outstanding: Vec<Option<(OpId, bool)>>,
+    /// Per process: the outstanding op (its completion schedules the next
+    /// scripted one).
+    outstanding: Vec<Option<OpId>>,
     invariants: Vec<Box<dyn SimInvariant<A>>>,
     check_every: u64,
     events: u64,
@@ -396,14 +390,7 @@ impl<A: Automaton> Simulation<A> {
     fn schedule_invoke(&mut self, proc: ProcessId, at: SimTime) {
         let cursor = self.plan_cursor[proc.index()];
         let op = self.plans[proc.index()][cursor].op.clone();
-        self.push_event(
-            at,
-            proc,
-            EventKind::Invoke {
-                op,
-                pre_allocated: None,
-            },
-        );
+        self.push_event(at, proc, EventKind::Invoke { op });
     }
 
     /// Processes the next queued event. Returns `Ok(false)` when the queue
@@ -448,30 +435,22 @@ impl<A: Automaton> Simulation<A> {
                     self.finish_step(p, fx)?;
                 }
             }
-            EventKind::Invoke { op, pre_allocated } => {
+            EventKind::Invoke { op } => {
                 if !self.crashed[pi] {
-                    let op_id = match pre_allocated {
-                        // Interactive invocation: record and outstanding slot
-                        // were created at `Driver::invoke` time.
-                        Some(op_id) => op_id,
-                        None => {
-                            let op_id = OpId::new(self.history.records.len() as u64);
-                            if let Some((prev, _)) = self.outstanding[pi] {
-                                return Err(SimError::ProtocolError(format!(
-                                    "process {p} invoked {op_id} while {prev} is outstanding"
-                                )));
-                            }
-                            self.outstanding[pi] = Some((op_id, true));
-                            self.history.records.push(OpRecord {
-                                op_id,
-                                proc: p,
-                                op: op.clone(),
-                                invoked_at: self.now,
-                                completed: None,
-                            });
-                            op_id
-                        }
-                    };
+                    let op_id = OpId::new(self.history.records.len() as u64);
+                    if let Some(prev) = self.outstanding[pi] {
+                        return Err(SimError::ProtocolError(format!(
+                            "process {p} invoked {op_id} while {prev} is outstanding"
+                        )));
+                    }
+                    self.outstanding[pi] = Some(op_id);
+                    self.history.records.push(OpRecord {
+                        op_id,
+                        proc: p,
+                        op: op.clone(),
+                        invoked_at: self.now,
+                        completed: None,
+                    });
                     let mut fx = Effects::new();
                     self.procs[pi].on_invoke(op_id, op, &mut fx);
                     self.finish_step(p, fx)?;
@@ -592,25 +571,18 @@ impl<A: Automaton> Simulation<A> {
                 )));
             }
             rec.completed = Some((self.now, outcome));
-            let Some((outstanding_op, from_plan)) = self.outstanding[pi] else {
-                return Err(SimError::ProtocolError(format!(
-                    "op {op_id} completed but was not outstanding at {p}"
-                )));
-            };
-            if outstanding_op != op_id {
+            if self.outstanding[pi] != Some(op_id) {
                 return Err(SimError::ProtocolError(format!(
                     "op {op_id} completed but was not outstanding at {p}"
                 )));
             }
             self.outstanding[pi] = None;
-            if from_plan {
-                // Closed loop: schedule the next scripted op, if any.
-                self.plan_cursor[pi] += 1;
-                let cursor = self.plan_cursor[pi];
-                if cursor < self.plans[pi].len() {
-                    let at = self.now + self.plans[pi][cursor].delay_before;
-                    self.schedule_invoke(p, at);
-                }
+            // Closed loop: schedule the next scripted op, if any.
+            self.plan_cursor[pi] += 1;
+            let cursor = self.plan_cursor[pi];
+            if cursor < self.plans[pi].len() {
+                let at = self.now + self.plans[pi][cursor].delay_before;
+                self.schedule_invoke(p, at);
             }
         }
         Ok(())
@@ -688,138 +660,6 @@ impl<A: Automaton> Simulation<A> {
             Some(v) => Err(v.into()),
             None => Ok(()),
         }
-    }
-}
-
-/// Interactive, backend-agnostic driving of a **single-register**
-/// simulation (the paper's original setting) — the sharded analogue is
-/// [`SimSpace`](crate::SimSpace).
-///
-/// `invoke` schedules the invocation at the current virtual time; `poll`
-/// advances the event loop until the ticket's operation completes.
-/// Interactive invocations and scripted [`ClientPlan`]s must not target the
-/// same process (the engine rejects overlapping invocations as a protocol
-/// error, as the model's sequential processes require).
-impl<A: Automaton> Driver for Simulation<A> {
-    type Value = A::Value;
-
-    fn config(&self) -> SystemConfig {
-        self.cfg
-    }
-
-    fn registers(&self) -> Vec<RegisterId> {
-        vec![RegisterId::ZERO]
-    }
-
-    fn invoke(
-        &mut self,
-        proc: ProcessId,
-        reg: RegisterId,
-        op: Operation<A::Value>,
-    ) -> Result<OpTicket, DriverError> {
-        if reg != RegisterId::ZERO {
-            return Err(DriverError::UnknownRegister(reg));
-        }
-        let pi = proc.index();
-        if pi >= self.cfg.n() {
-            return Err(DriverError::UnknownProcess(proc));
-        }
-        if self.crashed[pi] {
-            return Err(DriverError::ProcessUnavailable(proc));
-        }
-        if self.outstanding[pi].is_some() {
-            return Err(DriverError::OperationInFlight { proc, reg });
-        }
-        let op_id = OpId::new(self.history.records.len() as u64);
-        self.outstanding[pi] = Some((op_id, false));
-        self.history.records.push(OpRecord {
-            op_id,
-            proc,
-            op: op.clone(),
-            invoked_at: self.now,
-            completed: None,
-        });
-        self.push_event(
-            self.now,
-            proc,
-            EventKind::Invoke {
-                op,
-                pre_allocated: Some(op_id),
-            },
-        );
-        Ok(OpTicket { proc, reg, op_id })
-    }
-
-    fn poll(&mut self, ticket: &OpTicket) -> Result<OpOutcome<A::Value>, DriverError> {
-        loop {
-            let rec = self
-                .history
-                .records
-                .get(ticket.op_id.raw() as usize)
-                .ok_or(DriverError::Stalled(ticket.op_id))?;
-            if let Some((_, outcome)) = &rec.completed {
-                return Ok(outcome.clone());
-            }
-            let advanced = self
-                .step()
-                .map_err(|e| DriverError::Backend(e.to_string()))?;
-            if !advanced {
-                return if self.crashed[ticket.proc.index()] {
-                    Err(DriverError::ProcessUnavailable(ticket.proc))
-                } else {
-                    Err(DriverError::Stalled(ticket.op_id))
-                };
-            }
-        }
-    }
-
-    fn crash(&mut self, proc: ProcessId) -> Result<(), DriverError> {
-        let pi = proc.index();
-        if pi >= self.cfg.n() {
-            return Err(DriverError::UnknownProcess(proc));
-        }
-        if self.crashed[pi] {
-            return Err(DriverError::AlreadyCrashed(proc));
-        }
-        self.crashed[pi] = true;
-        Ok(())
-    }
-
-    fn recover(&mut self, proc: ProcessId) -> Result<(), DriverError> {
-        let pi = proc.index();
-        if pi >= self.cfg.n() {
-            return Err(DriverError::UnknownProcess(proc));
-        }
-        if !self.crashed[pi] {
-            return Err(DriverError::NotCrashed(proc));
-        }
-        Err(DriverError::Backend(
-            "the scripted Simulation backend does not support recovery; \
-             drive recovery workloads through SimSpace"
-                .into(),
-        ))
-    }
-
-    fn lifecycle(&self, proc: ProcessId) -> Lifecycle {
-        match self.crashed.get(proc.index()) {
-            Some(false) => Lifecycle::Up,
-            _ => Lifecycle::Crashed,
-        }
-    }
-
-    fn history(&self) -> ShardedHistory<A::Value> {
-        ShardedHistory::from_tagged(
-            self.history.initial.clone(),
-            [RegisterId::ZERO],
-            self.history
-                .records
-                .iter()
-                .map(|r| (RegisterId::ZERO, r.clone())),
-        )
-    }
-
-    fn stats(&self) -> NetStats {
-        self.stats.clone()
     }
 }
 

@@ -12,10 +12,10 @@
 //!
 //! * **[`Driver`]** — the backend-agnostic driving interface
 //!   (`invoke`/`poll`/`crash`/`history`/`stats`), implemented by the
-//!   deterministic simulator ([`Simulation`], [`SimSpace`]), the live
-//!   threaded runtime ([`Cluster`]), and the real-socket reactor
-//!   ([`ReactorNode`]). Workloads, checkers, and benchmarks are written
-//!   once and run on every backend.
+//!   deterministic simulator ([`SimSpace`]), the live threaded runtime
+//!   ([`Cluster`]), and the real-socket reactor ([`ReactorNode`]).
+//!   Workloads, checkers, and benchmarks are written once and run on
+//!   every backend.
 //! * **[`RegisterSpace`]** — many independent *named* registers multiplexed
 //!   over one deployment. Each register runs the paper's protocol
 //!   unchanged (two control bits per message); the shard tag on the wire is
@@ -285,9 +285,9 @@
 //!   work (single register `r0`). Add `.registers(k)` /
 //!   `.build_sharded(..)` and `cluster.client_for(p, reg)` for shards.
 //! * `SimBuilder` + `ClientPlan` remain the scripted way to drive the
-//!   simulator (crash points, invariants, virtual-time reports). For
-//!   interactive or backend-portable driving, use the [`Driver`] methods on
-//!   [`Simulation`] — or [`SpaceBuilder`] for a sharded simulation.
+//!   single-register [`Simulation`] (crash points, invariants,
+//!   virtual-time reports). For interactive or backend-portable driving,
+//!   build a [`SimSpace`] with [`SpaceBuilder`] and use its [`Driver`].
 //! * `cluster.shutdown()` still returns the flat history; per-register
 //!   projections come from `cluster.sharded_history()` /
 //!   [`Driver::history`], checked with [`lincheck::check_swmr_sharded`].

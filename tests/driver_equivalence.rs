@@ -6,13 +6,13 @@
 //! This is the contract the API redesign exists to enforce: anything
 //! expressible as a `Workload` means the same thing on every backend.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use twobit::lincheck::{check_mwmr_sharded, check_swmr_sharded};
 use twobit::{
-    CacheMode, ClusterBuilder, Driver, DriverError, FlushPolicy, Lifecycle, MwmrProcess,
-    OhRamProcess, Operation, ProcessId, ReactorClusterBuilder, RegisterId, SpaceBuilder,
-    SystemConfig, TwoBitProcess, VirtualHold, Workload,
+    CacheMode, ClusterBuilder, DelayModel, Driver, DriverError, FlushPolicy, Lifecycle,
+    MwmrProcess, OhRamProcess, OpOutcome, Operation, ProcessId, ReactorClusterBuilder, RegisterId,
+    SpaceBuilder, SystemConfig, TwoBitProcess, VirtualHold, Workload,
 };
 
 const N: usize = 5;
@@ -933,6 +933,15 @@ fn lifecycle_errors_are_typed_and_uniform_across_backends() {
             Lifecycle::Crashed,
             "{label}: out-of-range processes read as crashed"
         );
+        // Addressing is checked before liveness, in one order everywhere.
+        let nowhere = RegisterId::new(7);
+        assert!(
+            matches!(
+                driver.invoke(p, nowhere, Operation::Read),
+                Err(DriverError::UnknownRegister(r)) if r == nowhere
+            ),
+            "{label}: an unknown register on a crashed process"
+        );
     };
 
     let mut sim = SpaceBuilder::new(cfg)
@@ -960,4 +969,73 @@ fn lifecycle_errors_are_typed_and_uniform_across_backends() {
         })
         .expect("loopback reactor cluster starts");
     run(&mut node, "reactor");
+}
+
+/// `Timeout` from `poll` means *not yet*: the ticket stays valid, the
+/// operation stays in flight — so a recovery is refused, typed — and once
+/// the quorum answers the same ticket reads its outcome, again and again,
+/// with the history holding that one completion. One rule on both live
+/// backends (the simulator never times out: its `poll` advances virtual
+/// time instead).
+#[test]
+fn a_timed_out_ticket_stays_pollable_on_both_live_backends() {
+    let cfg = cfg();
+    let reg = RegisterId::new(0);
+    let writer = writer_of(reg);
+    let bystander = ProcessId::new(4);
+    let run = |driver: &mut dyn Driver<Value = u64>, label: &str| {
+        driver.crash(bystander).unwrap();
+        let ticket = driver.invoke(writer, reg, Operation::Write(7)).unwrap();
+        assert_eq!(
+            driver.poll(&ticket),
+            Err(DriverError::Timeout),
+            "{label}: the quorum is tens of milliseconds away"
+        );
+        assert_eq!(
+            driver.recover(bystander),
+            Err(DriverError::OperationInFlight { proc: writer, reg }),
+            "{label}: a timed-out ticket is still in flight"
+        );
+        assert_eq!(driver.lifecycle(bystander), Lifecycle::Crashed, "{label}");
+
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let outcome = loop {
+            match driver.poll(&ticket) {
+                Err(DriverError::Timeout) => {
+                    assert!(Instant::now() < deadline, "{label}: the write never landed");
+                }
+                other => break other,
+            }
+        };
+        assert_eq!(outcome, Ok(OpOutcome::Written), "{label}");
+        assert_eq!(
+            driver.poll(&ticket),
+            Ok(OpOutcome::Written),
+            "{label}: re-polling a completed ticket is idempotent"
+        );
+        let hist = driver.history();
+        assert_eq!(hist.total_ops(), 1, "{label}");
+        assert!(
+            hist.shard(reg).unwrap().records[0].is_complete(),
+            "{label}: completed exactly once, on the record"
+        );
+    };
+
+    // 30 ms per frame against a 1 ms operation timeout.
+    let mut cluster = ClusterBuilder::new(cfg)
+        .seed(5)
+        .delay(DelayModel::Fixed(30_000))
+        .op_timeout(Duration::from_millis(1))
+        .build(0u64, move |id| TwoBitProcess::new(id, cfg, writer, 0u64))
+        .unwrap();
+    run(&mut cluster, "runtime");
+
+    // Every frame held 20 ms against a 1 µs operation timeout.
+    let mut node = ReactorClusterBuilder::new(cfg)
+        .flush_policy(FlushPolicy::fixed(64, Duration::from_millis(20)))
+        .op_timeout(Duration::from_micros(1))
+        .build(0u64, move |id| TwoBitProcess::new(id, cfg, writer, 0u64))
+        .expect("loopback reactor cluster starts");
+    run(&mut node, "reactor");
+    node.shutdown();
 }
