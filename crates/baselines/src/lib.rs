@@ -13,7 +13,7 @@
 //!   (arXiv 1610.08373), a hybrid one-round / one-and-a-half-round read on
 //!   top of the classic one-round SWMR write. It concedes the bit budget
 //!   (timestamps on the wire, an n²-message relay round as fallback) to
-//!   win message delays — the third axis of the bench head-to-head.
+//!   win message delays — the third axis of the pinned head-to-head.
 //! * [`mixed`] — heterogeneous deployments: [`MixedProcess`] hosts the
 //!   paper's SWMR protocol, the MWMR automaton, and Oh-RAM side by side in
 //!   one sharded backend, with a prefix-discriminated [`MixedMsg`] codec.

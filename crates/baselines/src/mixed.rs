@@ -16,7 +16,7 @@
 //! cheapest — `0` = SWMR (one bit), `10` = MWMR, `11` = Oh-RAM (two bits
 //! each); [`MixedMsg::cost`] accounts the prefix as *control* bits. A
 //! pure-two-bit deployment should keep using [`TwoBitMsg`] directly, which
-//! is why the bench's headline rows do.
+//! is why the pinned headline rows of `tests/frame_semantics.rs` do.
 
 use twobit_core::{TwoBitMsg, TwoBitProcess};
 use twobit_proto::bits::{BitReader, BitWriter, WireError};

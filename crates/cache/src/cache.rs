@@ -45,7 +45,7 @@ use crate::epoch::{self, EpochWriter, ReaderHandle, Slot};
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CacheMode {
     /// No cache: every read runs the message protocol (the pre-cache
-    /// behavior, and the baseline the bench compares against).
+    /// behavior, and the baseline the pinned `proto` rows compare against).
     #[default]
     Off,
     /// Serve a read locally only when the safety gate holds: the reading

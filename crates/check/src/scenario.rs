@@ -31,7 +31,7 @@ pub struct PlanStep<V> {
 
 /// A small configuration the model checker can exhaustively explore.
 pub struct Scenario<A: Automaton> {
-    /// Display name (used in reports and bench rows).
+    /// Display name (used in reports).
     pub name: String,
     make_space: Box<dyn Fn() -> SimSpace<A>>,
     plan: Vec<PlanStep<A::Value>>,

@@ -1,6 +1,11 @@
 //! End-to-end exploration tests: the positive scenarios hold on every
 //! schedule, DPOR demonstrably prunes against naive enumeration, and
 //! crash injection widens the explored space without breaking anything.
+//!
+//! `paths_explored` is pinned exactly in each test: an explorer that
+//! checkpoints instead of replaying must, with pruning off, walk the very
+//! same paths. `replays` is not pinned — cutting it is the point of that
+//! work.
 
 use twobit_check::{explore, scenarios, ExploreOptions, Strategy};
 
@@ -22,6 +27,7 @@ fn exhaustive_swmr_writer_and_concurrent_reader_n3t1() {
     );
     assert!(report.stats.replays > 0, "DFS backtracking must replay");
     assert!(report.stats.max_depth > 5, "paths are many events long");
+    assert_eq!(report.stats.paths_explored, 58);
 }
 
 #[test]
@@ -40,6 +46,7 @@ fn exhaustive_swmr_with_safe_read_cache_n3t1() {
         "suspiciously few paths: {:?}",
         report.stats
     );
+    assert_eq!(report.stats.paths_explored, 164);
 }
 
 #[test]
@@ -62,6 +69,7 @@ fn exhaustive_ohram_writer_and_concurrent_reader_n3t1() {
         report.stats
     );
     assert!(report.stats.replays > 0, "DFS backtracking must replay");
+    assert_eq!(report.stats.paths_explored, 291);
 }
 
 #[test]
@@ -81,6 +89,7 @@ fn exhaustive_mwmr_two_concurrent_writers_n3t1() {
         "two concurrent writers must branch: {:?}",
         report.stats
     );
+    assert_eq!(report.stats.paths_explored, 65_843);
 }
 
 #[test]
@@ -117,6 +126,8 @@ fn dpor_explores_fewer_paths_than_naive_with_the_same_verdict() {
         dpor.stats,
         naive.stats
     );
+    assert_eq!(dpor.stats.paths_explored, 1);
+    assert_eq!(naive.stats.paths_explored, 306);
 }
 
 #[test]
@@ -138,6 +149,7 @@ fn crash_injection_stays_safe_within_the_fault_bound() {
         report.stats,
         no_crash.stats
     );
+    assert_eq!(report.stats.paths_explored, 27);
 }
 
 #[test]
@@ -149,6 +161,8 @@ fn crash_budget_is_clamped_to_t() {
     let report = explore(&scenario, &ExploreOptions::default()).unwrap();
     assert!(report.violation.is_none(), "{:?}", report.violation);
     assert!(report.exhausted);
+    // Clamped to t = 1: exactly the space of `crash_budget(1)`.
+    assert_eq!(report.stats.paths_explored, 27);
 }
 
 #[test]
@@ -183,6 +197,8 @@ fn crash_and_rejoin_is_exhausted_and_stays_safe_n3t1() {
         report.stats,
         crash_report.stats
     );
+    assert_eq!(report.stats.paths_explored, 1_022_264);
+    assert_eq!(crash_report.stats.paths_explored, 137_283);
 }
 
 #[test]
@@ -221,6 +237,7 @@ fn post_settlement_drain_is_explored_when_asked() {
         drained.stats,
         cut.stats
     );
+    assert_eq!(drained.stats.paths_explored, 1_132);
 }
 
 #[test]

@@ -104,7 +104,9 @@ fn books_balance(st: &NetStats) -> bool {
 /// # Errors
 ///
 /// [`DriverError::UnknownProcess`] / [`DriverError::NotCrashed`] for bad
-/// targets; [`DriverError::Backend`] for a process another node hosts;
+/// targets; [`DriverError::Backend`] for a process another node hosts, or
+/// when any of its peers is hosted on another node (recovery needs every
+/// process on one node);
 /// [`DriverError::OperationInFlight`] naming a busy pair;
 /// [`DriverError::RecoveryUnsupported`] when the automaton has no
 /// recovery hooks; [`DriverError::Backend`] when no live donor exists or
@@ -116,6 +118,15 @@ pub fn recover_process<A: Automaton>(proc: ProcessId, spine: &Spine<A>) -> Resul
         return Err(DriverError::UnknownProcess(proc));
     }
     spine.check_hosted(proc)?;
+    // Donors, rejoin targets and the quiesce books are all this node's: a
+    // peer hosted elsewhere would never be rejoined and keep a stale
+    // `w_sync` for `proc`, and the books would never balance.
+    if let Some(q) = spine.inboxes.iter().position(Option::is_none) {
+        return Err(DriverError::Backend(format!(
+            "cannot recover {proc}: peer {} is hosted on another node",
+            ProcessId::new(q)
+        )));
+    }
     if let Some((proc, reg)) = spine.first_in_flight() {
         return Err(DriverError::OperationInFlight { proc, reg });
     }
@@ -138,9 +149,7 @@ fn run_recovery<A: Automaton>(proc: ProcessId, spine: &Spine<A>) -> Result<(), D
     let pi = proc.index();
     let n = spine.cfg.n();
     let live: Vec<ProcessId> = (0..n)
-        .filter(|&q| {
-            q != pi && !spine.crashed[q].load(Ordering::Relaxed) && spine.inboxes[q].is_some()
-        })
+        .filter(|&q| q != pi && !spine.crashed[q].load(Ordering::Relaxed))
         .map(ProcessId::new)
         .collect();
     if live.is_empty() {

@@ -22,8 +22,8 @@
 //! * `routing_bits` — the unframed-equivalent figure: `⌈log₂ k⌉` per
 //!   message, what per-envelope shard tags *would* cost;
 //! * `frame_header_bits` — the routing bits actually on the wire: the
-//!   shared headers, far below `routing_bits` once frames batch (see
-//!   `BENCH_frames.json` for the 64-shard comparison).
+//!   shared headers, far below `routing_bits` once frames batch (the
+//!   64-shard comparison is pinned in `tests/frame_semantics.rs`).
 //!
 //! Since the wire-codec redesign frames are real byte blobs
 //! (`Frame::encode`/`Frame::decode`, layout in `docs/wire-format.md`).
@@ -46,7 +46,7 @@
 //! `ceil` so the size bound does the flushing. Per-link overrides
 //! (`flush_policy_for` / `flush_hold_for`) tune asymmetric topologies.
 //! The runtime backend below runs adaptive; see `docs/wire-format.md` for
-//! the full semantics and `BENCH_frames.json` for static-vs-adaptive rows.
+//! the full semantics and `tests/frame_semantics.rs` for static-vs-adaptive rows.
 //!
 //! Run with: `cargo run --example quickstart`
 

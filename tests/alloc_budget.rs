@@ -10,8 +10,10 @@
 //! * `ShardSet::on_message` allocates nothing;
 //! * a `LinkBatcher` whose storage is handed back allocates nothing;
 //! * `CacheWriter::publish` allocates nothing, from the first call on —
-//!   the `shard_scaling` bench's safe-cache rows beat their protocol twins
-//!   on allocations only while the cache's own bookkeeping is free.
+//!   the safe-cache rows of `frame_semantics.rs`'s pinned table beat their
+//!   protocol twins on allocations only while the cache's own bookkeeping
+//!   is free, which `safe_read_cache_allocates_less_than_its_protocol_twin`
+//!   holds end to end.
 //!
 //! It also holds the decoder's other promise: whatever bytes arrive —
 //! random, or a valid frame with bits flipped — `Frame::decode`,
@@ -22,10 +24,13 @@
 //! Counters are per thread, so the tests of this binary can run in
 //! parallel without seeing each other's allocations.
 
+mod common;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::{Duration, Instant};
 
+use common::{readmostly_workload, writer_of, ADAPTIVE, STATIC};
 use proptest::prelude::*;
 use twobit::baselines::mwmr::{MwmrMsg, Timestamp};
 use twobit::cache::{cache_pair, CacheDecision, CacheMode};
@@ -35,7 +40,7 @@ use twobit::proto::{
     SystemConfig, WireError, WireMessage,
 };
 use twobit::runtime::{FlushPolicy, LinkBatcher};
-use twobit::TwoBitProcess;
+use twobit::{TwoBitOptions, TwoBitProcess};
 
 struct CountingAlloc;
 
@@ -250,6 +255,37 @@ fn publishing_to_the_read_cache_allocates_nothing() {
             assert_eq!(reader.try_read(0), CacheDecision::Hit(2));
         });
         assert_eq!(allocs, 0, "{mode:?}: publish refills a spare cell");
+    }
+}
+
+/// The cache's allocation win on the four read-mostly pairs of the pinned
+/// table: with the writer's own fast read off on both sides, the safe run
+/// allocates strictly less than the protocol run. A frame costs two
+/// allocations and a local read saves only the frames it empties — two of
+/// 572 on the 64-shard static row — so the counts are compared raw, not
+/// as per-op averages.
+#[test]
+fn safe_read_cache_allocates_less_than_its_protocol_twin() {
+    let cfg = common::cfg();
+    let protocol_reads = TwoBitOptions {
+        writer_fast_read: false,
+        ..TwoBitOptions::default()
+    };
+    for hold in [STATIC, ADAPTIVE] {
+        for shards in [16, 64] {
+            let workload = readmostly_workload(shards);
+            let allocs = |cache| {
+                let mut sim = common::space(shards, hold, cache, false, |reg, id| {
+                    TwoBitProcess::with_options(id, cfg, writer_of(reg), 0u64, protocol_reads)
+                });
+                measured(|| workload.run_pipelined_on(&mut sim).expect("workload runs")).1
+            };
+            let (proto, safe) = (allocs(CacheMode::Off), allocs(CacheMode::Safe));
+            assert!(
+                safe < proto,
+                "{hold:?}/{shards} shards: safe {safe} >= proto {proto} allocations"
+            );
+        }
     }
 }
 

@@ -1,37 +1,27 @@
 //! Frame-transport semantics, end to end: the routing-amortization
-//! acceptance bar, atomic frame delivery under crashes, and the two-bit
-//! claim surviving the batching refactor on both backends.
+//! acceptance bar, atomic frame delivery under crashes, the two-bit claim
+//! surviving the batching refactor on both backends — and the pinned count
+//! table of the seeded simnet sweep (`ROWS`), with one named test per claim
+//! the table carries: framed routing, adaptive vs static hold, the safe
+//! read cache, the head-to-head against MWMR-ABD and Oh-RAM, and the cost
+//! of arming recovery. Timings are `perfbench`'s; everything here is an
+//! exact count on a fixed seed.
+
+mod common;
 
 use std::time::Duration;
 
-use twobit::lincheck::check_swmr_sharded;
-use twobit::{
-    Cluster, ClusterBuilder, DelayModel, Driver, FlushPolicy, Operation, ProcessId, RegisterId,
-    SpaceBuilder, SystemConfig, TwoBitProcess, Workload,
+use common::{
+    hotkey_workload, readmostly_workload, sweep_workload, writer_of, zipf_workload, ADAPTIVE, N,
+    STATIC,
 };
-
-const N: usize = 5;
-
-/// The shard-scaling bench's sweep: one write + `readers` reads per
-/// register per round, pipelined across shards.
-fn sweep_workload(shards: usize, readers: usize, rounds: u64) -> Workload<u64> {
-    let mut w = Workload::new();
-    for round in 0..rounds {
-        for k in 0..shards {
-            let reg = RegisterId::new(k);
-            let writer = k % N;
-            w = w.step(
-                writer,
-                reg,
-                Operation::Write(1 + round * shards as u64 + k as u64),
-            );
-            for r in 1..=readers {
-                w = w.step((writer + r) % N, reg, Operation::Read);
-            }
-        }
-    }
-    w
-}
+use twobit::lincheck::{check_mwmr_sharded, check_swmr_sharded};
+use twobit::proto::{NetStats, OpRecord};
+use twobit::{
+    Automaton, CacheMode, Cluster, ClusterBuilder, DelayModel, Driver, FlushPolicy, MwmrProcess,
+    OhRamProcess, Operation, ProcessId, RegisterId, ShardedHistory, SpaceBuilder, SystemConfig,
+    TwoBitOptions, TwoBitProcess, VirtualHold, Workload,
+};
 
 /// Byte-codec fidelity on the deterministic engine: with
 /// `wire_codec(true)` every frame is encoded to a length-prefixed blob and
@@ -100,8 +90,8 @@ fn cluster_wire_codec_stays_atomic_and_counts_bytes() {
     check_swmr_sharded(&sharded).unwrap();
 }
 
-/// The PR's acceptance bar: at 64 shards / 4 readers (the bench
-/// configuration behind `BENCH_frames.json`), the framed transport's
+/// The PR's acceptance bar: at 64 shards / 4 readers (the sweep
+/// configuration of the 64-shard `ROWS`, without the codec), the framed transport's
 /// shared headers cost at most half the per-message shard tags of the
 /// unframed transport — while every message still carries exactly two
 /// control bits.
@@ -258,4 +248,383 @@ fn cluster_frames_batch_and_stay_atomic_under_crash() {
     assert_eq!(stats.control_bits(), 2 * stats.total_sent());
     assert_eq!(stats.max_msg_control_bits(), 2);
     check_swmr_sharded(&sharded).unwrap();
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Algo {
+    TwoBit,
+    /// MWMR-ABD (*Another Look*, arXiv 1702.08176): timestamp-bearing
+    /// messages, checked by `check_mwmr_sharded`.
+    Mwmr,
+    /// Oh-RAM (arXiv 1610.08373): one-and-a-half-round hybrid reads.
+    OhRam,
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Mix {
+    /// `sweep_workload(shards, readers, 4)`.
+    Uniform,
+    /// The same sweep on a space with recovery armed and no crash.
+    Recovery,
+    Zipf95,
+    ReadMostly,
+    HotKey,
+}
+
+/// The read-cache labels. `Off` is the paper's default automaton, whose
+/// writer already reads locally; `Proto` and `Safe` both disable that
+/// shortcut, so their difference is exactly what the driver-level cache
+/// (`CacheMode::Safe`, on in `Safe` only) saves.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Cache {
+    Off,
+    Proto,
+    Safe,
+}
+
+use Algo::{Mwmr, OhRam, TwoBit};
+use Cache::{Off, Proto, Safe};
+use Mix::{HotKey, ReadMostly, Recovery, Uniform, Zipf95};
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Counts {
+    msgs: u64,
+    frames: u64,
+    wire_bytes: u64,
+    control_bits: u64,
+    /// Per-message shard tags: what routing would cost unframed.
+    routing_unframed: u64,
+    /// The frame headers actually sent, and the same headers forced to
+    /// delta/gamma (the chooser's alternative).
+    routing_framed: u64,
+    routing_gamma: u64,
+    cache_hits: u64,
+    lat_p50_ticks: u64,
+}
+
+#[derive(Debug)]
+struct Row {
+    algo: Algo,
+    mix: Mix,
+    hold: VirtualHold,
+    cache: Cache,
+    shards: usize,
+    /// Readers per register per round; 0 for the 95/5 mixes.
+    readers: usize,
+    counts: Counts,
+}
+
+const fn row(
+    algo: Algo,
+    mix: Mix,
+    hold: VirtualHold,
+    cache: Cache,
+    shards: usize,
+    readers: usize,
+    c: [u64; 9],
+) -> Row {
+    let counts = Counts {
+        msgs: c[0],
+        frames: c[1],
+        wire_bytes: c[2],
+        control_bits: c[3],
+        routing_unframed: c[4],
+        routing_framed: c[5],
+        routing_gamma: c[6],
+        cache_hits: c[7],
+        lat_p50_ticks: c[8],
+    };
+    Row {
+        algo,
+        mix,
+        hold,
+        cache,
+        shards,
+        readers,
+        counts,
+    }
+}
+
+/// The record: every seeded simnet row of the sweep, with the counts it
+/// produces. A change that moves a count re-pins it here — and must still
+/// pass the named relational tests below.
+#[rustfmt::skip]
+const ROWS: &[Row] = &[
+    //  algo    mix         hold      cache shards rd  [  msgs, frames, bytes,  ctrl, unframed, framed, gamma, hits, p50]
+    row(TwoBit, Uniform,    STATIC,   Off,    1, 1, [   112,    97,   1138,    224,      0,      0,      0,   0,  2098]),
+    row(TwoBit, Uniform,    STATIC,   Off,    1, 2, [   144,   120,   1264,    288,      0,      0,      0,   0,  2000]),
+    row(TwoBit, Uniform,    STATIC,   Off,    1, 4, [   208,   162,   1492,    416,      0,      0,      0,   0,  1962]),
+    row(TwoBit, Uniform,    STATIC,   Off,    4, 1, [   446,   186,   3746,    892,    892,   2038,   2038,   0,  1879]),
+    row(TwoBit, Uniform,    STATIC,   Off,    4, 2, [   576,   224,   4020,   1152,   1152,   2578,   2578,   0,  1922]),
+    row(TwoBit, Uniform,    STATIC,   Off,    4, 4, [   832,   291,   4491,   1664,   1664,   3530,   3530,   0,  1941]),
+    row(TwoBit, Uniform,    STATIC,   Off,   16, 1, [  1792,   272,  12833,   3584,   7168,   7766,   7766,   0,  1757]),
+    row(TwoBit, Uniform,    STATIC,   Off,   16, 2, [  2303,   316,  13356,   4606,   9212,   9276,   9276,   0,  1956]),
+    row(TwoBit, Uniform,    STATIC,   Off,   16, 4, [  3328,   340,  13965,   6656,  13312,  11106,  11106,   0,  2029]),
+    row(TwoBit, Uniform,    STATIC,   Off,   64, 1, [  7168,   273,  47341,  14336,  43008,  27201,  27470,   0,  1877]),
+    row(TwoBit, Uniform,    STATIC,   Off,   64, 2, [  9216,   319,  48660,  18432,  55296,  31996,  32196,   0,  1956]),
+    row(TwoBit, Uniform,    STATIC,   Off,   64, 4, [ 13312,   340,  50518,  26624,  79872,  38001,  38084,   0,  2029]),
+    row(Mwmr,   Uniform,    STATIC,   Off,   16, 2, [  3072,   287,  18641,  19109,  12288,  10098,  10098,   0,  3696]),
+    row(OhRam,  Uniform,    STATIC,   Off,   16, 2, [  4608,   242,  39677,  34007,  18432,  11652,  11652,   0,  1932]),
+    row(TwoBit, Recovery,   STATIC,   Off,   16, 2, [  2303,   316,  13356,   4606,   9212,   9276,   9276,   0,  1956]),
+    row(TwoBit, Zipf95,     STATIC,   Off,    1, 0, [  2784,  2298,  14852,   5568,      0,      0,      0,   0,  1722]),
+    row(TwoBit, Zipf95,     STATIC,   Off,    4, 0, [  2784,  1746,  12959,   5568,   5568,  14678,  14678,   0,  1695]),
+    row(TwoBit, Zipf95,     STATIC,   Off,   16, 0, [  2784,  1444,  12001,   5568,  11136,  17322,  17322,   0,  1711]),
+    row(TwoBit, Zipf95,     STATIC,   Off,   64, 0, [  2784,  1171,  11354,   5568,  16704,  21342,  21342,   0,  1747]),
+    row(TwoBit, ReadMostly, STATIC,   Off,   16, 0, [  2784,   815,   9268,   5568,  11136,  16994,  16994,   0,  1695]),
+    row(TwoBit, ReadMostly, STATIC,   Proto, 16, 0, [  3416,   967,  10488,   6832,  13664,  20212,  20212,   0,  1770]),
+    row(TwoBit, ReadMostly, STATIC,   Safe,  16, 0, [  2880,   821,   9349,   5760,  11520,  17272,  17272,  67,  1656]),
+    row(TwoBit, ReadMostly, STATIC,   Off,   64, 0, [  2784,   589,   8906,   5568,  16704,  22144,  22144,   0,  1687]),
+    row(TwoBit, ReadMostly, STATIC,   Proto, 64, 0, [  3416,   572,   9365,   6832,  20496,  25054,  25054,   0,  1830]),
+    row(TwoBit, ReadMostly, STATIC,   Safe,  64, 0, [  3088,   570,   9087,   6176,  18528,  23536,  23536,  41,  1689]),
+    row(OhRam,  ReadMostly, STATIC,   Off,   16, 0, [ 12368,  1193, 113430,  89974,  49472,  40742,  40742,   0,  1589]),
+    row(TwoBit, HotKey,     STATIC,   Off,   16, 0, [  2852,  2277,  15304,   5704,  11408,  14780,  14780,   0,  1748]),
+    row(TwoBit, Zipf95,     ADAPTIVE, Off,    1, 0, [  2784,  1939,  13308,   5568,      0,      0,      0,   0,  2744]),
+    row(TwoBit, Zipf95,     ADAPTIVE, Off,    4, 0, [  2784,  1516,  11820,   5568,   5568,  13526,  13526,   0,  2986]),
+    row(TwoBit, Zipf95,     ADAPTIVE, Off,   16, 0, [  2782,  1259,  11066,   5564,  11128,  16302,  16302,   0,  3101]),
+    row(TwoBit, Zipf95,     ADAPTIVE, Off,   64, 0, [  2784,   971,  10316,   5568,  16704,  19948,  19948,   0,  3339]),
+    row(TwoBit, ReadMostly, ADAPTIVE, Off,   16, 0, [  2784,   673,   8445,   5568,  11136,  15430,  15430,   0,  4039]),
+    row(TwoBit, ReadMostly, ADAPTIVE, Proto, 16, 0, [  3416,   898,  10113,   6832,  13664,  19574,  19574,   0,  4587]),
+    row(TwoBit, ReadMostly, ADAPTIVE, Safe,  16, 0, [  2880,   708,   8698,   5760,  11520,  16092,  16092,  67,  4214]),
+    row(TwoBit, ReadMostly, ADAPTIVE, Off,   64, 0, [  2784,   521,   8494,   5568,  16704,  21036,  21036,   0,  3673]),
+    row(TwoBit, ReadMostly, ADAPTIVE, Proto, 64, 0, [  3416,   527,   9083,   6832,  20496,  24354,  24354,   0,  4575]),
+    row(TwoBit, ReadMostly, ADAPTIVE, Safe,  64, 0, [  3088,   468,   8395,   6176,  18528,  21734,  21734,  41,  3832]),
+    row(TwoBit, HotKey,     ADAPTIVE, Off,   16, 0, [  2851,  1966,  13939,   5702,  11404,  13294,  13294,   0,  2764]),
+];
+
+/// The pinned counts of the one row with this configuration.
+fn pinned(
+    algo: Algo,
+    mix: Mix,
+    hold: VirtualHold,
+    cache: Cache,
+    shards: usize,
+    readers: usize,
+) -> Counts {
+    let key = (algo, mix, hold, cache, shards, readers);
+    ROWS.iter()
+        .find(|r| (r.algo, r.mix, r.hold, r.cache, r.shards, r.readers) == key)
+        .unwrap_or_else(|| panic!("no pinned row {key:?}"))
+        .counts
+}
+
+/// Runs `row` on its deployment, holds the history to its register mode's
+/// checker and the stats to the invariants every row shares, and returns
+/// the counts.
+fn measure(row: &Row) -> Counts {
+    let workload = match row.mix {
+        Uniform | Recovery => sweep_workload(row.shards, row.readers, 4),
+        Zipf95 => zipf_workload(row.shards),
+        ReadMostly => readmostly_workload(row.shards),
+        HotKey => hotkey_workload(),
+    };
+    let cfg = common::cfg();
+    let options = TwoBitOptions {
+        writer_fast_read: row.cache == Off,
+        ..TwoBitOptions::default()
+    };
+    let (stats, history) = match row.algo {
+        TwoBit => run(row, &workload, move |reg, id| {
+            TwoBitProcess::with_options(id, cfg, writer_of(reg), 0u64, options)
+        }),
+        Mwmr => run(row, &workload, move |_reg, id| {
+            MwmrProcess::new(id, cfg, 0u64)
+        }),
+        OhRam => run(row, &workload, move |reg, id| {
+            OhRamProcess::new(id, cfg, writer_of(reg), 0u64)
+        }),
+    };
+    if row.algo == Mwmr {
+        check_mwmr_sharded(&history).unwrap_or_else(|e| panic!("{row:?}: {e:?}"));
+    } else {
+        check_swmr_sharded(&history).unwrap_or_else(|e| panic!("{row:?}: {e:?}"));
+    }
+
+    let sent = stats.total_sent();
+    if row.algo == TwoBit {
+        assert_eq!(
+            stats.control_bits(),
+            2 * sent,
+            "{row:?}: two bits a message"
+        );
+    } else {
+        assert!(
+            stats.control_bits() > 2 * sent,
+            "{row:?}: competitors pay more"
+        );
+    }
+    assert!(stats.wire_bytes() > 0, "{row:?}: frames crossed as bytes");
+    assert_eq!(
+        stats.flushes_total(),
+        stats.frames_sent(),
+        "{row:?}: one flush reason a frame"
+    );
+    assert_eq!(stats.recoveries(), 0, "{row:?}: no row crashes anything");
+    if row.shards == 64 {
+        assert!(
+            stats.frame_header_bits() <= stats.frame_header_gamma_bits(),
+            "{row:?}: the header chooser lost to forced delta/gamma"
+        );
+    }
+    // With the cache on every read consults it exactly once, so
+    // `local_read_pct = 100 · hits / reads`.
+    let consulted = stats.cache_hits() + stats.cache_misses() + stats.cache_fallbacks();
+    let reads = workload
+        .steps()
+        .iter()
+        .filter(|s| s.op == Operation::Read)
+        .count();
+    let expected = if row.cache == Safe { reads as u64 } else { 0 };
+    assert_eq!(consulted, expected, "{row:?}: cache consultations");
+
+    let mut lats: Vec<u64> = history
+        .iter()
+        .flat_map(|(_, h)| h.records.iter().filter_map(OpRecord::latency))
+        .collect();
+    lats.sort_unstable();
+    let percentile = |q: f64| lats[((lats.len() - 1) as f64 * q).round() as usize];
+    let p50 = percentile(0.50);
+    assert!(p50 <= percentile(0.99), "{row:?}: p50 above p99");
+
+    Counts {
+        msgs: sent,
+        frames: stats.frames_sent(),
+        wire_bytes: stats.wire_bytes(),
+        control_bits: stats.control_bits(),
+        routing_unframed: stats.routing_bits(),
+        routing_framed: stats.frame_header_bits(),
+        routing_gamma: stats.frame_header_gamma_bits(),
+        cache_hits: stats.cache_hits(),
+        lat_p50_ticks: p50,
+    }
+}
+
+fn run<A: Automaton<Value = u64>>(
+    row: &Row,
+    workload: &Workload<u64>,
+    make: impl FnMut(RegisterId, ProcessId) -> A,
+) -> (NetStats, ShardedHistory<u64>) {
+    let cache = if row.cache == Safe {
+        CacheMode::Safe
+    } else {
+        CacheMode::Off
+    };
+    let mut sim = common::space(row.shards, row.hold, cache, row.mix == Recovery, make);
+    workload
+        .run_pipelined_on(&mut sim)
+        .unwrap_or_else(|e| panic!("{row:?}: {e}"));
+    (sim.stats(), sim.history())
+}
+
+#[test]
+fn every_simnet_row_reproduces_its_committed_counts() {
+    let drifted: Vec<String> = ROWS
+        .iter()
+        .filter_map(|row| {
+            let got = measure(row);
+            (got != row.counts).then(|| format!("{row:?}\n  measured {got:?}"))
+        })
+        .collect();
+    assert!(drifted.is_empty(), "re-pin or fix:\n{}", drifted.join("\n"));
+}
+
+/// At 64 shards the shared frame headers beat per-message tags, and the
+/// per-frame mode bit never loses to forced delta/gamma.
+#[test]
+fn framed_routing_and_the_header_chooser_win_at_64_shards() {
+    for readers in [1, 2, 4] {
+        let c = pinned(TwoBit, Uniform, STATIC, Off, 64, readers);
+        assert!(
+            c.routing_framed < c.routing_unframed,
+            "{readers} readers: {c:?}"
+        );
+        assert!(
+            c.routing_framed <= c.routing_gamma,
+            "{readers} readers: {c:?}"
+        );
+    }
+}
+
+/// Both runs are the same deterministic workload, so the adaptive hold
+/// must match or beat the static default on bytes outright.
+#[test]
+fn adaptive_hold_never_loses_to_static_on_wire_bytes() {
+    let zipf = [1, 4, 16, 64].map(|shards| (Zipf95, Off, shards));
+    let readmostly = [16, 64]
+        .into_iter()
+        .flat_map(|shards| [Off, Proto, Safe].map(|cache| (ReadMostly, cache, shards)));
+    for (mix, cache, shards) in zipf.into_iter().chain(readmostly) {
+        let adaptive = pinned(TwoBit, mix, ADAPTIVE, cache, shards, 0).wire_bytes;
+        let fixed = pinned(TwoBit, mix, STATIC, cache, shards, 0).wire_bytes;
+        assert!(
+            adaptive <= fixed,
+            "{mix:?}/{cache:?}/{shards}: adaptive {adaptive} > static {fixed} bytes"
+        );
+    }
+}
+
+/// The cache serves a real share of reads locally (`measure` holds
+/// `local_read_pct` to `hits / reads`) and that cuts bytes against the
+/// same automaton without it. Its allocation win is in `alloc_budget.rs`.
+#[test]
+fn safe_read_cache_beats_its_protocol_twin_on_bytes() {
+    for hold in [STATIC, ADAPTIVE] {
+        for shards in [16, 64] {
+            let safe = pinned(TwoBit, ReadMostly, hold, Safe, shards, 0);
+            let proto = pinned(TwoBit, ReadMostly, hold, Proto, shards, 0);
+            assert!(safe.cache_hits > 0, "{hold:?}/{shards}: never hit");
+            assert!(
+                safe.wire_bytes < proto.wire_bytes,
+                "{hold:?}/{shards}: safe {} >= proto {} bytes",
+                safe.wire_bytes,
+                proto.wire_bytes
+            );
+        }
+    }
+}
+
+/// The paper's headline against the multi-writer competitor, under the
+/// same workload, framing, hold and codec.
+#[test]
+fn two_bit_beats_mwmr_head_to_head() {
+    let two_bit = pinned(TwoBit, Uniform, STATIC, Off, 16, 2);
+    let mwmr = pinned(Mwmr, Uniform, STATIC, Off, 16, 2);
+    assert!(
+        two_bit.wire_bytes < mwmr.wire_bytes,
+        "{two_bit:?} vs {mwmr:?}"
+    );
+    assert!(
+        two_bit.control_bits < mwmr.control_bits,
+        "{two_bit:?} vs {mwmr:?}"
+    );
+}
+
+/// The trade runs both ways: on the read-mostly mix Oh-RAM's one-round
+/// common-case read wins median latency, and its Θ(n²) relay round loses
+/// bytes and control bits to the two-bit protocol.
+#[test]
+fn ohram_trades_bits_for_read_latency() {
+    let two_bit = pinned(TwoBit, ReadMostly, STATIC, Off, 16, 0);
+    let ohram = pinned(OhRam, ReadMostly, STATIC, Off, 16, 0);
+    assert!(
+        ohram.lat_p50_ticks < two_bit.lat_p50_ticks,
+        "{ohram:?} vs {two_bit:?}"
+    );
+    assert!(
+        two_bit.wire_bytes < ohram.wire_bytes,
+        "{two_bit:?} vs {ohram:?}"
+    );
+    assert!(
+        two_bit.control_bits < ohram.control_bits,
+        "{two_bit:?} vs {ohram:?}"
+    );
+}
+
+/// Arming the lifecycle machinery costs nothing until someone crashes:
+/// within 2 % of the recovery-disabled twin's bytes (`measure` checks
+/// that no row performs a recovery).
+#[test]
+fn arming_recovery_is_free_until_a_crash() {
+    let armed = pinned(TwoBit, Recovery, STATIC, Off, 16, 2).wire_bytes;
+    let twin = pinned(TwoBit, Uniform, STATIC, Off, 16, 2).wire_bytes;
+    assert!(100 * armed <= 102 * twin, "{armed} > 1.02 × {twin} bytes");
 }

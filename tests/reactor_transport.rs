@@ -15,8 +15,9 @@ use twobit::lincheck::{check_swmr, check_swmr_sharded};
 use twobit::proto::linkseq::{self, LinkHello, LinkWelcome, ACK_LEN, HELLO_LEN, WELCOME_LEN};
 use twobit::proto::MAX_FRAME_BODY_BYTES;
 use twobit::{
-    Driver, Envelope, FlushPolicy, FlushReason, Frame, ProcessId, ReactorClusterBuilder,
-    ReactorNode, ReactorNodeBuilder, ReconnectPolicy, RegisterId, SystemConfig, TwoBitProcess,
+    Driver, DriverError, Envelope, FlushPolicy, FlushReason, Frame, Lifecycle, ProcessId,
+    ReactorClusterBuilder, ReactorNode, ReactorNodeBuilder, ReconnectPolicy, RegisterId,
+    SystemConfig, TwoBitProcess,
 };
 
 /// How many OS threads this process currently runs (from
@@ -795,4 +796,70 @@ fn a_peer_gone_for_good_is_abandoned_and_the_books_still_balance() {
         sum(NetStats::total_sent),
         "summed across nodes: delivered + dropped + stale + abandoned == sent"
     );
+}
+
+/// Recovery needs every process on one node. Donors, rejoin targets and
+/// the quiesce books are all the coordinator's own node's, so on a
+/// `listen`/`join` deployment `recover` is refused at once with a typed
+/// error, before any state is touched — rather than sitting out the whole
+/// `op_timeout` waiting for books that only balance deployment-wide.
+#[test]
+fn a_cross_node_recover_is_refused_at_once_and_touches_nothing() {
+    let cfg = SystemConfig::max_resilience(3);
+    let writer = ProcessId::new(0);
+    let p1 = ProcessId::new(1);
+    let p2 = ProcessId::new(2);
+    let reg = RegisterId::ZERO;
+    let make = move |_reg: RegisterId, id: ProcessId| TwoBitProcess::new(id, cfg, writer, 0u64);
+
+    let left = ReactorNodeBuilder::new(cfg)
+        .host([0usize, 1])
+        .listen("127.0.0.1:0")
+        .expect("left binds");
+    let right = ReactorNodeBuilder::new(cfg)
+        .host([2usize])
+        .listen("127.0.0.1:0")
+        .expect("right binds");
+    let (left_addr, right_addr) = (left.local_addr(), right.local_addr());
+    let mut left = left
+        .join(&HashMap::from([(p2, right_addr)]), 0u64, make)
+        .expect("left joins");
+    let mut right = right
+        .join(
+            &HashMap::from([(writer, left_addr), (p1, left_addr)]),
+            0u64,
+            make,
+        )
+        .expect("right joins");
+
+    left.crash(p1).unwrap();
+    for v in 1..=4u64 {
+        left.write(writer, reg, v).unwrap();
+    }
+    let started = Instant::now();
+    match left.recover(p1) {
+        Err(DriverError::Backend(msg)) => {
+            assert!(msg.contains("p2 is hosted on another node"), "got: {msg}");
+        }
+        other => panic!("expected a Backend refusal, got {other:?}"),
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "refused at once, not after the 10 s op timeout: {:?}",
+        started.elapsed()
+    );
+    assert_eq!(left.lifecycle(p1), Lifecycle::Crashed);
+    let stats = left.stats();
+    assert_eq!(stats.recoveries(), 0);
+    assert_eq!(stats.snapshot_frames(), 0);
+
+    // Nothing was touched: p0 and p2 are still a serving majority.
+    for v in 5..=8u64 {
+        left.write(writer, reg, v).unwrap();
+        assert_eq!(right.read(p2, reg).unwrap(), v);
+    }
+    let (left_hist, _) = left.shutdown();
+    let (right_hist, _) = right.shutdown();
+    assert_eq!(check_swmr(left_hist.shard(reg).unwrap()).unwrap().writes, 8);
+    assert_eq!(right_hist.total_ops(), 4, "the reads after the refusal");
 }

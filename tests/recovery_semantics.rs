@@ -158,7 +158,8 @@ fn automaton_without_snapshot_support_is_recovery_unsupported() {
 /// Enabling recovery must cost nothing when nobody crashes: a crash-free
 /// run with `.recovery(true)` is byte-for-byte identical — same wire
 /// bytes, same message counts, same history — to its recovery-disabled
-/// twin. (The bench suite holds the live-backend analogue to within 2%.)
+/// twin. (`frame_semantics::arming_recovery_is_free_until_a_crash` holds
+/// the codec-on sweep row to within 2 %.)
 #[test]
 fn recovery_knob_is_free_on_crash_free_runs() {
     let cfg = cfg3();
