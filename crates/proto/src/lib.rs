@@ -38,9 +38,10 @@
 //!   — the unit the reactor's TCP links carry.
 //! * [`RegisterSpace`], [`Workload`], [`ShardedHistory`] — named registers,
 //!   portable operation scripts, and per-register history projection.
-//! * [`linkseq`] — frame sequence numbers, the reconnect handshake, and
-//!   sequenced-record framing for links that survive transient socket
-//!   failures with resend (the reactor transport's wire extension).
+//! * [`linkseq`] — per-link frame sequence numbers, the route handshake,
+//!   and the record and ack framing that let many links share one socket
+//!   and survive transient socket failures with resend (the reactor
+//!   transport's wire extension).
 //! * [`sched`] — the pluggable scheduling surface for controlled execution:
 //!   [`Schedule`] tokens, [`EnabledEvent`]s, and the [`Scheduler`] trait
 //!   the `twobit-check` model checker drives the simulator through.

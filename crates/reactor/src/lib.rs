@@ -10,7 +10,10 @@
 //! handler inline and batches what the handler sends, so a message never
 //! changes threads inside a node. A node's thread count is
 //! `min(pool_size, hosted processes) + 1 (dialer)`, independent of the
-//! link count.
+//! link count, and so is its socket count: one TCP connection per *route*
+//! — from a sending loop to a receiving loop — carries every ordered link
+//! between their processes (at most `pool²` connections on an all-local
+//! node, not `n(n−1)`), and each pass writes each route once.
 //!
 //! Beyond the flat thread count, the reactor does two things a socket
 //! per link does not give for free:
@@ -23,13 +26,13 @@
 //!   all-local form for tests and benches ([`ReactorClusterBuilder`] names
 //!   the builder in that role).
 //! * **Reconnect-and-resend.** A transient socket failure is *not* a
-//!   crash: the link re-dials with exponential backoff and replays
-//!   un-acked frames from a bounded per-link resend buffer, using the
-//!   `linkseq` sequence handshake to resume exactly after the receiver's
-//!   last delivered frame. Receivers dedup by sequence number, so a frame
-//!   that was delivered-but-un-acked when the socket died is never
-//!   delivered twice. Crash semantics ([`twobit_proto::Driver::crash`])
-//!   are unchanged and permanent.
+//!   crash: the route re-dials with exponential backoff and each link on
+//!   it replays un-acked frames from its bounded resend buffer, using the
+//!   `linkseq` route handshake to resume exactly after the receiver's last
+//!   delivered frame on that link. Receivers dedup per link by sequence
+//!   number, so a frame that was delivered-but-un-acked when the socket
+//!   died is never delivered twice. Crash semantics
+//!   ([`twobit_proto::Driver::crash`]) are unchanged and permanent.
 //!
 //! Frame semantics, flush policies, and the `NetStats` reconciliation
 //! invariant (`delivered + dropped + abandoned == sent`, exact while

@@ -12,9 +12,11 @@
 //!    address`) and starts the node: the event-loop pool, with the hosted
 //!    processes dealt round-robin over it, and the dialer.
 //!
-//! Every ordered link with a locally hosted `src` gets a TCP connection —
-//! including node-internal links, which loop through the node's own
-//! listener so there is exactly one data path to reason about.
+//! Links share sockets by *route*: one TCP connection from each sending
+//! loop to each receiving loop carries every ordered link between their
+//! processes, so an all-local node opens at most `pool²` connections
+//! however many links it has. Node-internal routes loop through the node's
+//! own listener too, so there is exactly one data path to reason about.
 
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -38,8 +40,6 @@ use crate::reactor::{
     dialer_loop, Cmd, DialReq, Hosted, LinkSpec, Reactor, ReconnectPolicy, SendLink,
     ACK_EVERY_FRAMES,
 };
-
-use twobit_proto::linkseq::LinkHello;
 
 fn deploy_err(msg: String) -> BuildError {
     BuildError::Io(io::Error::new(io::ErrorKind::InvalidInput, msg))
@@ -84,11 +84,13 @@ impl ReactorNodeBuilder {
 
     /// Sets the reactor pool size (default 4): the number of event-loop
     /// threads this node's hosted processes — each with its handler, its
-    /// outbound links and its inbound connections — are dealt over,
-    /// clamped to the number of hosted processes (a loop with no process
-    /// would own nothing). The node's thread count is
+    /// outbound links and the receive side of its inbound ones — are dealt
+    /// over, clamped to the number of hosted processes (a loop with no
+    /// process would own nothing). The node's thread count is
     /// `min(pool, hosted processes) + 1 (dialer)` regardless of link
-    /// count — the property the reactor exists for.
+    /// count — the property the reactor exists for. Sockets are per route,
+    /// one from each loop to each loop it sends to: an all-local node opens
+    /// at most `pool²` connections, not one per ordered link.
     pub fn pool_size(mut self, pool: usize) -> Self {
         self.pool_size = pool.max(1);
         self
@@ -332,8 +334,8 @@ impl ListeningNode {
 
         // Deal the hosted processes over the pool. The loop that owns a
         // process owns its handler state, its mailbox, every ordered link
-        // it sends on, and (routed there by the accepting loop) every
-        // connection toward it.
+        // it sends on, and the receive side of every link toward it (whose
+        // route the accepting loop hands over).
         let mut owners: Vec<Option<usize>> = vec![None; n];
         let mut inboxes: Vec<Option<Sender<Incoming<A>>>> = (0..n).map(|_| None).collect();
         let mut mailboxes = Vec::with_capacity(b.local.len());
@@ -360,8 +362,6 @@ impl ListeningNode {
 
         let mut procs: Vec<Vec<Hosted<A>>> = (0..pool).map(|_| Vec::new()).collect();
         let mut links: Vec<Vec<SendLink<A::Msg>>> = (0..pool).map(|_| Vec::new()).collect();
-        let mut dials: Vec<DialReq> = Vec::new();
-        let now = Instant::now();
         for ((k, &src), mailbox) in b.local.iter().enumerate().zip(mailboxes) {
             let slot = k % pool;
             let mut out = vec![None; n];
@@ -371,20 +371,11 @@ impl ListeningNode {
                 } else {
                     peers[&dst]
                 };
-                let li = links[slot].len();
-                let mut link =
-                    SendLink::new(LinkSpec { src, dst, addr }, b.deploy.policy_for(src, dst));
-                link.dialing = true; // the initial dial is enqueued below
-                links[slot].push(link);
-                out[dst.index()] = Some(li);
-                dials.push(DialReq {
-                    thread: slot,
-                    li,
-                    hello: LinkHello { src, dst },
-                    addr,
-                    attempt: 0,
-                    not_before: now,
-                });
+                out[dst.index()] = Some(links[slot].len());
+                links[slot].push(SendLink::new(
+                    LinkSpec { src, dst, addr },
+                    b.deploy.policy_for(src, dst),
+                ));
             }
             let shards = ShardSet::new(src, &b.deploy.registers, &mut make);
             procs[slot].push(Hosted {
@@ -441,16 +432,13 @@ impl ListeningNode {
             reactor_threads.push(std::thread::spawn(move || reactor.run()));
         }
 
-        // The shared dialer, and the initial dial for every link.
+        // The shared dialer; each loop asks it for its routes as it starts.
         let dialer = {
             let cmd_txs = cmd_txs.clone();
             let wakers = wakers.clone();
             let policy = b.reconnect;
             std::thread::spawn(move || dialer_loop(&dial_rx, &cmd_txs, &wakers, policy))
         };
-        for req in dials {
-            let _ = dial_tx.send(req);
-        }
 
         Ok(ReactorNode {
             spine,

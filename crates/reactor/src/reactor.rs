@@ -2,8 +2,8 @@
 //! links, run to completion on a small fixed pool of threads.
 //!
 //! The pool is partitioned by *process*. The loop that owns process `p`
-//! owns every *send link* with `src = p`, every *receive connection* with
-//! `dst = p`, `p`'s mailbox, and `p`'s handler state
+//! owns every *send link* with `src = p`, the receive side of every link
+//! with `dst = p`, `p`'s mailbox, and `p`'s handler state
 //! ([`ProcessCore`]): a decoded frame goes straight into the handler and
 //! the handler's envelopes go straight into the same thread's
 //! [`LinkBatcher`]s — no inbox hop, no envelope channel, no process
@@ -13,33 +13,56 @@
 //! chaos-link threads use; its hold deadline becomes the poll timeout
 //! instead of a parked thread's `recv_timeout`.
 //!
+//! ## Routes
+//!
+//! Links do not get a socket each. A *route* runs from sending loop L to
+//! receiving loop M and carries, on one TCP connection, every link `s → d`
+//! where L owns `s` and M owns `d`; an all-local node opens at most `pool²`
+//! of them however many links it has. Everything per link stays per link —
+//! sequence numbers, the resend buffer, the batcher, the receiver's dedup
+//! cursor, the lazy acks — and records and acks name their link
+//! (`linkseq`'s `[src][dst][seq]` prefix). Only the carrier is shared.
+//! Node-internal routes loop through the node's own listener like remote
+//! ones, so there is one data path.
+//!
 //! Each pass services input first — it keeps reading while a zero-timeout
 //! re-poll still reports ready sockets, for at most [`MAX_INPUT_ROUNDS`]
-//! rounds — and only then seals and writes frames, so everything the
-//! handlers emitted toward one destination during the pass shares a frame.
+//! rounds — then seals frames and queues due acks into their routes' write
+//! buffers, and only then writes each route with bytes queued, once: one
+//! `write(2)` carries everything a pass sends between two loops, and
+//! everything the handlers emitted toward one destination shares a frame.
 //!
-//! ## Reconnect with resend
+//! ## Route discovery, reconnect and resend
+//!
+//! A loop dials every address that has live links without a carrier,
+//! through the shared [`dialer_loop`]. The [`RouteHello`] names the loop's
+//! processes and those destinations; the accepting node hands the
+//! connection to the loop owning the first destination, whose
+//! [`RouteWelcome`] lists `(src, dst, last_delivered)` for every link the
+//! connection now carries. The dialing loop attaches exactly those, prunes
+//! each resend buffer to its cursor, replays the tail, and dials again for
+//! destinations still uncovered. It never reads the accepting node's
+//! process placement, not even when that node is its own.
 //!
 //! Every sealed frame gets a per-link sequence number and is retained in a
-//! bounded resend buffer until the receiver's cumulative ack (flowing on
-//! the reverse direction of the same socket) covers it. Receivers ack
-//! lazily — once [`ACK_EVERY_FRAMES`] frames are owed or the oldest owed
-//! frame is [`ACK_MAX_DELAY`] old, at once for a replay they had to dedup,
-//! and on every pass while draining. Acks only prune the resend buffer:
-//! when a connection dies the link re-dials through the shared
-//! [`dialer_loop`] (exponential backoff), and the reconnect handshake
-//! ([`LinkHello`] → [`LinkWelcome`]) tells the sender where the receiver
-//! actually is; the resend buffer is pruned to that point and the tail is
-//! replayed. A lost or late ack therefore never loses or duplicates a
-//! frame. The receiver dedups anything at or below its cursor, so a frame
-//! reaches the destination's handler exactly once no matter how many
-//! sockets it crossed. A link whose resend buffer overflows, or whose
-//! re-dial budget is exhausted, is *abandoned* — the existing
-//! crash-adjacent bookkeeping (`links_abandoned`, `messages_abandoned`)
-//! that tells the teardown reconciliation the books may not balance.
+//! bounded resend buffer until the receiver's cumulative ack covers it.
+//! Receivers ack lazily — once [`ACK_EVERY_FRAMES`] frames are owed on a
+//! link or its oldest owed frame is [`ACK_MAX_DELAY`] old, at once for a
+//! replay they had to dedup, and on every pass while draining — and a due
+//! ack takes every other owed ack on its route along. Acks only prune the
+//! resend buffer: when a route dies, every link on it is detached and the
+//! loop re-dials once (exponential backoff); the welcome tells the sender
+//! where the receiver actually is. A lost or late ack therefore never
+//! loses or duplicates a frame. The receiver dedups anything at or below
+//! its cursor, so a frame reaches the destination's handler exactly once
+//! no matter how many sockets it crossed. A link whose resend buffer
+//! overflows is *abandoned* alone, and an exhausted dial budget abandons
+//! every link the route was meant to carry — the existing crash-adjacent
+//! bookkeeping (`links_abandoned`, `messages_abandoned`) that tells the
+//! teardown reconciliation the books may not balance.
 //!
 //! Accounting: `frames_sent` / `flushes_total` tick once at seal time, `wire_bytes` counts frame blob
-//! bytes handed to a socket (sequence prefixes, acks and handshakes are
+//! bytes handed to a socket (link prefixes, acks and handshakes are
 //! transport overhead and excluded; a replayed frame's bytes count again),
 //! and deliveries tick in the call that runs the destination's handler.
 
@@ -53,14 +76,14 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
-use twobit_proto::linkseq::{self, LinkHello, LinkWelcome, ACK_LEN, HELLO_LEN, WELCOME_LEN};
-use twobit_proto::{Automaton, BufferPool, Bytes, Envelope, Frame, NetStats, ProcessId};
+use twobit_proto::linkseq::{self, LinkSeq, RouteHello, RouteWelcome, LINK_SEQ_LEN};
+use twobit_proto::{Automaton, BufferPool, Bytes, Envelope, Frame, NetStats, ProcessId, WireError};
 use twobit_runtime::{FlushPolicy, Incoming, LinkBatcher, ProcessCore};
 
 use crate::poller::{poll_fds, PollFd, WakeRx, Waker, POLL_IN, POLL_OUT};
 
 /// How long a freshly accepted connection may sit without completing its
-/// [`LinkHello`] before the reactor drops it.
+/// [`RouteHello`] before the reactor drops it.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A receiver acks once it owes this many frames on a link...
@@ -75,18 +98,18 @@ const MAX_INPUT_ROUNDS: usize = 4;
 /// empty for now.
 const READ_BUF_LEN: usize = 64 * 1024;
 
-/// How a link behaves when its connection dies (and on the initial dial).
+/// How a route behaves when its connection dies (and on the initial dial).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReconnectPolicy {
     /// Backoff before the first re-attempt; doubles per failure.
     pub base_backoff: Duration,
     /// Backoff ceiling.
     pub max_backoff: Duration,
-    /// Consecutive failed attempts before the link is abandoned.
+    /// Consecutive failed attempts before the route's links are abandoned.
     pub max_attempts: u32,
     /// `connect(2)` timeout per attempt.
     pub dial_timeout: Duration,
-    /// How long to wait for the peer's [`LinkWelcome`] after connecting.
+    /// How long to wait for the peer's [`RouteWelcome`] after connecting.
     pub handshake_timeout: Duration,
 }
 
@@ -141,8 +164,10 @@ pub(crate) struct SendLink<M> {
     pub(crate) batcher: LinkBatcher<Envelope<M>>,
     next_seq: u64,
     resend: VecDeque<Sealed>,
+    /// The route connection currently carrying the link.
     conn: Option<usize>,
-    pub(crate) dialing: bool,
+    /// A dial naming this link's destination is in flight.
+    dialing: bool,
     ever_connected: bool,
     abandoned: bool,
 }
@@ -163,6 +188,10 @@ impl<M> SendLink<M> {
 
     fn drained(&self) -> bool {
         self.abandoned || (self.resend.is_empty() && !self.batcher.has_pending())
+    }
+
+    fn needs_carrier(&self) -> bool {
+        !self.abandoned && self.conn.is_none() && !self.dialing
     }
 }
 
@@ -205,13 +234,12 @@ impl WriteBuf {
 /// What a registered connection is for.
 #[derive(Clone, Copy)]
 enum ConnKind {
-    /// Accepted, [`LinkHello`] not yet complete.
+    /// Accepted, [`RouteHello`] not yet complete.
     Handshake { since: Instant },
-    /// Carries send link `li` outbound; acks flow back on it.
-    Send { li: usize },
-    /// Carries receive link `ri`: a peer's link toward a process this loop
-    /// owns.
-    Recv { ri: usize },
+    /// A route this loop dialed: records out, acks in.
+    Out,
+    /// A route toward processes this loop owns: records in, acks out.
+    In,
 }
 
 /// One non-blocking socket in the poll set.
@@ -238,6 +266,7 @@ impl Conn {
 /// redelivery after a reconnect detectable.
 struct RecvLink {
     src: ProcessId,
+    dst: ProcessId,
     /// Index of the destination in [`Reactor::procs`].
     host: usize,
     /// Highest seq handed to the destination's handler.
@@ -247,7 +276,7 @@ struct RecvLink {
     /// When the oldest frame still owed an ack was delivered; `None` when
     /// nothing is owed or no connection could carry the ack.
     owed_since: Option<Instant>,
-    /// The connection currently carrying the link.
+    /// The route connection currently carrying the link.
     conn: Option<usize>,
 }
 
@@ -266,36 +295,33 @@ pub(crate) struct Hosted<A: Automaton> {
 }
 
 /// A request for the shared dialer thread: connect `addr`, run the
-/// [`LinkHello`]/[`LinkWelcome`] handshake, hand the socket back to
+/// [`RouteHello`]/[`RouteWelcome`] handshake, hand the socket back to
 /// reactor `thread` as a [`Cmd::DialDone`].
 pub(crate) struct DialReq {
-    pub(crate) thread: usize,
-    /// Index into the owning reactor's [`Reactor::links`].
-    pub(crate) li: usize,
-    pub(crate) hello: LinkHello,
-    pub(crate) addr: SocketAddr,
-    pub(crate) attempt: u32,
-    pub(crate) not_before: Instant,
+    thread: usize,
+    hello: RouteHello,
+    addr: SocketAddr,
+    attempt: u32,
+    not_before: Instant,
 }
 
 /// Control messages a reactor drains (after a [`Waker`] nudge) between
 /// poll rounds.
 pub(crate) enum Cmd {
-    /// A handshaken receive socket routed from the accepting reactor to
-    /// the loop that owns `dst`; `carry` is whatever followed the hello in
-    /// the accept buffer.
-    AdoptRecv {
-        src: ProcessId,
-        dst: ProcessId,
+    /// A handshaken route socket handed from the accepting reactor to the
+    /// loop that owns `hello.dsts[0]`; `carry` is whatever followed the
+    /// hello in the accept buffer.
+    AdoptRoute {
+        hello: RouteHello,
         stream: TcpStream,
         carry: Vec<u8>,
     },
-    /// The dialer finished (re)connecting link `li`: a non-blocking socket
-    /// plus the peer's `last_delivered` on success, `None` when the
-    /// attempt budget ran out.
+    /// The dialer finished the route dial for `hello`: a non-blocking
+    /// socket plus the links the peer attached to it on success, `None`
+    /// when the attempt budget ran out.
     DialDone {
-        li: usize,
-        result: Option<(TcpStream, u64)>,
+        hello: RouteHello,
+        result: Option<(TcpStream, RouteWelcome)>,
     },
     /// Fault injection: shut down every established socket on this thread
     /// (links then recover through the reconnect path).
@@ -320,7 +346,7 @@ pub(crate) struct Reactor<A: Automaton> {
     pub(crate) stats: Arc<Mutex<NetStats>>,
     pub(crate) crashed: Vec<Arc<AtomicBool>>,
     /// Which loop owns each process; `None` for processes not hosted on
-    /// this node.
+    /// this node. Read only to route an accepted hello.
     pub(crate) owners: Arc<[Option<usize>]>,
     pub(crate) cmd_rx: Receiver<Cmd>,
     pub(crate) cmd_txs: Vec<Sender<Cmd>>,
@@ -372,6 +398,7 @@ impl<A: Automaton> Reactor<A> {
             drain_deadline: None,
             done_sent: false,
         };
+        self.dial_uncovered();
         loop {
             let now = Instant::now();
             Self::sweep_stale_handshakes(&mut st, now);
@@ -396,7 +423,8 @@ impl<A: Automaton> Reactor<A> {
             }
             let now = Instant::now();
             self.flush_all(&mut st, now);
-            self.flush_acks(&mut st, now);
+            Self::flush_acks(&mut st, now);
+            self.write_routes(&mut st);
             self.check_drained(&mut st, now);
         }
     }
@@ -538,8 +566,14 @@ impl<A: Automaton> Reactor<A> {
         }
     }
 
+    /// The send link `src → dst`, if this loop owns `src`.
+    fn link_index(&self, src: ProcessId, dst: ProcessId) -> Option<usize> {
+        let k = self.proc_slot.get(src.index()).copied().flatten()?;
+        self.procs[k].out.get(dst.index()).copied().flatten()
+    }
+
     /// Seals every due batch on every link: frame → seq → resend buffer →
-    /// socket (when connected).
+    /// its route's write buffer (when connected).
     fn flush_all(&mut self, st: &mut LoopState, now: Instant) {
         for li in 0..self.links.len() {
             self.flush_link(st, li, now);
@@ -551,7 +585,6 @@ impl<A: Automaton> Reactor<A> {
         if link.abandoned {
             return;
         }
-        let mut wrote = false;
         while let Some(f) = link.batcher.take_due(now, st.draining) {
             let frame = Frame::from_envelopes(f.batch);
             let msgs = frame.len() as u64;
@@ -577,8 +610,8 @@ impl<A: Automaton> Reactor<A> {
                 stats.record_flush(f.reason, f.held.as_nanos().min(u128::from(u64::MAX)) as u64);
                 stats.record_resend_buffer_depth(depth as u64);
                 if let Some(conn) = conn.as_deref_mut() {
-                    Self::append_record(&mut stats, conn, seq, &blob);
-                    wrote = true;
+                    let LinkSpec { src, dst, .. } = link.spec;
+                    Self::append_record(&mut stats, conn, LinkSeq { src, dst, seq }, &blob);
                 }
             }
             link.resend.push_back(Sealed {
@@ -588,26 +621,31 @@ impl<A: Automaton> Reactor<A> {
                 transmitted: conn.is_some(),
             });
             if overflow {
-                self.abandon_link(st, li);
+                self.abandon_link(li);
                 return;
             }
         }
-        if wrote {
-            if let Some(ci) = link.conn {
+    }
+
+    /// Queues one record on a route and accounts its frame bytes (the
+    /// link prefix is transport overhead, not counted).
+    fn append_record(stats: &mut NetStats, conn: &mut Conn, link: LinkSeq, blob: &[u8]) {
+        linkseq::encode_record(link, blob, &mut conn.wbuf.buf);
+        stats.record_wire_bytes(blob.len() as u64);
+    }
+
+    /// Writes every connection with bytes queued — once per pass, however
+    /// many records and acks it gathered.
+    fn write_routes(&mut self, st: &mut LoopState) {
+        for ci in 0..st.conns.len() {
+            if st.conns[ci].as_ref().is_some_and(|c| !c.wbuf.is_empty()) {
                 self.flush_conn(st, ci);
             }
         }
     }
 
-    /// Queues one sequenced record on a connection and accounts its frame
-    /// bytes (the 8-byte seq prefix is transport overhead, not counted).
-    fn append_record(stats: &mut NetStats, conn: &mut Conn, seq: u64, blob: &[u8]) {
-        linkseq::encode_record(seq, blob, &mut conn.wbuf.buf);
-        stats.record_wire_bytes(blob.len() as u64);
-    }
-
     /// Writes a connection's queued bytes; a dead socket goes through the
-    /// failure path (re-dial for send links).
+    /// failure path (a re-dial for a route this loop dialed).
     fn flush_conn(&mut self, st: &mut LoopState, ci: usize) {
         let Some(conn) = st.conns.get_mut(ci).and_then(Option::as_mut) else {
             return;
@@ -648,48 +686,58 @@ impl<A: Automaton> Reactor<A> {
         let Some(kind) = st.conns.get(ci).and_then(Option::as_ref).map(|c| c.kind) else {
             return;
         };
+        let closed = Self::read_some(st, ci);
         match kind {
-            ConnKind::Handshake { .. } => self.handshake_readable(st, ci),
-            ConnKind::Send { li } => self.send_readable(st, ci, li),
-            ConnKind::Recv { ri } => {
-                let closed = Self::read_some(st, ci);
-                self.deliver_buffered(st, ci, ri);
+            ConnKind::Handshake { .. } => self.handshake_readable(st, ci, closed),
+            ConnKind::Out => self.acks_readable(st, ci, closed),
+            ConnKind::In => {
+                self.deliver_buffered(st, ci);
                 if closed {
-                    // Clean hangup (or peer death): the link's cursor
-                    // survives for the next incarnation.
+                    // Clean hangup (or peer death): the links' cursors
+                    // survive for the next connection.
                     self.close_conn(st, ci);
                 }
             }
         }
     }
 
-    /// The send half's inbound direction carries cumulative acks; EOF or
-    /// error means the connection died and the link must re-dial.
-    fn send_readable(&mut self, st: &mut LoopState, ci: usize, li: usize) {
-        let closed = Self::read_some(st, ci);
+    /// A dialed route's inbound direction carries cumulative acks, each
+    /// naming its link; EOF or error means the route died and must be
+    /// re-dialed. An ack for a link this connection does not carry could
+    /// not come from a correct peer and poisons the connection.
+    fn acks_readable(&mut self, st: &mut LoopState, ci: usize, closed: bool) {
         let Some(conn) = st.conns.get_mut(ci).and_then(Option::as_mut) else {
             return;
         };
-        let whole = (conn.rbuf.len() / ACK_LEN) * ACK_LEN;
-        if whole > 0 {
-            let ack = u64::from_be_bytes(
-                conn.rbuf[whole - ACK_LEN..whole]
-                    .try_into()
-                    .expect("8 bytes"),
-            );
-            conn.rbuf.drain(..whole);
-            let resend = &mut self.links[li].resend;
-            while resend.front().is_some_and(|s| s.seq <= ack) {
-                resend.pop_front();
+        let (mut off, mut poisoned) = (0, false);
+        while let Ok(ack) = LinkSeq::decode(&conn.rbuf[off..]) {
+            off += LINK_SEQ_LEN;
+            match self.link_index(ack.src, ack.dst) {
+                // A late ack for a link given up since: nothing to prune.
+                Some(li) if self.links[li].abandoned => {}
+                Some(li) if self.links[li].conn == Some(ci) => {
+                    let resend = &mut self.links[li].resend;
+                    while resend.front().is_some_and(|s| s.seq <= ack.seq) {
+                        resend.pop_front();
+                    }
+                }
+                _ => {
+                    poisoned = true;
+                    break;
+                }
             }
         }
-        if closed {
+        conn.rbuf.drain(..off);
+        if poisoned {
+            self.stats.lock().record_link_abandoned();
+        }
+        if poisoned || closed {
             self.close_conn(st, ci);
         }
     }
 
     /// Accepts everything the listener has queued; each new socket starts
-    /// in the handshake state until its [`LinkHello`] arrives.
+    /// in the handshake state until its [`RouteHello`] arrives.
     fn accept_all(&mut self, st: &mut LoopState) {
         let Some(listener) = &self.listener else {
             return;
@@ -712,40 +760,44 @@ impl<A: Automaton> Reactor<A> {
         }
     }
 
-    fn handshake_readable(&mut self, st: &mut LoopState, ci: usize) {
-        let closed = Self::read_some(st, ci);
+    /// Waits for a whole hello, then hands the connection to the loop that
+    /// owns the first destination it names.
+    fn handshake_readable(&mut self, st: &mut LoopState, ci: usize, closed: bool) {
         let Some(slot) = st.conns.get_mut(ci) else {
             return;
         };
         let Some(conn) = slot.as_mut() else { return };
-        if conn.rbuf.len() < HELLO_LEN {
-            if closed {
+        let (hello, carry) = match RouteHello::decode(&conn.rbuf) {
+            Ok((hello, used)) => (hello, conn.rbuf.split_off(used)),
+            Err(WireError::Truncated) if !closed => return,
+            Err(WireError::Truncated) => {
                 self.close_conn(st, ci);
+                return;
             }
-            return;
-        }
-        let Ok(hello) = LinkHello::decode(&conn.rbuf[..HELLO_LEN]) else {
-            // Garbage where a hello should be: not one of our links, but
-            // accounted so a poisoned setup is visible.
-            self.stats.lock().record_link_abandoned();
-            self.close_conn(st, ci);
-            return;
+            Err(_) => {
+                // Garbage where a hello should be: no link to charge it to,
+                // but accounted so a poisoned setup is visible.
+                self.stats.lock().record_link_abandoned();
+                self.close_conn(st, ci);
+                return;
+            }
         };
-        let carry = conn.rbuf[HELLO_LEN..].to_vec();
         let stream = slot.take().expect("checked above").stream;
-        let LinkHello { src, dst } = hello;
-        match self.owners.get(dst.index()).copied().flatten() {
+        let owner = hello
+            .dsts
+            .first()
+            .and_then(|dst| self.owners.get(dst.index()).copied().flatten());
+        match owner {
             // A hello for a process that does not live here: config skew
             // between nodes. Visible, not silent.
             None => {
                 self.stats.lock().record_link_abandoned();
                 let _ = stream.shutdown(Shutdown::Both);
             }
-            Some(owner) if owner == self.slot => self.adopt_recv(st, src, dst, stream, carry),
+            Some(owner) if owner == self.slot => self.adopt_route(st, hello, stream, carry),
             Some(owner) => {
-                let adopt = Cmd::AdoptRecv {
-                    src,
-                    dst,
+                let adopt = Cmd::AdoptRoute {
+                    hello,
                     stream,
                     carry,
                 };
@@ -756,70 +808,79 @@ impl<A: Automaton> Reactor<A> {
         }
     }
 
-    /// Takes ownership of a handshaken receive socket toward a process this
-    /// loop owns: answers with the link's resume point, then treats `carry`
-    /// as the first read.
-    fn adopt_recv(
+    /// Takes ownership of a handshaken route: attaches every named src's
+    /// link toward every named dst this loop owns (a newer connection
+    /// supersedes the one a link was on, which is closed), answers with
+    /// each link's resume point, then treats `carry` as the first read.
+    fn adopt_route(
         &mut self,
         st: &mut LoopState,
-        src: ProcessId,
-        dst: ProcessId,
+        hello: RouteHello,
         stream: TcpStream,
         carry: Vec<u8>,
     ) {
-        let host = self.proc_slot[dst.index()].expect("hellos are routed to the owning loop");
-        let ri = *st.recv_index.entry((src, dst)).or_insert_with(|| {
-            st.recv_links.push(RecvLink {
-                src,
-                host,
-                delivered: 0,
-                acked: 0,
-                owed_since: None,
-                conn: None,
-            });
-            st.recv_links.len() - 1
-        });
-        // A reconnect supersedes any previous incarnation still open.
-        if let Some(old) = st.recv_links[ri].conn {
+        let mut conn = Conn::new(stream, ConnKind::In);
+        conn.rbuf = carry;
+        let ci = alloc_conn(&mut st.conns, conn);
+        let n = self.proc_slot.len();
+        let mut welcome = RouteWelcome::default();
+        let mut replaced = Vec::new();
+        for &dst in &hello.dsts {
+            let Some(host) = self.proc_slot.get(dst.index()).copied().flatten() else {
+                continue;
+            };
+            for &src in hello.srcs.iter().filter(|&&s| s != dst && s.index() < n) {
+                let ri = *st.recv_index.entry((src, dst)).or_insert_with(|| {
+                    st.recv_links.push(RecvLink {
+                        src,
+                        dst,
+                        host,
+                        delivered: 0,
+                        acked: 0,
+                        owed_since: None,
+                        conn: None,
+                    });
+                    st.recv_links.len() - 1
+                });
+                let link = &mut st.recv_links[ri];
+                replaced.extend(link.conn.replace(ci));
+                // The welcome is an ack too: the sender prunes up to the cursor.
+                link.acked = link.delivered;
+                link.owed_since = None;
+                welcome.links.push(LinkSeq {
+                    src,
+                    dst,
+                    seq: link.delivered,
+                });
+            }
+        }
+        if let Some(conn) = st.conns[ci].as_mut() {
+            conn.wbuf.buf.extend_from_slice(&welcome.encode());
+        }
+        for old in replaced {
             self.close_conn(st, old);
         }
-        let mut conn = Conn::new(stream, ConnKind::Recv { ri });
-        conn.rbuf = carry;
-        let link = &mut st.recv_links[ri];
-        // The welcome is an ack too: the sender prunes up to the cursor.
-        link.acked = link.delivered;
-        link.owed_since = None;
-        conn.wbuf.buf.extend_from_slice(
-            &LinkWelcome {
-                last_delivered: link.delivered,
-            }
-            .encode(),
-        );
-        let ci = alloc_conn(&mut st.conns, conn);
-        link.conn = Some(ci);
-        self.flush_conn(st, ci);
-        self.deliver_buffered(st, ci, ri);
+        self.deliver_buffered(st, ci);
     }
 
-    /// Slices buffered records and dedups them against the link cursor;
-    /// each fresh frame is decoded and handled by its destination right
-    /// here, and counted delivered once the handler has run — so whenever
-    /// the books balance, every send a delivered frame caused is in them.
-    /// Acks wait for [`Reactor::flush_acks`], except after a replay.
-    fn deliver_buffered(&mut self, st: &mut LoopState, ci: usize, ri: usize) {
-        let RecvLink { src, host, .. } = st.recv_links[ri];
-        let dst = self.procs[host].core.id();
+    /// Slices buffered records, checks each names a link this connection
+    /// carries, and dedups it against that link's cursor; each fresh frame
+    /// is decoded and handled by its destination right here, and counted
+    /// delivered once the handler has run — so whenever the books balance,
+    /// every send a delivered frame caused is in them. Acks wait for
+    /// [`Reactor::flush_acks`], except after a replay.
+    fn deliver_buffered(&mut self, st: &mut LoopState, ci: usize) {
         let (mut off, mut delivered, mut dropped, mut deduped) = (0usize, 0u64, 0u64, 0u64);
         let mut poisoned = false;
         loop {
             let Some(conn) = st.conns.get_mut(ci).and_then(Option::as_mut) else {
                 return;
             };
-            let (seq, blob) = match linkseq::split_record(&conn.rbuf[off..]) {
-                Ok(Some((seq, total))) => {
-                    let blob = &conn.rbuf[off + linkseq::SEQ_PREFIX_LEN..off + total];
+            let (head, blob) = match linkseq::split_record(&conn.rbuf[off..]) {
+                Ok(Some((head, total))) => {
+                    let blob = &conn.rbuf[off + LINK_SEQ_LEN..off + total];
                     off += total;
-                    (seq, blob)
+                    (head, blob)
                 }
                 Ok(None) => {
                     conn.rbuf.drain(..off);
@@ -830,32 +891,50 @@ impl<A: Automaton> Reactor<A> {
                     break;
                 }
             };
+            // A record for a link this connection does not carry could not
+            // come from a correct peer.
+            let Some(&ri) = st.recv_index.get(&(head.src, head.dst)) else {
+                poisoned = true;
+                break;
+            };
             let link = &mut st.recv_links[ri];
-            if seq <= link.delivered {
+            if link.conn != Some(ci) {
+                poisoned = true;
+                break;
+            }
+            if head.seq <= link.delivered {
                 // A replayed frame this side already consumed: the whole
                 // point of the cursor — ack again, deliver never.
                 deduped += 1;
+                link.owed_since.get_or_insert_with(Instant::now);
                 continue;
             }
             // Decoded where it landed: the record is never copied out of
             // the connection's buffer, so a frame costs the one vector its
             // envelopes live in (byte-string payloads are copied to exactly
             // their own size rather than pinning the read they arrived in).
-            // A corrupt frame from a byzantine-free peer poisons the link.
+            // A corrupt frame from a byzantine-free peer poisons the route.
             let Ok(frame) = Frame::<A::Msg>::decode(blob) else {
                 poisoned = true;
                 break;
             };
-            link.delivered = seq;
+            link.delivered = head.seq;
             link.owed_since.get_or_insert_with(Instant::now);
+            let host = link.host;
             let msgs = frame.len() as u64;
             // Mailbox first, so a message posted before the frame arrived
             // is handled before it, as when both shared one inbox.
             self.drain_mailbox(host);
-            if self.crashed[dst.index()].load(Ordering::Relaxed) || self.procs[host].retired {
+            if self.crashed[head.dst.index()].load(Ordering::Relaxed) || self.procs[host].retired {
                 dropped += msgs;
             } else {
-                self.run_handler(host, Incoming::Frame { from: src, frame });
+                self.run_handler(
+                    host,
+                    Incoming::Frame {
+                        from: head.src,
+                        frame,
+                    },
+                );
                 delivered += msgs;
             }
         }
@@ -873,46 +952,51 @@ impl<A: Automaton> Reactor<A> {
         if poisoned {
             self.close_conn(st, ci);
         } else if deduped > 0 {
-            self.send_ack(st, ri);
+            Self::ack_route(st, ci);
         }
     }
 
-    /// Acks everything delivered on receive link `ri`, if a connection can
-    /// carry it (otherwise the next welcome does).
-    fn send_ack(&mut self, st: &mut LoopState, ri: usize) {
-        let link = &mut st.recv_links[ri];
-        let Some(ci) = link.conn else { return };
-        let Some(conn) = st.conns.get_mut(ci).and_then(Option::as_mut) else {
-            return;
-        };
-        conn.wbuf
-            .buf
-            .extend_from_slice(&link.delivered.to_be_bytes());
-        link.acked = link.delivered;
-        link.owed_since = None;
-        self.flush_conn(st, ci);
-    }
-
-    /// Sends the cumulative acks that are due: [`ACK_EVERY_FRAMES`] owed,
-    /// the oldest owed frame [`ACK_MAX_DELAY`] old, or — while draining,
-    /// when the senders are waiting for exactly this — anything owed.
-    fn flush_acks(&mut self, st: &mut LoopState, now: Instant) {
+    /// Queues the cumulative acks that are due: [`ACK_EVERY_FRAMES`] owed
+    /// on a link, its oldest owed frame [`ACK_MAX_DELAY`] old, or — while
+    /// draining, when the senders are waiting for exactly this — anything
+    /// owed. A due ack takes every owed ack on its route along: they share
+    /// the route's one write.
+    fn flush_acks(st: &mut LoopState, now: Instant) {
         for ri in 0..st.recv_links.len() {
             let link = &st.recv_links[ri];
-            let Some(since) = link.owed_since else {
+            let (Some(since), Some(ci)) = (link.owed_since, link.conn) else {
                 continue;
             };
             if st.draining
                 || link.delivered - link.acked >= ACK_EVERY_FRAMES
                 || now >= since + ACK_MAX_DELAY
             {
-                self.send_ack(st, ri);
+                Self::ack_route(st, ci);
             }
         }
     }
 
-    /// Closes and forgets a connection. A receive link just loses its
-    /// carrier (the peer re-dials); a send link schedules a re-dial.
+    /// Queues an ack for every link on route `ci` that owes one.
+    fn ack_route(st: &mut LoopState, ci: usize) {
+        let Some(conn) = st.conns.get_mut(ci).and_then(Option::as_mut) else {
+            return;
+        };
+        for link in &mut st.recv_links {
+            if link.conn == Some(ci) && link.owed_since.take().is_some() {
+                let ack = LinkSeq {
+                    src: link.src,
+                    dst: link.dst,
+                    seq: link.delivered,
+                };
+                ack.encode_into(&mut conn.wbuf.buf);
+                link.acked = link.delivered;
+            }
+        }
+    }
+
+    /// Closes and forgets a connection. The links it carried lose their
+    /// carrier: a receiving loop waits for the peer's re-dial, a sending
+    /// loop re-dials.
     fn close_conn(&mut self, st: &mut LoopState, ci: usize) {
         let Some(conn) = st.conns.get_mut(ci).and_then(Option::take) else {
             return;
@@ -920,103 +1004,140 @@ impl<A: Automaton> Reactor<A> {
         let _ = conn.stream.shutdown(Shutdown::Both);
         match conn.kind {
             ConnKind::Handshake { .. } => {}
-            ConnKind::Recv { ri } => {
-                let link = &mut st.recv_links[ri];
-                if link.conn == Some(ci) {
+            ConnKind::In => {
+                for link in st.recv_links.iter_mut().filter(|l| l.conn == Some(ci)) {
                     link.conn = None;
                     link.owed_since = None;
                 }
             }
-            ConnKind::Send { li } => {
-                if self.links[li].conn == Some(ci) {
-                    self.links[li].conn = None;
-                    self.schedule_redial(li);
+            ConnKind::Out => {
+                for link in self.links.iter_mut().filter(|l| l.conn == Some(ci)) {
+                    link.conn = None;
+                }
+                self.dial_uncovered();
+            }
+        }
+    }
+
+    /// Dials every address that has live links without a carrier and no
+    /// dial in flight: one hello per address names this loop's processes
+    /// and every such destination there.
+    fn dial_uncovered(&mut self) {
+        let mut srcs: Vec<ProcessId> = self.procs.iter().map(|h| h.core.id()).collect();
+        srcs.sort_unstable();
+        while let Some(addr) = self
+            .links
+            .iter()
+            .find(|l| l.needs_carrier())
+            .map(|l| l.spec.addr)
+        {
+            let mut dsts = Vec::new();
+            for link in &mut self.links {
+                if link.spec.addr == addr && link.needs_carrier() {
+                    link.dialing = true;
+                    dsts.push(link.spec.dst);
                 }
             }
+            dsts.sort_unstable();
+            dsts.dedup();
+            let req = DialReq {
+                thread: self.slot,
+                hello: RouteHello {
+                    srcs: srcs.clone(),
+                    dsts,
+                },
+                addr,
+                attempt: 0,
+                not_before: Instant::now(),
+            };
+            // A failed send means the dialer is gone (tear-down racing a
+            // failure): these links cannot recover, and stay marked so
+            // they are not asked for again.
+            if self.dial_tx.send(req).is_err() {
+                return;
+            }
         }
     }
 
-    fn schedule_redial(&mut self, li: usize) {
-        let link = &mut self.links[li];
-        if link.abandoned || link.dialing {
-            return;
+    /// The dialer's verdict on the route dial for `hello`.
+    fn dial_done(
+        &mut self,
+        st: &mut LoopState,
+        hello: &RouteHello,
+        result: Option<(TcpStream, RouteWelcome)>,
+    ) {
+        let named = |l: &SendLink<A::Msg>| hello.dsts.binary_search(&l.spec.dst).is_ok();
+        for link in self.links.iter_mut().filter(|l| named(l)) {
+            link.dialing = false;
         }
-        let req = DialReq {
-            thread: self.slot,
-            li,
-            hello: LinkHello {
-                src: link.spec.src,
-                dst: link.spec.dst,
-            },
-            addr: link.spec.addr,
-            attempt: 0,
-            not_before: Instant::now(),
-        };
-        // A failed send means the dialer is gone (tear-down racing a
-        // failure): the link cannot recover.
-        link.dialing = self.dial_tx.send(req).is_ok();
-    }
-
-    /// The dialer's verdict for link `li`.
-    fn dial_done(&mut self, st: &mut LoopState, li: usize, result: Option<(TcpStream, u64)>) {
-        let link = &mut self.links[li];
-        link.dialing = false;
-        let Some((stream, resume)) = result else {
-            self.abandon_link(st, li);
+        let Some((stream, welcome)) = result else {
+            // The budget ran out: every link the route was to carry is
+            // given up.
+            for li in 0..self.links.len() {
+                if self.links[li].conn.is_none() && named(&self.links[li]) {
+                    self.abandon_link(li);
+                }
+            }
             return;
         };
-        if link.abandoned {
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
-        let reconnect = link.ever_connected;
-        link.ever_connected = true;
-        if let Some(old) = link.conn.take() {
-            self.close_conn(st, old);
-        }
-        let link = &mut self.links[li];
-        // The peer consumed up to `resume`: those frames are settled even
-        // if their acks died with the old socket, or were never sent.
-        while link.resend.front().is_some_and(|s| s.seq <= resume) {
-            link.resend.pop_front();
-        }
-        let mut conn = Conn::new(stream, ConnKind::Send { li });
+        let ci = alloc_conn(&mut st.conns, Conn::new(stream, ConnKind::Out));
+        let conn = st.conns[ci].as_mut().expect("just registered");
+        let mut replaced = Vec::new();
         {
             let mut stats = self.stats.lock();
-            if reconnect {
-                stats.record_reconnect();
-            }
             let mut resent = 0u64;
-            for s in &mut link.resend {
-                resent += u64::from(s.transmitted);
-                s.transmitted = true;
-                Self::append_record(&mut stats, &mut conn, s.seq, &s.blob);
+            for resume in &welcome.links {
+                let Some(li) = self.link_index(resume.src, resume.dst) else {
+                    continue;
+                };
+                let link = &mut self.links[li];
+                if link.abandoned {
+                    continue;
+                }
+                replaced.extend(link.conn.replace(ci));
+                if link.ever_connected {
+                    stats.record_reconnect();
+                }
+                link.ever_connected = true;
+                // The peer consumed up to the cursor: those frames are
+                // settled even if their acks died with the old socket, or
+                // were never sent.
+                while link.resend.front().is_some_and(|s| s.seq <= resume.seq) {
+                    link.resend.pop_front();
+                }
+                let LinkSpec { src, dst, .. } = link.spec;
+                for s in &mut link.resend {
+                    resent += u64::from(s.transmitted);
+                    s.transmitted = true;
+                    let seq = s.seq;
+                    Self::append_record(&mut stats, conn, LinkSeq { src, dst, seq }, &s.blob);
+                }
             }
             if resent > 0 {
                 stats.record_frames_resent(resent);
             }
         }
-        let ci = alloc_conn(&mut st.conns, conn);
-        link.conn = Some(ci);
-        self.flush_conn(st, ci);
+        for old in replaced {
+            self.close_conn(st, old);
+        }
+        self.dial_uncovered();
     }
 
-    /// Gives up on a link: everything sealed-but-unsettled and everything
-    /// still pending is accounted as abandoned (the signal that teardown
-    /// reconciliation may not balance — an un-acked frame might or might
-    /// not have been consumed remotely).
-    fn abandon_link(&mut self, st: &mut LoopState, li: usize) {
+    /// Gives up on one link: everything sealed-but-unsettled and
+    /// everything still pending is accounted as abandoned (the signal that
+    /// teardown reconciliation may not balance — an un-acked frame might or
+    /// might not have been consumed remotely). The route it was on keeps
+    /// carrying the other links.
+    fn abandon_link(&mut self, li: usize) {
         let link = &mut self.links[li];
         if link.abandoned {
             return;
         }
         link.abandoned = true;
+        link.conn = None;
         let mut msgs: u64 = link.resend.iter().map(|s| s.msgs).sum();
         msgs += link.batcher.drain_remaining().len() as u64;
         link.resend.clear();
-        if let Some(ci) = link.conn.take() {
-            self.close_conn(st, ci);
-        }
         let mut stats = self.stats.lock();
         stats.record_link_abandoned();
         stats.record_messages_abandoned(msgs);
@@ -1026,13 +1147,12 @@ impl<A: Automaton> Reactor<A> {
     fn drain_cmds(&mut self, st: &mut LoopState) -> bool {
         loop {
             match self.cmd_rx.try_recv() {
-                Ok(Cmd::AdoptRecv {
-                    src,
-                    dst,
+                Ok(Cmd::AdoptRoute {
+                    hello,
                     stream,
                     carry,
-                }) => self.adopt_recv(st, src, dst, stream, carry),
-                Ok(Cmd::DialDone { li, result }) => self.dial_done(st, li, result),
+                }) => self.adopt_route(st, hello, stream, carry),
+                Ok(Cmd::DialDone { hello, result }) => self.dial_done(st, &hello, result),
                 Ok(Cmd::Sever) => {
                     for conn in st.conns.iter().flatten() {
                         if !matches!(conn.kind, ConnKind::Handshake { .. }) {
@@ -1062,9 +1182,9 @@ impl<A: Automaton> Reactor<A> {
     }
 
     /// During a drain: signal `done_tx` once every owned link has settled
-    /// (resend empty, nothing pending, all write buffers flushed). Past
-    /// the grace deadline, force-abandon what's left and signal anyway —
-    /// a peer that will never ack must not hang teardown.
+    /// (resend empty, nothing pending, all route write buffers flushed).
+    /// Past the grace deadline, force-abandon what's left and signal
+    /// anyway — a peer that will never ack must not hang teardown.
     fn check_drained(&mut self, st: &mut LoopState, now: Instant) {
         if !st.draining || st.done_sent {
             return;
@@ -1073,7 +1193,7 @@ impl<A: Automaton> Reactor<A> {
         if expired {
             for li in 0..self.links.len() {
                 if !self.links[li].drained() {
-                    self.abandon_link(st, li);
+                    self.abandon_link(li);
                 }
             }
         }
@@ -1082,7 +1202,7 @@ impl<A: Automaton> Reactor<A> {
             .conns
             .iter()
             .flatten()
-            .all(|c| c.wbuf.is_empty() || !matches!(c.kind, ConnKind::Send { .. }));
+            .all(|c| c.wbuf.is_empty() || !matches!(c.kind, ConnKind::Out));
         if expired || (links_done && writes_done) {
             st.done_sent = true;
             // Stop treating the grace deadline as a poll deadline — the
@@ -1109,8 +1229,8 @@ fn alloc_conn(conns: &mut Vec<Option<Conn>>, conn: Conn) -> usize {
 /// carry their own backoff schedule; a failed attempt is re-queued with
 /// exponential backoff until the policy's budget runs out, at which point
 /// the owning reactor gets a `DialDone { result: None }` and abandons the
-/// link. Serializing dials also keeps any one listener's accept backlog
-/// shallow during the initial mesh build.
+/// route's links. Serializing dials also keeps any one listener's accept
+/// backlog shallow while the routes form.
 pub(crate) fn dialer_loop(
     dial_rx: &Receiver<DialReq>,
     cmd_txs: &[Sender<Cmd>],
@@ -1118,6 +1238,11 @@ pub(crate) fn dialer_loop(
     policy: ReconnectPolicy,
 ) {
     let mut queue: Vec<DialReq> = Vec::new();
+    let reply = |thread: usize, cmd: Cmd| {
+        if cmd_txs[thread].send(cmd).is_ok() {
+            wakers[thread].wake();
+        }
+    };
     loop {
         let now = Instant::now();
         let mut i = 0;
@@ -1128,29 +1253,23 @@ pub(crate) fn dialer_loop(
             }
             let req = queue.swap_remove(i);
             match try_dial(&req, &policy) {
-                Ok(done) => {
-                    if cmd_txs[req.thread]
-                        .send(Cmd::DialDone {
-                            li: req.li,
-                            result: Some(done),
-                        })
-                        .is_ok()
-                    {
-                        wakers[req.thread].wake();
-                    }
-                }
+                Ok(done) => reply(
+                    req.thread,
+                    Cmd::DialDone {
+                        hello: req.hello,
+                        result: Some(done),
+                    },
+                ),
                 Err(_) => {
                     let attempt = req.attempt + 1;
                     if attempt >= policy.max_attempts {
-                        if cmd_txs[req.thread]
-                            .send(Cmd::DialDone {
-                                li: req.li,
+                        reply(
+                            req.thread,
+                            Cmd::DialDone {
+                                hello: req.hello,
                                 result: None,
-                            })
-                            .is_ok()
-                        {
-                            wakers[req.thread].wake();
-                        }
+                            },
+                        );
                     } else {
                         queue.push(DialReq {
                             attempt,
@@ -1182,19 +1301,33 @@ pub(crate) fn dialer_loop(
     }
 }
 
-/// One blocking dial + handshake round trip.
-fn try_dial(req: &DialReq, policy: &ReconnectPolicy) -> io::Result<(TcpStream, u64)> {
+/// One blocking dial + handshake round trip. A welcome that does not
+/// answer the hello, or anything sent after it before a record could have
+/// arrived, fails the attempt.
+fn try_dial(req: &DialReq, policy: &ReconnectPolicy) -> io::Result<(TcpStream, RouteWelcome)> {
+    let bad = || io::Error::new(io::ErrorKind::InvalidData, "bad route welcome");
     let mut stream = TcpStream::connect_timeout(&req.addr, policy.dial_timeout)?;
     stream.set_nodelay(true)?;
     stream.write_all(&req.hello.encode())?;
     stream.set_read_timeout(Some(policy.handshake_timeout))?;
-    let mut buf = [0u8; WELCOME_LEN];
-    stream.read_exact(&mut buf)?;
-    let welcome = LinkWelcome::decode(&buf)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad link welcome"))?;
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    let welcome = loop {
+        match RouteWelcome::decode(&buf) {
+            Ok((welcome, used)) if used == buf.len() && welcome.answers(&req.hello) => {
+                break welcome
+            }
+            Err(WireError::Truncated) => {}
+            _ => return Err(bad()),
+        }
+        match stream.read(&mut chunk)? {
+            0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+            n => buf.extend_from_slice(&chunk[..n]),
+        }
+    };
     stream.set_read_timeout(None)?;
     stream.set_nonblocking(true)?;
-    Ok((stream, welcome.last_delivered))
+    Ok((stream, welcome))
 }
 
 #[cfg(test)]

@@ -141,9 +141,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build(0u64, |id| TwoBitProcess::new(id, cfg, writer, 0u64))?;
     run("runtime", &mut cluster)?;
 
-    // Backend 3: the reactor over real loopback TCP — one socket per
-    // ordered process pair, each frame a sequence-numbered byte blob, every
-    // process and link on a fixed event-loop pool. Same workload, same checks.
+    // Backend 3: the reactor over real loopback TCP — one socket per pair
+    // of event loops, each frame a byte blob sequence-numbered on its
+    // ordered link, every process and link on a fixed event-loop pool.
+    // Same workload, same checks.
     let mut node = ReactorClusterBuilder::new(cfg)
         .build(0u64, |id| TwoBitProcess::new(id, cfg, writer, 0u64))?;
     run("reactor", &mut node)?;

@@ -152,9 +152,9 @@
 //! per message in the byte stream. The deterministic backends prove
 //! fidelity on demand (`SpaceBuilder::wire_codec(true)`,
 //! `ClusterBuilder::wire_codec(true)`: every frame is delivered from its
-//! decoded bytes); the socket backend has no other mode — one TCP
-//! connection per ordered process pair, carrying sequence-numbered frame
-//! blobs.
+//! decoded bytes); the socket backend has no other mode — sequence-numbered
+//! frame blobs, each naming its ordered link, with every link between two
+//! event loops sharing one TCP connection.
 //!
 //! That backend is the reactor ([`ReactorNodeBuilder`], crate
 //! `twobit-reactor`). A thread pair per ordered link is transparent at
@@ -165,7 +165,8 @@
 //! handler inline and batches what the handler sends — no process
 //! threads, no channel hop per message — so a node runs
 //! `min(pool_size, hosted processes) + 1` threads no matter how many
-//! links it owns. It deploys **across hosts** (split `listen(addr)` →
+//! links it owns, and one socket per *route* (sending loop → receiving
+//! loop) carries every link between two loops, written once per pass. It deploys **across hosts** (split `listen(addr)` →
 //! report the bound port → `join(peer_map)`) and gives the paper's
 //! reliable channels over sockets that fail, by **reconnect-and-resend**
 //! — a transiently failed socket re-dials with backoff and replays

@@ -15,11 +15,13 @@
 //!   is free, which `safe_read_cache_allocates_less_than_its_protocol_twin`
 //!   holds end to end.
 //!
-//! It also holds the decoder's other promise: whatever bytes arrive —
-//! random, or a valid frame with bits flipped — `Frame::decode`,
-//! `Frame::decode_shared` and `FrameHeader::decode` return a typed
-//! `WireError` or a frame, never panic, and never allocate more than a
-//! fixed multiple of the input's length.
+//! It also holds the decoders' other promise: whatever bytes arrive —
+//! random, or a valid encoding with bits flipped — `Frame::decode`,
+//! `Frame::decode_shared` and `FrameHeader::decode`, and the reactor's
+//! route decoders (`RouteHello::decode`, `RouteWelcome::decode`, the record
+//! splitter and the ack parser), return a typed `WireError` or a value,
+//! never panic, and never allocate more than a fixed multiple of the
+//! input's length.
 //!
 //! Counters are per thread, so the tests of this binary can run in
 //! parallel without seeing each other's allocations.
@@ -35,6 +37,9 @@ use proptest::prelude::*;
 use twobit::baselines::mwmr::{MwmrMsg, Timestamp};
 use twobit::cache::{cache_pair, CacheDecision, CacheMode};
 use twobit::core::msg::{Parity, TwoBitMsg};
+use twobit::proto::linkseq::{
+    self, LinkSeq, RouteHello, RouteWelcome, HELLO_MAGIC, LINK_SEQ_LEN, WELCOME_MAGIC,
+};
 use twobit::proto::{
     BufferPool, Bytes, Effects, Envelope, Frame, FrameHeader, ProcessId, RegisterId, ShardSet,
     SystemConfig, WireError, WireMessage,
@@ -359,6 +364,75 @@ fn hostile_body() -> impl Strategy<Value = Vec<u8>> {
         })
 }
 
+/// Feeds `bytes` to every decoder that faces a route socket: the hello and
+/// welcome decoders within the frame decoders' allocation budget, the
+/// record splitter and the ack parser without allocating at all. Whatever
+/// decodes re-encodes to exactly the bytes it took.
+fn route_decoders_within_budget(bytes: &[u8]) -> Result<(), String> {
+    let (hello, _, requested) = measured(|| RouteHello::decode(bytes));
+    let budget = decode_budget::<ProcessId>(bytes.len());
+    prop_assert!(
+        requested <= budget,
+        "RouteHello::decode requested {requested} B for {} input bytes (budget {budget})",
+        bytes.len()
+    );
+    if let Ok((hello, used)) = hello {
+        prop_assert_eq!(hello.encode(), bytes[..used].to_vec(), "hello re-encodes");
+    }
+    let (welcome, _, requested) = measured(|| RouteWelcome::decode(bytes));
+    let budget = decode_budget::<LinkSeq>(bytes.len());
+    prop_assert!(
+        requested <= budget,
+        "RouteWelcome::decode requested {requested} B for {} input bytes (budget {budget})",
+        bytes.len()
+    );
+    if let Ok((welcome, used)) = welcome {
+        prop_assert_eq!(
+            welcome.encode(),
+            bytes[..used].to_vec(),
+            "welcome re-encodes"
+        );
+    }
+    let (record, allocs, _) = measured(|| linkseq::split_record(bytes));
+    prop_assert_eq!(allocs, 0, "the record splitter allocates nothing");
+    if let Ok(Some((_, total))) = record {
+        prop_assert!(total <= bytes.len(), "a record longer than its input");
+    }
+    let (ack, allocs, _) = measured(|| LinkSeq::decode(bytes));
+    prop_assert_eq!(allocs, 0, "the ack parser allocates nothing");
+    if let Ok(ack) = ack {
+        let mut again = Vec::new();
+        ack.encode_into(&mut again);
+        prop_assert_eq!(again, bytes[..LINK_SEQ_LEN].to_vec(), "ack re-encodes");
+    }
+    Ok(())
+}
+
+/// Bytes biased toward what a route handshake parser finds plausible: a
+/// real magic, a zero reserved word and small counts up front most of the
+/// time, anything behind them.
+fn hostile_route_bytes() -> impl Strategy<Value = Vec<u8>> {
+    (
+        prop_oneof![
+            Just(HELLO_MAGIC.to_vec()),
+            Just(WELCOME_MAGIC.to_vec()),
+            prop::collection::vec(any::<u8>(), 0..8),
+        ],
+        prop_oneof![Just(vec![0u8; 4]), prop::collection::vec(any::<u8>(), 0..4)],
+        (0u32..6, 0u32..6),
+        prop::collection::vec(prop_oneof![Just(0u8), Just(0xFFu8), any::<u8>()], 0..120),
+    )
+        .prop_map(|(mut out, reserved, (a, b), tail)| {
+            if out != WELCOME_MAGIC {
+                out.extend(reserved);
+            }
+            out.extend(a.to_be_bytes());
+            out.extend(b.to_be_bytes());
+            out.extend(tail);
+            out
+        })
+}
+
 proptest! {
     #[test]
     fn arbitrary_bytes_never_panic_or_blow_up_a_decoder(body in hostile_body()) {
@@ -409,5 +483,47 @@ proptest! {
         decode_within_budget::<TwoBitMsg<Bytes>>(&blob)?;
         let blob = corrupt(Frame::from_envelopes(counters).encode().expect("codec"));
         decode_within_budget::<MwmrMsg<u64>>(&blob)?;
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_or_blow_up_a_route_decoder(bytes in hostile_route_bytes()) {
+        route_decoders_within_budget(&bytes)?;
+    }
+
+    #[test]
+    fn corrupted_route_bytes_never_panic_or_blow_up_a_route_decoder(
+        srcs in prop::collection::vec(0u16..64, 0..6),
+        dsts in prop::collection::vec(0u16..64, 0..6),
+        seqs in prop::collection::vec(any::<u64>(), 1..6),
+        flips in prop::collection::vec((any::<u16>(), 0u8..8), 1..6),
+    ) {
+        let ids = |v: Vec<u16>| {
+            let mut v: Vec<ProcessId> = v.into_iter().map(|i| ProcessId::new(i.into())).collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        let hello = RouteHello { srcs: ids(srcs), dsts: ids(dsts) }.encode();
+        let links: Vec<LinkSeq> = seqs
+            .iter()
+            .enumerate()
+            .map(|(i, &seq)| LinkSeq { src: ProcessId::new(i), dst: ProcessId::new(i + 1), seq })
+            .collect();
+        let welcome = RouteWelcome { links: links.clone() }.encode();
+        let blob = Frame::from_envelopes(batch(3)).encode().expect("codec");
+        let mut records = Vec::new();
+        for link in links {
+            linkseq::encode_record(link, &blob, &mut records);
+            link.encode_into(&mut records);
+        }
+        for clean in [hello, welcome, records] {
+            route_decoders_within_budget(&clean)?;
+            let mut bytes = clean;
+            for &(at, bit) in &flips {
+                let at = at as usize % bytes.len();
+                bytes[at] ^= 1 << bit;
+            }
+            route_decoders_within_budget(&bytes)?;
+        }
     }
 }

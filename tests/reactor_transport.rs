@@ -1,7 +1,8 @@
-//! Integration tests for the reactor transport: flat thread count under
-//! many links, reconnect-and-resend accounting, the two-node listen/join
-//! deployment path, and the failure paths of a real socket — hostile bytes
-//! and a peer that never comes back.
+//! Integration tests for the reactor transport: flat thread and socket
+//! counts under many links, reconnect-and-resend accounting, the two-node
+//! listen/join deployment path, and the failure paths of a real socket —
+//! hostile bytes, one link's fate inside a shared route, and a peer that
+//! never comes back.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -12,8 +13,10 @@ use std::time::{Duration, Instant};
 
 use twobit::core::TwoBitMsg;
 use twobit::lincheck::{check_swmr, check_swmr_sharded};
-use twobit::proto::linkseq::{self, LinkHello, LinkWelcome, ACK_LEN, HELLO_LEN, WELCOME_LEN};
-use twobit::proto::MAX_FRAME_BODY_BYTES;
+use twobit::proto::linkseq::{
+    self, LinkSeq, RouteHello, RouteWelcome, LINK_SEQ_LEN, WELCOME_HEADER_LEN,
+};
+use twobit::proto::{WireError, MAX_FRAME_BODY_BYTES};
 use twobit::{
     Driver, DriverError, Envelope, FlushPolicy, FlushReason, Frame, Lifecycle, ProcessId,
     ReactorClusterBuilder, ReactorNode, ReactorNodeBuilder, ReconnectPolicy, RegisterId,
@@ -77,6 +80,53 @@ fn thread_count_is_flat_in_the_link_count() {
     );
 }
 
+/// How many file descriptors this process holds open (from
+/// `/proc/self/fd`); `None` off-Linux.
+fn os_fd_count() -> Option<usize> {
+    Some(std::fs::read_dir("/proc/self/fd").ok()?.count())
+}
+
+/// Satellite: sockets are per route, not per link. An all-local node at
+/// `pool_size(4)` carries its n(n−1) links on 4 × 4 route connections (two
+/// descriptors each, both ends being here) beside its listener and wakers,
+/// for n = 16 (240 links) as for n = 64 (4032); a socket per link would
+/// hold 2·n(n−1) descriptors: 480 and 8064.
+#[test]
+fn sockets_are_flat_in_the_link_count() {
+    for n in [16, 64] {
+        let cfg = SystemConfig::max_resilience(n);
+        let writer = ProcessId::new(0);
+        let before = os_fd_count();
+        let mut node = ReactorClusterBuilder::new(cfg)
+            .pool_size(4)
+            .build(0u64, |id| TwoBitProcess::new(id, cfg, writer, 0u64))
+            .expect("reactor cluster starts");
+        // A read at every process sends on every link, so once the books
+        // balance every route the node will ever need is up.
+        for p in 0..n {
+            assert_eq!(node.read(ProcessId::new(p), RegisterId::ZERO).unwrap(), 0);
+        }
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let stats = node.stats();
+            if stats.total_delivered() == stats.total_sent() {
+                break;
+            }
+            assert!(Instant::now() < deadline, "n={n}: never quiesced");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        if let (Some(b), Some(a)) = (before, os_fd_count()) {
+            // Slack for sibling tests starting their own nodes meanwhile.
+            let added = a.saturating_sub(b);
+            assert!(added < 150, "{added} descriptors for {} links", n * (n - 1));
+        }
+        let (history, stats) = node.shutdown();
+        check_swmr(history.shard(RegisterId::ZERO).unwrap()).unwrap();
+        assert_eq!(stats.links_abandoned(), 0);
+        assert_eq!(stats.reconnects(), 0);
+    }
+}
+
 /// Tentpole acceptance: 64 processes × 64 shards — 4032 ordered links —
 /// on one box, still `pool + dialer` threads, still atomic.
 #[test]
@@ -86,8 +136,8 @@ fn sixty_four_procs_sixty_four_shards_on_one_box() {
     let mut node = ReactorClusterBuilder::new(cfg)
         .pool_size(4)
         .registers(64)
-        // The mesh is 4032 dials through one serializing dialer; give
-        // the first operation time to ride out the build-up.
+        // The first operation waits for the routes to form (16 dials
+        // through one serializing dialer); a slow box gets ample time.
         .op_timeout(Duration::from_secs(120))
         .drain_grace(Duration::from_secs(10))
         .build_sharded(0u64, |_reg, id| TwoBitProcess::new(id, cfg, writer, 0u64))
@@ -404,10 +454,11 @@ fn short_burst_then_silence_drains_with_nothing_abandoned() {
     );
 }
 
-/// The far end of the reactor's link protocol, scripted: stands in for the
-/// node hosting p1 and p2. Accepts the links the node under test dials,
-/// welcomes each at its cursor, acks every record at once and counts the
-/// messages of every fresh one.
+/// The far end of the reactor's route protocol, scripted: stands in for the
+/// node hosting p1 and p2. Accepts the routes the node under test dials,
+/// welcomes every named link toward p1 or p2 at its cursor, acks every
+/// record at once — except on the link toward `silent`, if any — and
+/// counts the messages of every fresh one.
 struct ScriptedPeer {
     addr: SocketAddr,
     received: Arc<AtomicU64>,
@@ -415,14 +466,20 @@ struct ScriptedPeer {
     acceptor: std::thread::JoinHandle<()>,
 }
 
+type Cursors = Mutex<HashMap<(ProcessId, ProcessId), u64>>;
+
 impl ScriptedPeer {
     fn start() -> Self {
+        Self::never_acking(None)
+    }
+
+    fn never_acking(silent: Option<ProcessId>) -> Self {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
         let addr = listener.local_addr().unwrap();
         let received = Arc::new(AtomicU64::new(0));
         let stop = Arc::new(AtomicBool::new(false));
-        let cursors: Arc<Mutex<HashMap<(ProcessId, ProcessId), u64>>> = Arc::default();
+        let cursors: Arc<Cursors> = Arc::default();
         let (received_a, stop_a) = (Arc::clone(&received), Arc::clone(&stop));
         let acceptor = std::thread::spawn(move || {
             let mut conns = Vec::new();
@@ -434,7 +491,7 @@ impl ScriptedPeer {
                 stream.set_nonblocking(false).unwrap();
                 let (cursors, received) = (Arc::clone(&cursors), Arc::clone(&received_a));
                 conns.push(std::thread::spawn(move || {
-                    Self::serve(stream, &cursors, &received);
+                    Self::serve(stream, &cursors, &received, silent);
                 }));
             }
             for h in conns {
@@ -449,40 +506,64 @@ impl ScriptedPeer {
         }
     }
 
-    /// One inbound connection, until the node hangs up.
+    /// One inbound route, until the node hangs up.
     fn serve(
         mut stream: TcpStream,
-        cursors: &Mutex<HashMap<(ProcessId, ProcessId), u64>>,
+        cursors: &Cursors,
         received: &AtomicU64,
+        silent: Option<ProcessId>,
     ) {
-        let mut hello = [0u8; HELLO_LEN];
-        if stream.read_exact(&mut hello).is_err() {
-            return;
-        }
-        let LinkHello { src, dst } = LinkHello::decode(&hello).unwrap();
-        let last_delivered = *cursors.lock().unwrap().entry((src, dst)).or_insert(0);
-        stream
-            .write_all(&LinkWelcome { last_delivered }.encode())
-            .unwrap();
         let mut buf = Vec::new();
         let mut chunk = [0u8; 4096];
+        let hello = loop {
+            match RouteHello::decode(&buf) {
+                Ok((hello, used)) => {
+                    buf.drain(..used);
+                    break hello;
+                }
+                Err(WireError::Truncated) => match stream.read(&mut chunk) {
+                    Ok(0) | Err(_) => return,
+                    Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                },
+                Err(e) => panic!("the node sent a bad hello: {e}"),
+            }
+        };
+        // Every named src toward every named dst this peer hosts.
+        let mut welcome = RouteWelcome::default();
+        for &dst in hello.dsts.iter().filter(|d| [1, 2].contains(&d.index())) {
+            for &src in hello.srcs.iter().filter(|&&s| s != dst) {
+                let seq = *cursors.lock().unwrap().entry((src, dst)).or_insert(0);
+                welcome.links.push(LinkSeq { src, dst, seq });
+            }
+        }
+        stream.write_all(&welcome.encode()).unwrap();
         loop {
+            while let Some((head, total)) = linkseq::split_record(&buf).unwrap() {
+                assert!(
+                    welcome
+                        .links
+                        .iter()
+                        .any(|l| (l.src, l.dst) == (head.src, head.dst)),
+                    "a record for a link the route never attached"
+                );
+                let mut cursors = cursors.lock().unwrap();
+                let cursor = cursors.get_mut(&(head.src, head.dst)).unwrap();
+                if head.seq > *cursor {
+                    *cursor = head.seq;
+                    let frame = Frame::<TwoBitMsg<u64>>::decode(&buf[linkseq::LINK_SEQ_LEN..total])
+                        .unwrap();
+                    received.fetch_add(frame.len() as u64, Ordering::SeqCst);
+                }
+                if silent != Some(head.dst) {
+                    let mut ack = Vec::new();
+                    head.encode_into(&mut ack);
+                    let _ = stream.write_all(&ack);
+                }
+                buf.drain(..total);
+            }
             match stream.read(&mut chunk) {
                 Ok(0) | Err(_) => return,
                 Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            }
-            while let Some((seq, total)) = linkseq::split_record(&buf).unwrap() {
-                let mut cursors = cursors.lock().unwrap();
-                let cursor = cursors.get_mut(&(src, dst)).unwrap();
-                if seq > *cursor {
-                    *cursor = seq;
-                    let frame =
-                        Frame::<TwoBitMsg<u64>>::decode(&buf[linkseq::SEQ_PREFIX_LEN..total])
-                            .unwrap();
-                    received.fetch_add(frame.len() as u64, Ordering::SeqCst);
-                }
-                let _ = stream.write_all(&seq.to_be_bytes());
-                buf.drain(..total);
             }
         }
     }
@@ -503,16 +584,18 @@ impl ScriptedPeer {
 }
 
 /// A real node hosting p0 alone, with `peer` standing in for the node that
-/// hosts p1 and p2.
-fn node_hosting_p0(peer: &ScriptedPeer) -> ReactorNode<TwoBitProcess<u64>> {
+/// hosts p1 and p2; `tune` adjusts the builder.
+fn node_hosting_p0_with(
+    peer: &ScriptedPeer,
+    tune: impl FnOnce(ReactorNodeBuilder) -> ReactorNodeBuilder,
+) -> ReactorNode<TwoBitProcess<u64>> {
     let cfg = SystemConfig::max_resilience(3);
     let writer = ProcessId::new(0);
     let peers = HashMap::from([
         (ProcessId::new(1), peer.addr),
         (ProcessId::new(2), peer.addr),
     ]);
-    ReactorNodeBuilder::new(cfg)
-        .host([0usize])
+    tune(ReactorNodeBuilder::new(cfg).host([0usize]))
         .flush_policy(FlushPolicy::immediate())
         .listen("127.0.0.1:0")
         .expect("node binds")
@@ -522,50 +605,87 @@ fn node_hosting_p0(peer: &ScriptedPeer) -> ReactorNode<TwoBitProcess<u64>> {
         .expect("node joins")
 }
 
-/// Dials the node as link `p1 → p0`; returns the socket and the resume
-/// point the node's welcome names.
-fn dial_p1_to_p0(node_addr: SocketAddr) -> (TcpStream, u64) {
+fn node_hosting_p0(peer: &ScriptedPeer) -> ReactorNode<TwoBitProcess<u64>> {
+    node_hosting_p0_with(peer, |b| b)
+}
+
+/// Dials the node as a route from the scripted processes `srcs` toward p0;
+/// returns the socket and the links the node's welcome attached.
+fn dial_route(node_addr: SocketAddr, srcs: &[usize]) -> (TcpStream, Vec<LinkSeq>) {
     let mut stream = TcpStream::connect(node_addr).unwrap();
     stream.set_nodelay(true).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-    let hello = LinkHello {
-        src: ProcessId::new(1),
-        dst: ProcessId::new(0),
+    let hello = RouteHello {
+        srcs: srcs.iter().copied().map(ProcessId::new).collect(),
+        dsts: vec![ProcessId::new(0)],
     };
     stream.write_all(&hello.encode()).unwrap();
-    let mut welcome = [0u8; WELCOME_LEN];
-    stream.read_exact(&mut welcome).unwrap();
-    (
-        stream,
-        LinkWelcome::decode(&welcome).unwrap().last_delivered,
-    )
+    let mut header = [0u8; WELCOME_HEADER_LEN];
+    stream.read_exact(&mut header).unwrap();
+    let count = u32::from_be_bytes(header[4..].try_into().unwrap()) as usize;
+    let mut welcome = header.to_vec();
+    welcome.resize(WELCOME_HEADER_LEN + count * LINK_SEQ_LEN, 0);
+    stream
+        .read_exact(&mut welcome[WELCOME_HEADER_LEN..])
+        .unwrap();
+    let (welcome, _) = RouteWelcome::decode(&welcome).unwrap();
+    (stream, welcome.links)
 }
 
-/// Records `seqs`, each one frame carrying one `READ` for `r0`, as bytes.
-fn read_records(seqs: std::ops::RangeInclusive<u64>) -> Vec<u8> {
+/// Dials the node as a route carrying link `p1 → p0` alone; returns the
+/// socket and the resume point the node's welcome names.
+fn dial_p1_to_p0(node_addr: SocketAddr) -> (TcpStream, u64) {
+    let (stream, links) = dial_route(node_addr, &[1]);
+    assert_eq!(links.len(), 1, "one named src, one hosted dst: one link");
+    assert_eq!(
+        (links[0].src, links[0].dst),
+        (ProcessId::new(1), ProcessId::new(0))
+    );
+    (stream, links[0].seq)
+}
+
+/// Records `seqs` on link `src → p0`, each one frame carrying one `READ`
+/// for `r0`, as bytes.
+fn read_records_from(src: usize, seqs: std::ops::RangeInclusive<u64>) -> Vec<u8> {
     let blob = Frame::from_envelopes([Envelope::new(RegisterId::ZERO, TwoBitMsg::<u64>::Read)])
         .encode()
         .unwrap();
     let mut out = Vec::new();
     for seq in seqs {
-        linkseq::encode_record(seq, &blob, &mut out);
+        let link = LinkSeq {
+            src: ProcessId::new(src),
+            dst: ProcessId::new(0),
+            seq,
+        };
+        linkseq::encode_record(link, &blob, &mut out);
     }
     out
 }
 
-/// Reads cumulative acks until one covers `want`; they never go backwards.
+/// Records `seqs` on link `p1 → p0`.
+fn read_records(seqs: std::ops::RangeInclusive<u64>) -> Vec<u8> {
+    read_records_from(1, seqs)
+}
+
+/// Reads cumulative acks on `p1 → p0` until one covers `want`; they never
+/// go backwards.
 fn await_ack(stream: &mut TcpStream, want: u64) -> u64 {
     let mut last = 0;
     while last < want {
-        let mut ack = [0u8; ACK_LEN];
+        let mut ack = [0u8; LINK_SEQ_LEN];
         stream
             .read_exact(&mut ack)
             .expect("the ack arrives in time");
-        let ack = u64::from_be_bytes(ack);
-        assert!(ack >= last, "acks are cumulative: {ack} after {last}");
-        last = ack;
+        let ack = LinkSeq::decode(&ack).unwrap();
+        assert_eq!((ack.src, ack.dst), (ProcessId::new(1), ProcessId::new(0)));
+        assert!(
+            ack.seq >= last,
+            "acks are cumulative: {} after {last}",
+            ack.seq
+        );
+        last = ack.seq;
     }
     last
 }
@@ -652,6 +772,18 @@ fn await_hangup(stream: &mut TcpStream) -> Vec<u8> {
     rest
 }
 
+/// The 16-byte link prefix of a record on `p1 → p0`.
+fn p1_to_p0_prefix(seq: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    LinkSeq {
+        src: ProcessId::new(1),
+        dst: ProcessId::new(0),
+        seq,
+    }
+    .encode_into(&mut out);
+    out
+}
+
 /// Satellite: hostile bytes on a link. The peer is crash-prone, not
 /// byzantine, so a record no correct sender could have produced means the
 /// stream is corrupt from there on: the node must refuse the length before
@@ -663,7 +795,7 @@ fn await_hangup(stream: &mut TcpStream) -> Vec<u8> {
 fn hostile_bytes_close_the_connection_and_spare_the_node() {
     let peer = ScriptedPeer::start();
     let node = node_hosting_p0(&peer);
-    let seq_one = 1u64.to_be_bytes();
+    let seq_one = p1_to_p0_prefix(1);
 
     // A length prefix past the frame bound.
     let oversized = [&seq_one[..], &(MAX_FRAME_BODY_BYTES + 1).to_be_bytes()].concat();
@@ -706,6 +838,83 @@ fn hostile_bytes_close_the_connection_and_spare_the_node() {
         2,
         "the two poisonings, not the truncation"
     );
+}
+
+/// Satellite: one link's fate inside a shared route. p0 → p1 and p0 → p2
+/// ride one connection to the scripted peer, which acks the first and
+/// never the second. Under an eight-frame resend cap the ninth un-acked
+/// PROCEED toward p2 gives that link up — alone: the route stays up and
+/// p0 → p1 keeps delivering on it.
+#[test]
+fn a_resend_overflow_abandons_one_link_and_spares_its_route() {
+    let p2 = ProcessId::new(2);
+    let peer = ScriptedPeer::never_acking(Some(p2));
+    let node = node_hosting_p0_with(&peer, |b| b.resend_buffer(8));
+    let (mut route, links) = dial_route(node.local_addr(), &[1, 2]);
+    assert_eq!(links.len(), 2, "p1 → p0 and p2 → p0 share the route");
+
+    // Each READ from p2 is answered by one PROCEED frame on p0 → p2.
+    for seq in 1..=8 {
+        route.write_all(&read_records_from(2, seq..=seq)).unwrap();
+        peer.await_received(seq);
+    }
+    route.write_all(&read_records_from(2, 9..=9)).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while node.stats().links_abandoned() == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the ninth frame never overflowed"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // p0 → p1 rides the same route and is untouched.
+    route.write_all(&read_records_from(1, 1..=3)).unwrap();
+    peer.await_received(8 + 3);
+    let (_, stats) = node.shutdown();
+    drop(route);
+    peer.finish();
+    assert_eq!(stats.links_abandoned(), 1, "p0 → p2 alone");
+    assert_eq!(stats.reconnects(), 0, "the route never went down");
+    assert_eq!(stats.total_delivered(), 12, "every READ handled once");
+    assert_eq!(
+        stats.messages_abandoned(),
+        9,
+        "the nine PROCEEDs p2 never acked: locally undecidable"
+    );
+}
+
+/// Satellite: a well-framed record naming a link the route's hello never
+/// attached could not come from a correct peer — whether the link is
+/// unknown to the node or carried by another of its routes. The node hangs
+/// up, books it like any poisoned stream, and delivers nothing.
+#[test]
+fn a_record_on_an_unattached_link_poisons_the_route() {
+    let peer = ScriptedPeer::start();
+    let node = node_hosting_p0(&peer);
+    // p2 → p0 is first unknown, then carried by a route of its own.
+    let mut elsewhere = None;
+    for what in ["an unknown link", "another route's link"] {
+        let before = node.stats().links_abandoned();
+        let (mut route, links) = dial_route(node.local_addr(), &[1]);
+        assert_eq!(links.len(), 1, "{what}: p1 → p0 only");
+        route.write_all(&read_records_from(2, 1..=1)).unwrap();
+        assert!(
+            await_hangup(&mut route).is_empty(),
+            "{what}: hung up on, never acked"
+        );
+        let stats = node.stats();
+        assert_eq!(
+            stats.links_abandoned(),
+            before + 1,
+            "{what}: the poisoning is booked"
+        );
+        assert_eq!(stats.total_delivered(), 0, "{what}: nothing delivered");
+        elsewhere = Some(dial_route(node.local_addr(), &[2]));
+    }
+    drop(node.shutdown());
+    drop(elsewhere);
+    peer.finish();
 }
 
 /// Satellite: a peer gone for good. Reconnect-and-resend makes a failed
