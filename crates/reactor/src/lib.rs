@@ -4,12 +4,12 @@
 //! A reader and a writer thread per ordered link is fine at `n = 3` and
 //! ruinous at `n = 64` (4032 links → 8064 threads). This crate runs *all*
 //! of a node's hosted processes, with all of their links, to completion on
-//! a small fixed pool of event-loop threads built on a vendored
-//! `poll(2)`/`ppoll(2)` readiness poller ([`poller`]) — no `mio`, no `libc`
-//! crate, no new dependencies. The loop that owns a process reads its frames, runs its
-//! handler inline and batches what the handler sends, so a message never
-//! changes threads inside a node. A node's thread count is
-//! `min(pool_size, hosted processes) + 1 (dialer)`, independent of the
+//! a pool of event-loop threads — one per core by default — built on a
+//! vendored `poll(2)`/`ppoll(2)` readiness poller ([`poller`]) — no `mio`,
+//! no `libc` crate, no new dependencies. The loop that owns a process reads
+//! its frames, runs its handler inline and batches what the handler sends,
+//! so a message never changes threads inside a node. A node's thread count
+//! is `min(pool_size, hosted processes) + 1 (dialer)`, independent of the
 //! link count, and so is its socket count: one TCP connection per *route*
 //! — from a sending loop to a receiving loop — carries every ordered link
 //! between their processes (at most `pool²` connections on an all-local

@@ -21,6 +21,7 @@
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, ToSocketAddrs};
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -62,12 +63,13 @@ impl ReactorNodeBuilder {
     /// Starts configuring a node of a `cfg.n()`-process deployment. By
     /// default the node hosts *all* processes (a single-node cluster) —
     /// call [`ReactorNodeBuilder::host`] to restrict it to a subset for a
-    /// multi-host deployment.
+    /// multi-host deployment — on one event loop per core available to
+    /// this process (see [`ReactorNodeBuilder::pool_size`]).
     pub fn new(cfg: SystemConfig) -> Self {
         ReactorNodeBuilder {
             cfg,
             local: (0..cfg.n()).map(ProcessId::new).collect(),
-            pool_size: 4,
+            pool_size: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
             deploy: DeployConfig::default(),
             resend_cap: 4096,
             reconnect: ReconnectPolicy::default(),
@@ -82,11 +84,15 @@ impl ReactorNodeBuilder {
         self
     }
 
-    /// Sets the reactor pool size (default 4): the number of event-loop
-    /// threads this node's hosted processes — each with its handler, its
-    /// outbound links and the receive side of its inbound ones — are dealt
-    /// over, clamped to the number of hosted processes (a loop with no
-    /// process would own nothing). The node's thread count is
+    /// Sets the reactor pool size: the number of event-loop threads this
+    /// node's hosted processes — each with its handler, its outbound links
+    /// and the receive side of its inbound ones — are dealt over, clamped
+    /// to the number of hosted processes (a loop with no process would own
+    /// nothing). The default is one loop per core:
+    /// [`std::thread::available_parallelism`], which honours CPU affinity
+    /// and cgroup quotas (1 when it cannot tell). More loops than cores
+    /// only turn message delays into cross-thread hops between loops that
+    /// take turns on the same cores. The node's thread count is
     /// `min(pool, hosted processes) + 1 (dialer)` regardless of link
     /// count — the property the reactor exists for. Sockets are per route,
     /// one from each loop to each loop it sends to: an all-local node opens
@@ -457,7 +463,8 @@ impl ListeningNode {
 }
 
 /// A running reactor-transport node: hosts some (or all) of the
-/// configuration's processes over a fixed pool of event-loop threads.
+/// configuration's processes over a pool of event-loop threads, one per
+/// core unless [`ReactorNodeBuilder::pool_size`] says otherwise.
 ///
 /// Implements [`Driver`] for its hosted processes; invoking on a process
 /// hosted elsewhere is a typed [`DriverError::Backend`] — drive that
@@ -691,6 +698,27 @@ mod tests {
         assert_eq!(node.read(writer, RegisterId::ZERO).unwrap(), 3);
         let (_, stats) = node.shutdown();
         assert_eq!(stats.total_sent(), 0);
+    }
+
+    #[test]
+    fn the_default_pool_is_one_loop_per_core() {
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let writer = ProcessId::new(0);
+        let c = cfg(5);
+        let mut node = ReactorClusterBuilder::new(c)
+            .build(0u64, |id| TwoBitProcess::new(id, c, writer, 0u64))
+            .unwrap();
+        assert_eq!(node.thread_count(), cores.min(5) + 1, "loops + dialer");
+        node.write(writer, RegisterId::ZERO, 4).unwrap();
+        assert_eq!(node.read(ProcessId::new(4), RegisterId::ZERO).unwrap(), 4);
+        node.shutdown();
+
+        let c = SystemConfig::new(1, 0).unwrap();
+        let node = ReactorClusterBuilder::new(c)
+            .build(0u64, |id| TwoBitProcess::new(id, c, writer, 0u64))
+            .unwrap();
+        assert_eq!(node.thread_count(), 1 + 1, "one process, one loop");
+        node.shutdown();
     }
 
     #[test]

@@ -16,14 +16,15 @@
 //! with the timeout rounded *up* to the next millisecond (rounding down
 //! could turn a 20µs hold into a busy spin at timeout 0).
 //!
-//! The [`Waker`] is a loopback socket pair: one byte written to the send
-//! half makes the receive half readable, unblocking a reactor parked in
-//! the poller. An `armed` flag dedupes wakes so a burst of sends costs one
-//! syscall, not one per message.
+//! The [`Waker`] is a Unix-domain socket pair (the std-only stand-in for
+//! `pipe(2)`): one byte written to the send half makes the receive half
+//! readable, unblocking a reactor parked in the poller. An `armed` flag
+//! dedupes wakes so a burst of sends costs one syscall, not one per
+//! message.
 
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -183,7 +184,7 @@ pub fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usi
 /// share via `Arc`. See the module docs for the socket-pair construction.
 #[derive(Debug)]
 pub struct Waker {
-    tx: TcpStream,
+    tx: UnixStream,
     armed: AtomicBool,
 }
 
@@ -203,7 +204,7 @@ impl Waker {
 /// drained every time it fires.
 #[derive(Debug)]
 pub struct WakeRx {
-    rx: TcpStream,
+    rx: UnixStream,
     armed: std::sync::Arc<Waker>,
 }
 
@@ -230,19 +231,16 @@ impl WakeRx {
     }
 }
 
-/// Builds a connected waker pair over a loopback socket (the std-only
-/// stand-in for `pipe(2)`): the [`Waker`] is shared with producers, the
-/// [`WakeRx`] stays with the reactor thread.
+/// Builds a connected waker pair over a Unix-domain socket pair: the
+/// [`Waker`] is shared with producers, the [`WakeRx`] stays with the
+/// reactor thread.
 ///
 /// # Errors
 ///
-/// Any socket error while binding/connecting the loopback pair.
+/// Any error creating the socket pair or making it non-blocking.
 pub fn waker_pair() -> io::Result<(std::sync::Arc<Waker>, WakeRx)> {
-    let listener = TcpListener::bind(("127.0.0.1", 0))?;
-    let tx = TcpStream::connect(listener.local_addr()?)?;
-    let (rx, _) = listener.accept()?;
+    let (tx, rx) = UnixStream::pair()?;
     tx.set_nonblocking(true)?;
-    tx.set_nodelay(true)?;
     rx.set_nonblocking(true)?;
     let waker = std::sync::Arc::new(Waker {
         tx,
@@ -254,6 +252,7 @@ pub fn waker_pair() -> io::Result<(std::sync::Arc<Waker>, WakeRx)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::{TcpListener, TcpStream};
     use std::sync::Arc;
     use std::time::Instant;
 

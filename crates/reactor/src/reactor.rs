@@ -1,5 +1,5 @@
 //! The reactor event loop: every hosted process of a node, with all of its
-//! links, run to completion on a small fixed pool of threads.
+//! links, run to completion on a pool of threads (one per core by default).
 //!
 //! The pool is partitioned by *process*. The loop that owns process `p`
 //! owns every *send link* with `src = p`, the receive side of every link

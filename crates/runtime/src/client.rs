@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use twobit_proto::{Automaton, OpId, OpOutcome, OpTicket, Operation, ProcessId, RegisterId};
 
-use crate::spine::{Reply, Spine};
+use crate::spine::Spine;
 
 /// Errors surfaced by the blocking client API.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -105,11 +105,11 @@ impl<A: Automaton> RegisterClient<A> {
     /// [`ClientError::ProcessUnavailable`] if the process crashed or shut
     /// down.
     pub fn issue(&mut self, op: Operation<A::Value>) -> Result<OpHandle<A>, ClientError> {
-        let (ticket, rx) = self.shared.issue(self.proc, self.reg, op)?;
+        let ticket = self.shared.issue(self.proc, self.reg, op)?;
         Ok(OpHandle {
             shared: Arc::clone(&self.shared),
             ticket,
-            rx: Some(rx),
+            awaited: false,
         })
     }
 
@@ -150,7 +150,8 @@ impl<A: Automaton> RegisterClient<A> {
 pub struct OpHandle<A: Automaton> {
     shared: Arc<Spine<A>>,
     ticket: OpTicket,
-    rx: Option<Reply<A::Value>>,
+    /// Set by `wait`, which owns the reply from then on.
+    awaited: bool,
 }
 
 impl<A: Automaton> fmt::Debug for OpHandle<A> {
@@ -186,17 +187,17 @@ impl<A: Automaton> OpHandle<A> {
     /// operation stays in flight and is reaped by the pair's next `issue`);
     /// [`ClientError::ProcessUnavailable`] if the process died.
     pub fn wait(mut self) -> Result<OpOutcome<A::Value>, ClientError> {
-        let rx = self.rx.take().expect("wait consumes the receiver once");
-        self.shared.await_reply(self.ticket, rx)
+        self.awaited = true;
+        self.shared.await_reply(self.ticket)
     }
 }
 
 impl<A: Automaton> Drop for OpHandle<A> {
-    /// Parks the reply receiver so a later `issue` on the pair can reap the
-    /// outcome (see the type docs).
+    /// Parks the un-awaited operation so a later `issue` on the pair can
+    /// reap the outcome (see the type docs).
     fn drop(&mut self) {
-        if let Some(rx) = self.rx.take() {
-            self.shared.park(self.ticket, rx);
+        if !self.awaited {
+            self.shared.park(self.ticket);
         }
     }
 }

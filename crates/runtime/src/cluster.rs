@@ -32,6 +32,7 @@ use crate::batcher::{BuildError, FlushPolicy};
 use crate::client::{ClientError, RegisterClient};
 use crate::link::{spawn_link, LinkConfig};
 use crate::recovery::recover_process;
+use crate::reply::ReplyTo;
 use crate::spine::{DeployConfig, Spine};
 
 /// One recovery's worth of per-register snapshots, shared between the
@@ -63,8 +64,9 @@ pub enum Incoming<A: Automaton> {
         op_id: OpId,
         /// The operation.
         op: Operation<A::Value>,
-        /// Channel on which to deliver the outcome.
-        reply: Sender<OpOutcome<A::Value>>,
+        /// Where to deliver the outcome: the pair's reply cell. Dropping
+        /// it unsent tells the waiter the operation died.
+        reply: ReplyTo<A::Value>,
     },
     /// Crash nudge: wakes an idle thread so it observes its crash flag.
     /// Carries no other meaning — a live process ignores it.
@@ -410,12 +412,12 @@ impl ClusterBuilder {
     }
 }
 
-/// One in-flight invocation's loop-side state: the reply channel, plus
+/// One in-flight invocation's loop-side state: the reply handle, plus
 /// what the cache needs at completion time (the target register and, for a
 /// write, the value being written — `OpOutcome::Written` does not carry
 /// it).
 struct PendingOp<A: Automaton> {
-    reply: Sender<OpOutcome<A::Value>>,
+    reply: ReplyTo<A::Value>,
     reg: RegisterId,
     written: Option<A::Value>,
 }
@@ -520,7 +522,7 @@ impl<A: Automaton> ProcessCore<A> {
         if self.crashed[me.index()].load(Ordering::Relaxed) {
             // Parked: crash semantics without losing the process. Every
             // in-flight client reply is dropped (ops died with the crash;
-            // waiting clients observe the disconnect), frames and fresh
+            // waiting clients read them gone), frames and fresh
             // invocations vanish unprocessed, and the only ways out are a
             // recovery installation from the coordinator — which hands the
             // process a fresh barrier state to resume from — or teardown.
@@ -591,7 +593,7 @@ impl<A: Automaton> ProcessCore<A> {
                                 // Served locally: no automaton invocation,
                                 // no frames, no wire bytes.
                                 self.stats.lock().record_cache_hit();
-                                let _ = reply.send(OpOutcome::ReadValue(v));
+                                reply.send(OpOutcome::ReadValue(v));
                                 return ControlFlow::Continue(());
                             }
                             CacheDecision::Miss => self.stats.lock().record_cache_miss(),
@@ -679,7 +681,7 @@ impl<A: Automaton> ProcessCore<A> {
                     self.cache_w.publish(slot, v, writer_here);
                 }
             }
-            let _ = p.reply.send(outcome);
+            p.reply.send(outcome);
         }
     }
 }
@@ -904,7 +906,7 @@ impl<A: Automaton> Driver for Cluster<A> {
 mod tests {
     use super::*;
     use crate::batcher::{ConfigError, HoldPolicy};
-    use crossbeam::channel::TryRecvError;
+    use crate::reply::{Reply, ReplyCell};
     use twobit_baselines::AbdProcess;
     use twobit_core::TwoBitProcess;
 
@@ -950,15 +952,17 @@ mod tests {
             (sent, flow.is_break())
         }
 
-        fn invoke(&mut self, p: usize, op: Operation<u64>) -> (Sent, Receiver<OpOutcome<u64>>) {
-            let (reply, outcome) = crossbeam::channel::bounded(1);
+        /// Invokes `op` at process `p` as operation 7; returns what it
+        /// delivered and the operation's reply cell.
+        fn invoke(&mut self, p: usize, op: Operation<u64>) -> (Sent, Arc<ReplyCell<u64>>) {
+            let cell = Arc::new(ReplyCell::new());
             let invoke = Incoming::Invoke {
                 reg: RegisterId::ZERO,
                 op_id: OpId::new(7),
                 op,
-                reply,
+                reply: cell.arm(OpId::new(7)),
             };
-            (self.handle(p, invoke).0, outcome)
+            (self.handle(p, invoke).0, cell)
         }
     }
 
@@ -973,7 +977,11 @@ mod tests {
             2,
             "accounted before delivery"
         );
-        assert!(outcome.try_recv().is_err(), "no quorum yet");
+        assert_eq!(
+            outcome.try_take(OpId::new(7)),
+            Reply::Pending,
+            "no quorum yet"
+        );
         // Shuttle one-message frames by hand until the network is quiet.
         let mut from = vec![ProcessId::new(0); in_flight.len()];
         while let Some((to, env)) = in_flight.pop() {
@@ -986,7 +994,10 @@ mod tests {
             from.extend(sent.iter().map(|_| to));
             in_flight.extend(sent);
         }
-        assert_eq!(outcome.try_recv(), Ok(OpOutcome::Written));
+        assert_eq!(
+            outcome.try_take(OpId::new(7)),
+            Reply::Ready(OpOutcome::Written)
+        );
         assert!(net.stats.lock().total_sent() > 2, "the peers answered");
     }
 
@@ -1008,8 +1019,9 @@ mod tests {
         net.crashed[1].store(true, Ordering::Relaxed);
         let (sent, outcome) = net.invoke(1, Operation::Read);
         assert!(sent.is_empty(), "a parked process sends nothing");
-        assert!(
-            matches!(outcome.try_recv(), Err(TryRecvError::Disconnected)),
+        assert_eq!(
+            outcome.try_take(OpId::new(7)),
+            Reply::Gone,
             "the invocation died with the crash"
         );
         let (reply, snaps) = crossbeam::channel::bounded(1);

@@ -52,6 +52,7 @@ pub mod cluster;
 mod link;
 pub mod recorder;
 pub mod recovery;
+mod reply;
 pub mod spine;
 
 pub use batcher::{BuildError, ConfigError, Flush, FlushPolicy, HoldPolicy, LinkBatcher};
@@ -59,4 +60,5 @@ pub use client::{ClientError, OpHandle, RegisterClient};
 pub use cluster::{Cluster, ClusterBuilder, Incoming, ProcessCore, RegisterSnapshots};
 pub use recorder::Recorder;
 pub use recovery::recover_process;
+pub use reply::ReplyTo;
 pub use spine::{DeployConfig, Spine};

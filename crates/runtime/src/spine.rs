@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use twobit_cache::CacheMode;
 use twobit_proto::{
@@ -31,6 +31,7 @@ use crate::batcher::{ConfigError, FlushPolicy};
 use crate::client::ClientError;
 use crate::cluster::Incoming;
 use crate::recorder::Recorder;
+use crate::reply::{Reply, ReplyCell};
 
 /// The knobs every live backend shares, declared once. A builder holds one
 /// and writes its same-named setters into it; [`Spine::new`] validates it.
@@ -95,9 +96,6 @@ impl DeployConfig {
     }
 }
 
-/// Where an issued operation's outcome arrives.
-pub(crate) type Reply<V> = Receiver<OpOutcome<V>>;
-
 /// The per-pair in-flight table.
 type InflightMap<V> = HashMap<(ProcessId, RegisterId), Slot<V>>;
 
@@ -106,14 +104,14 @@ type InflightMap<V> = HashMap<(ProcessId, RegisterId), Slot<V>>;
 /// on a busy pair gets [`ClientError::OperationInFlight`] instead of
 /// panicking the process's handler.
 enum Slot<V> {
-    /// A waiter holds the reply receiver (a live [`OpHandle`](crate::OpHandle),
+    /// A waiter owns the pair's reply (a live [`OpHandle`](crate::OpHandle),
     /// or a `poll` in progress).
     Busy,
     /// Nobody is waiting: a driver ticket between polls, a dropped handle,
-    /// or a wait that timed out. The receiver is parked here so the next
-    /// `poll` can resume it, or a later issue can reap the outcome once it
+    /// or a wait that timed out. The next `poll` resumes the wait, or a
+    /// later issue reaps the outcome from the pair's reply cell once it
     /// lands.
-    Abandoned(OpId, Reply<V>),
+    Abandoned(OpId),
     /// The pair is free; its latest outcome is kept so re-polling that
     /// ticket is idempotent (one entry per pair, replaced by the pair's
     /// next operation).
@@ -140,6 +138,9 @@ pub struct Spine<A: Automaton> {
     op_ids: AtomicU64,
     pub(crate) op_timeout: Duration,
     inflight: Mutex<InflightMap<A::Value>>,
+    /// One reply cell per `(process, register)` pair, built with the spine
+    /// and reused by every operation the pair runs.
+    replies: HashMap<(ProcessId, RegisterId), Arc<ReplyCell<A::Value>>>,
 }
 
 impl<A: Automaton> std::fmt::Debug for Spine<A> {
@@ -183,6 +184,15 @@ impl<A: Automaton> Spine<A> {
     ) -> Result<Self, ConfigError> {
         deploy.validate()?;
         let n = cfg.n();
+        let replies = (0..n)
+            .flat_map(|p| {
+                deploy
+                    .registers
+                    .iter()
+                    .map(move |&r| (ProcessId::new(p), r))
+            })
+            .map(|pair| (pair, Arc::new(ReplyCell::new())))
+            .collect();
         Ok(Spine {
             cfg,
             registers: deploy.registers.clone(),
@@ -195,6 +205,7 @@ impl<A: Automaton> Spine<A> {
             op_ids: AtomicU64::new(0),
             op_timeout: deploy.op_timeout,
             inflight: Mutex::new(HashMap::new()),
+            replies,
         })
     }
 
@@ -243,23 +254,28 @@ impl<A: Automaton> Spine<A> {
         Ok(())
     }
 
-    /// Whether `slot`'s operation can still complete. A parked operation
+    /// The reply cell of a pair that has issued an operation.
+    fn reply_cell(&self, proc: ProcessId, reg: RegisterId) -> &ReplyCell<A::Value> {
+        &self.replies[&(proc, reg)]
+    }
+
+    /// Whether the pair's operation can still complete. A parked operation
     /// whose reply has landed is recorded — so the history stays truthful —
     /// and remembered as [`Slot::Done`]; one whose process died with it can
     /// never complete, and its pair is free again.
-    fn in_flight(&self, slot: &mut Slot<A::Value>) -> bool {
-        match slot {
+    fn in_flight(&self, (proc, reg): (ProcessId, RegisterId), slot: &mut Slot<A::Value>) -> bool {
+        match *slot {
             Slot::Busy => true,
             Slot::Done(..) => false,
-            Slot::Abandoned(op_id, rx) => match rx.try_recv() {
-                Ok(outcome) => {
+            Slot::Abandoned(op_id) => match self.reply_cell(proc, reg).try_take(op_id) {
+                Reply::Ready(outcome) => {
                     self.recorder
-                        .completed(*op_id, self.recorder.now(), outcome.clone());
-                    *slot = Slot::Done(*op_id, outcome);
+                        .completed(op_id, self.recorder.now(), outcome.clone());
+                    *slot = Slot::Done(op_id, outcome);
                     false
                 }
-                Err(TryRecvError::Empty) => true,
-                Err(TryRecvError::Disconnected) => false,
+                Reply::Pending => true,
+                Reply::Gone => false,
             },
         }
     }
@@ -269,66 +285,74 @@ impl<A: Automaton> Spine<A> {
     pub(crate) fn first_in_flight(&self) -> Option<(ProcessId, RegisterId)> {
         let mut table = self.inflight.lock();
         for (key, slot) in table.iter_mut() {
-            if self.in_flight(slot) {
+            if self.in_flight(*key, slot) {
                 return Some(*key);
             }
         }
         None
     }
 
-    /// Claims the pair, posts the invocation and records it; the caller
-    /// owns the reply receiver (the pair reads [`Slot::Busy`]) until it
-    /// hands it to [`Spine::await_reply`] or [`Spine::park`].
+    /// Claims the pair, arms its reply cell, posts the invocation and
+    /// records it; the caller owns the reply (the pair reads
+    /// [`Slot::Busy`]) until it hands the ticket to [`Spine::await_reply`]
+    /// or [`Spine::park`].
     pub(crate) fn issue(
         &self,
         proc: ProcessId,
         reg: RegisterId,
         op: Operation<A::Value>,
-    ) -> Result<(OpTicket, Reply<A::Value>), ClientError> {
+    ) -> Result<OpTicket, ClientError> {
         let key = (proc, reg);
+        // Registers are checked before anything is issued: no cell means a
+        // process outside the configuration.
+        let cell = self
+            .replies
+            .get(&key)
+            .ok_or(ClientError::ProcessUnavailable)?;
         {
             let mut table = self.inflight.lock();
-            if table.get_mut(&key).is_some_and(|slot| self.in_flight(slot)) {
+            if table
+                .get_mut(&key)
+                .is_some_and(|slot| self.in_flight(key, slot))
+            {
                 return Err(ClientError::OperationInFlight { proc, reg });
             }
             table.insert(key, Slot::Busy);
         }
         let op_id = OpId::new(self.op_ids.fetch_add(1, Ordering::Relaxed));
-        let (reply, rx) = bounded(1);
         let invoked_at = self.recorder.now();
         let invoke = Incoming::Invoke {
             reg,
             op_id,
             op: op.clone(),
-            reply,
+            reply: cell.arm(op_id),
         };
         if !self.post(proc, invoke) {
             self.inflight.lock().remove(&key);
             return Err(ClientError::ProcessUnavailable);
         }
         self.recorder.invoked(op_id, proc, reg, op, invoked_at);
-        Ok((OpTicket { proc, reg, op_id }, rx))
+        Ok(OpTicket { proc, reg, op_id })
     }
 
-    /// Parks an un-awaited reply receiver: the pair stays busy until the
-    /// reply is awaited again or reaped.
-    pub(crate) fn park(&self, t: OpTicket, rx: Reply<A::Value>) {
+    /// Parks an un-awaited operation: the pair stays busy until its reply
+    /// is awaited again or reaped.
+    pub(crate) fn park(&self, t: OpTicket) {
         self.inflight
             .lock()
-            .insert((t.proc, t.reg), Slot::Abandoned(t.op_id, rx));
+            .insert((t.proc, t.reg), Slot::Abandoned(t.op_id));
     }
 
     /// Blocks for an issued operation's reply, up to the operation timeout
     /// — the one place a reply is awaited, so the one timeout rule: on
-    /// [`ClientError::Timeout`] the receiver is parked again and the
-    /// operation stays in flight.
-    pub(crate) fn await_reply(
-        &self,
-        t: OpTicket,
-        rx: Reply<A::Value>,
-    ) -> Result<OpOutcome<A::Value>, ClientError> {
-        match rx.recv_timeout(self.op_timeout) {
-            Ok(outcome) => {
+    /// [`ClientError::Timeout`] the operation is parked again and stays in
+    /// flight.
+    pub(crate) fn await_reply(&self, t: OpTicket) -> Result<OpOutcome<A::Value>, ClientError> {
+        match self
+            .reply_cell(t.proc, t.reg)
+            .wait(t.op_id, self.op_timeout)
+        {
+            Reply::Ready(outcome) => {
                 self.recorder
                     .completed(t.op_id, self.recorder.now(), outcome.clone());
                 self.inflight
@@ -336,11 +360,11 @@ impl<A: Automaton> Spine<A> {
                     .insert((t.proc, t.reg), Slot::Done(t.op_id, outcome.clone()));
                 Ok(outcome)
             }
-            Err(RecvTimeoutError::Timeout) => {
-                self.park(t, rx);
+            Reply::Pending => {
+                self.park(t);
                 Err(ClientError::Timeout)
             }
-            Err(RecvTimeoutError::Disconnected) => {
+            Reply::Gone => {
                 self.inflight.lock().remove(&(t.proc, t.reg));
                 Err(ClientError::ProcessUnavailable)
             }
@@ -368,10 +392,10 @@ impl<A: Automaton> Spine<A> {
             return Err(DriverError::ProcessUnavailable(proc));
         }
         self.check_hosted(proc)?;
-        let (ticket, rx) = self
+        let ticket = self
             .issue(proc, reg, op)
             .map_err(|e| to_driver_error(e, proc))?;
-        self.park(ticket, rx);
+        self.park(ticket);
         Ok(ticket)
     }
 
@@ -381,24 +405,15 @@ impl<A: Automaton> Spine<A> {
     /// (any more): never issued here, or superseded by a later operation
     /// on its pair.
     pub fn poll(&self, ticket: &OpTicket) -> Result<OpOutcome<A::Value>, DriverError> {
-        let rx = {
-            let mut table = self.inflight.lock();
-            match table.get_mut(&(ticket.proc, ticket.reg)) {
-                Some(Slot::Done(id, outcome)) if *id == ticket.op_id => {
-                    return Ok(outcome.clone());
-                }
-                // Busy while this poll waits, like a live handle.
-                Some(slot @ Slot::Abandoned(..)) => match std::mem::replace(slot, Slot::Busy) {
-                    Slot::Abandoned(id, rx) if id == ticket.op_id => rx,
-                    newer => {
-                        *slot = newer;
-                        return Err(DriverError::Stalled(ticket.op_id));
-                    }
-                },
-                _ => return Err(DriverError::Stalled(ticket.op_id)),
+        match self.inflight.lock().get_mut(&(ticket.proc, ticket.reg)) {
+            Some(Slot::Done(id, outcome)) if *id == ticket.op_id => return Ok(outcome.clone()),
+            // Busy while this poll waits, like a live handle.
+            Some(slot) if matches!(*slot, Slot::Abandoned(id) if id == ticket.op_id) => {
+                *slot = Slot::Busy;
             }
-        };
-        self.await_reply(*ticket, rx)
+            _ => return Err(DriverError::Stalled(ticket.op_id)),
+        }
+        self.await_reply(*ticket)
             .map_err(|e| to_driver_error(e, ticket.proc))
     }
 

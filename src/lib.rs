@@ -159,8 +159,8 @@
 //! That backend is the reactor ([`ReactorNodeBuilder`], crate
 //! `twobit-reactor`). A thread pair per ordered link is transparent at
 //! `n = 3` and untenable at `n = 64` (4032 links), so the reactor runs
-//! every hosted process to completion on a small fixed pool of
-//! event-loop threads (`poll(2)`-based, no new dependencies): the loop
+//! every hosted process to completion on a pool of event-loop threads,
+//! one per core by default (`poll(2)`-based, no new dependencies): the loop
 //! that owns a process owns its links, decodes its frames, runs its
 //! handler inline and batches what the handler sends — no process
 //! threads, no channel hop per message — so a node runs

@@ -13,7 +13,10 @@
 //!   the safe-cache rows of `frame_semantics.rs`'s pinned table beat their
 //!   protocol twins on allocations only while the cache's own bookkeeping
 //!   is free, which `safe_read_cache_allocates_less_than_its_protocol_twin`
-//!   holds end to end.
+//!   holds end to end;
+//! * an operation's client round trip on a live backend — `invoke`, the
+//!   post to the process's mailbox, the wait for its reply, `poll` —
+//!   allocates nothing per operation on the client thread.
 //!
 //! It also holds the decoders' other promise: whatever bytes arrive —
 //! random, or a valid encoding with bits flipped — `Frame::decode`,
@@ -45,7 +48,10 @@ use twobit::proto::{
     SystemConfig, WireError, WireMessage,
 };
 use twobit::runtime::{FlushPolicy, LinkBatcher};
-use twobit::{TwoBitOptions, TwoBitProcess};
+use twobit::{
+    ClusterBuilder, DelayModel, Driver, OpOutcome, Operation, ReactorClusterBuilder, TwoBitOptions,
+    TwoBitProcess,
+};
 
 struct CountingAlloc;
 
@@ -292,6 +298,66 @@ fn safe_read_cache_allocates_less_than_its_protocol_twin() {
             );
         }
     }
+}
+
+/// `pairs` sequential write-then-read rounds through `driver`, after a
+/// warm-up; returns the allocations the client thread made in them.
+fn round_trip_allocs<D: Driver<Value = u64>>(driver: &mut D, pairs: u64) -> u64 {
+    let (writer, reader, reg) = (ProcessId::new(0), ProcessId::new(1), RegisterId::ZERO);
+    let round = |driver: &mut D, v: u64| {
+        let t = driver
+            .invoke(writer, reg, Operation::Write(v))
+            .expect("invoke");
+        assert_eq!(driver.poll(&t), Ok(OpOutcome::Written));
+        let t = driver.invoke(reader, reg, Operation::Read).expect("invoke");
+        assert_eq!(driver.poll(&t), Ok(OpOutcome::ReadValue(v)));
+    };
+    // Routes up, loops and link threads past their first frames.
+    for v in 0..50 {
+        round(driver, v);
+    }
+    let ((), allocs, _) = measured(|| {
+        for v in 50..50 + pairs {
+            round(driver, v);
+        }
+    });
+    allocs
+}
+
+/// Each `(process, register)` pair's reply cell is built with the
+/// deployment and reused, so neither live backend allocates per operation
+/// on the client thread. What it still allocates is amortized: the
+/// recorder's `Vec` and `HashMap` growth, and the mailbox channel's one
+/// block per 31 sends.
+#[test]
+fn an_operation_round_trip_allocates_nothing_per_op() {
+    const PAIRS: u64 = 2_000;
+    let ops = 2 * PAIRS;
+    let cfg = SystemConfig::new(3, 1).expect("n=3, t=1");
+    let make = move |id| TwoBitProcess::new(id, cfg, ProcessId::new(0), 0u64);
+
+    let mut node = ReactorClusterBuilder::new(cfg)
+        .flush_policy(FlushPolicy::immediate())
+        .build(0u64, make)
+        .expect("reactor node starts");
+    let allocs = round_trip_allocs(&mut node, PAIRS);
+    node.shutdown();
+    assert!(
+        allocs < ops / 10,
+        "reactor: {allocs} client-thread allocations for {ops} operations"
+    );
+
+    let mut cluster = ClusterBuilder::new(cfg)
+        .delay(DelayModel::Fixed(0))
+        .flush_policy(FlushPolicy::immediate())
+        .build(0u64, make)
+        .expect("cluster starts");
+    let allocs = round_trip_allocs(&mut cluster, PAIRS);
+    cluster.shutdown();
+    assert!(
+        allocs < ops / 10,
+        "cluster: {allocs} client-thread allocations for {ops} operations"
+    );
 }
 
 /// Most bytes a decoder may request for `len` input bytes: every element

@@ -622,8 +622,10 @@ fn crash_tolerance_is_portable() {
     run(&mut cluster);
 
     // On real sockets too, where every frame toward a crashed process is
-    // dropped whole and the books still balance to the message.
+    // dropped whole and the books still balance to the message — a loop per
+    // process, so the drops happen on routes between loops on any host.
     let mut node = ReactorClusterBuilder::new(cfg)
+        .pool_size(N)
         .registers(REGISTERS)
         .build_sharded(0u64, |reg, id| {
             TwoBitProcess::new(id, cfg, writer_of(reg), 0u64)
@@ -743,7 +745,10 @@ fn crash_recover_rejoin_is_portable_across_all_three_backends() {
     let rt_fp = run(&mut cluster, "runtime");
     assert_eq!(sim_fp, rt_fp, "runtime fingerprint diverges from simnet");
 
+    // A loop per process: snapshot requests, installs and rejoins are
+    // handed to other loops on any host.
     let mut node = ReactorClusterBuilder::new(cfg)
+        .pool_size(N)
         .registers(1)
         .build_sharded(0u64, move |reg, id| {
             TwoBitProcess::new(id, cfg, writer_of(reg), 0u64)

@@ -336,6 +336,8 @@ fn crash_recover_crash_interleaved_with_severs_reconciles() {
     let victim = ProcessId::new(2);
     let reg = RegisterId::ZERO;
     let mut node = ReactorClusterBuilder::new(cfg)
+        // A loop per process: every link crosses loops, whatever the host.
+        .pool_size(3)
         .flush_policy(FlushPolicy::immediate())
         .build(0u64, |id| TwoBitProcess::new(id, cfg, writer, 0u64))
         .expect("reactor cluster starts");
@@ -416,6 +418,8 @@ fn short_burst_then_silence_drains_with_nothing_abandoned() {
     let writer = ProcessId::new(0);
     let grace = Duration::from_secs(6);
     let mut node = ReactorClusterBuilder::new(cfg)
+        // A loop per process: every ack crosses loops, whatever the host.
+        .pool_size(3)
         .flush_policy(FlushPolicy::immediate())
         .drain_grace(grace)
         .build(0u64, |id| TwoBitProcess::new(id, cfg, writer, 0u64))
@@ -934,6 +938,8 @@ fn a_peer_gone_for_good_is_abandoned_and_the_books_still_balance() {
 
     let left = ReactorNodeBuilder::new(cfg)
         .host([0usize, 1])
+        // Two loops, so p0 → p2 and p1 → p2 die on two different routes.
+        .pool_size(2)
         .reconnect_policy(ReconnectPolicy {
             max_attempts: 5,
             max_backoff: Duration::from_millis(5),
