@@ -113,12 +113,11 @@ impl BitWriter {
         BitWriter::default()
     }
 
-    /// Creates a writer that appends into `buf` (cleared first), reusing
-    /// its capacity — the hook the pooled frame-encode path uses to write
-    /// every frame into a recycled per-link buffer instead of a fresh
-    /// allocation.
-    pub fn with_buffer(mut buf: Vec<u8>) -> Self {
-        buf.clear();
+    /// Creates a writer whose stream starts at the end of `buf`, on a byte
+    /// boundary; the bytes already there stay as they are, and the
+    /// capacity is reused — the hook the frame encoder uses to append each
+    /// frame to a warm buffer instead of a fresh allocation.
+    pub fn append_to(buf: Vec<u8>) -> Self {
         BitWriter {
             bytes: buf,
             used: 0,
@@ -720,13 +719,13 @@ mod tests {
         fresh.put_bits(0b101, 3);
         fresh.put_gamma(9);
         let expected = fresh.into_bytes();
-        // A dirty recycled buffer produces the identical stream.
-        let mut reused = BitWriter::with_buffer(vec![0xFF; 32]);
+        // Behind the bytes already in a buffer, the identical stream.
+        let mut reused = BitWriter::append_to(vec![0xFF; 32]);
         reused.put_bits(0b101, 3);
         reused.put_gamma(9);
         let got = reused.into_bytes();
-        assert_eq!(got, expected);
-        assert!(got.capacity() >= 32, "capacity was recycled");
+        assert_eq!(got[..32], [0xFF; 32], "the bytes already there stay");
+        assert_eq!(got[32..], expected);
     }
 
     #[test]

@@ -45,6 +45,12 @@
 //! it straight off the wire with a streaming cursor while it fills the
 //! flat vector. [`FrameHeader`] (via [`Frame::header`]) is the owned,
 //! inspectable form of the same header for tests and tools.
+//!
+//! Both ends can reuse their buffers, so a steady stream of frames
+//! allocates nothing: [`Frame::into_vec`] hands the envelope vector back
+//! to whoever batches ([`Frame::from_envelopes`]) or decodes
+//! ([`Frame::decode_into`]) the next frame, and [`Frame::encode_append`]
+//! writes the blob at the end of a byte buffer the caller keeps.
 
 use std::sync::Arc;
 
@@ -254,7 +260,9 @@ impl<M: WireMessage> Frame<M> {
     /// codec; [`WireError::Overflow`] if the body exceeds
     /// [`MAX_FRAME_BODY_BYTES`].
     pub fn encode(&self) -> Result<Bytes, WireError> {
-        Ok(Bytes::from(self.encode_into_vec(Vec::new())?))
+        let mut blob = Vec::new();
+        self.encode_append(&mut blob)?;
+        Ok(Bytes::from(blob))
     }
 
     /// [`Frame::encode`] into a recycled buffer checked out of `pool`: the
@@ -268,33 +276,54 @@ impl<M: WireMessage> Frame<M> {
     ///
     /// As for [`Frame::encode`].
     pub fn encode_pooled(&self, pool: &Arc<BufferPool>) -> Result<Bytes, WireError> {
-        Ok(pool.freeze(self.encode_into_vec(pool.checkout())?))
+        let mut buf = pool.checkout();
+        buf.clear();
+        self.encode_append(&mut buf)?;
+        Ok(pool.freeze(buf))
     }
 
-    /// Shared encode body: writes a 32-bit length placeholder, the header
-    /// (streamed off the register runs) and every message into `buf`
-    /// (cleared first, capacity reused), then patches the real body length
-    /// over the placeholder. A cold buffer — a fresh `Vec`, or a pool miss
-    /// — is sized exactly once up front instead of growing by doubling.
-    fn encode_into_vec(&self, mut buf: Vec<u8>) -> Result<Vec<u8>, WireError> {
+    /// Appends [`Frame::encode`]'s blob to the end of `buf` and returns its
+    /// length — the one encode body, which [`Frame::encode`] and
+    /// [`Frame::encode_pooled`] wrap. It writes a 32-bit length
+    /// placeholder, the header (streamed off the register runs) and every
+    /// message, then patches the real body length over the placeholder. A
+    /// buffer with no capacity yet is sized exactly once up front; a warm
+    /// one is written in place, so appending to a buffer that is reused —
+    /// a transport's resend log — allocates nothing once it has grown to
+    /// its working size. On error `buf` is left as it was.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Frame::encode`].
+    pub fn encode_append(&self, buf: &mut Vec<u8>) -> Result<usize, WireError> {
+        let start = buf.len();
         let shape = HeaderShape::of(self.runs());
         if buf.capacity() == 0 {
             let body = (shape.bits() + self.message_bits()).div_ceil(8);
             buf.reserve_exact(usize::try_from(body).map_err(|_| WireError::Overflow)? + 4);
         }
-        let mut w = BitWriter::with_buffer(buf);
+        let mut w = BitWriter::append_to(std::mem::take(buf));
         w.put_bits(0, 32); // length-prefix placeholder, patched below
         shape.encode(self.runs(), &mut w);
-        for e in &self.envs {
-            e.inner.encode_into(&mut w)?;
+        let written = self
+            .envs
+            .iter()
+            .try_for_each(|e| e.inner.encode_into(&mut w));
+        *buf = w.into_bytes();
+        let body = u32::try_from(buf.len() - start - 4)
+            .ok()
+            .filter(|&len| len <= MAX_FRAME_BODY_BYTES)
+            .ok_or(WireError::Overflow);
+        match written.and(body) {
+            Ok(len) => {
+                buf[start..start + 4].copy_from_slice(&len.to_be_bytes());
+                Ok(buf.len() - start)
+            }
+            Err(e) => {
+                buf.truncate(start);
+                Err(e)
+            }
         }
-        let mut blob = w.into_bytes();
-        let len = u32::try_from(blob.len() - 4).map_err(|_| WireError::Overflow)?;
-        if len > MAX_FRAME_BODY_BYTES {
-            return Err(WireError::Overflow);
-        }
-        blob[..4].copy_from_slice(&len.to_be_bytes());
-        Ok(blob)
     }
 
     /// Parses one blob produced by [`Frame::encode`] (length prefix
@@ -312,9 +341,24 @@ impl<M: WireMessage> Frame<M> {
     /// [`WireError::Malformed`] on a corrupt body;
     /// [`WireError::Unsupported`] if the message type has no codec.
     pub fn decode(blob: &[u8]) -> Result<Frame<M>, WireError> {
+        Self::decode_into(blob, Vec::new())
+    }
+
+    /// [`Frame::decode`] into `storage`: the envelopes are decoded into
+    /// that vector (cleared first, capacity reused) and the frame owns it.
+    /// A receiver that hands each handled frame's storage back
+    /// ([`Frame::into_vec`]) for the next one decodes without allocating
+    /// once the vector has grown to its working size. The same hardened
+    /// parse: every declared count is bounded by the input before anything
+    /// is reserved, and a declared count reserves at most a fixed chunk.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Frame::decode`]; `storage` is dropped.
+    pub fn decode_into(blob: &[u8], storage: Vec<Envelope<M>>) -> Result<Frame<M>, WireError> {
         Self::check_prefix(blob)?;
         let mut r = BitReader::new(&blob[4..]);
-        Self::decode_body(&mut r)
+        Self::decode_body(&mut r, storage)
     }
 
     /// [`Frame::decode`] over a shared [`Bytes`] blob: structurally the
@@ -332,7 +376,7 @@ impl<M: WireMessage> Frame<M> {
         Self::check_prefix(blob)?;
         let body = blob.slice(4..);
         let mut r = BitReader::new_shared(&body);
-        Self::decode_body(&mut r)
+        Self::decode_body(&mut r, Vec::new())
     }
 
     /// Validates the 4-byte length prefix against the buffer.
@@ -350,13 +394,17 @@ impl<M: WireMessage> Frame<M> {
         Ok(())
     }
 
-    /// Shared decode body (everything after the length prefix): the header
-    /// is walked twice and stored never. The first walk validates it end to
-    /// end and totals the declared messages; only then is the one flat
-    /// vector allocated, and the second walk — a copy of the first taken
-    /// right after [`HeaderWalk::begin`], so the bitmap is validated once —
-    /// names each message's register as the messages are decoded behind it.
-    fn decode_body(r: &mut BitReader<'_>) -> Result<Frame<M>, WireError> {
+    /// Shared decode body (everything after the length prefix), filling
+    /// `envs`: the header is walked twice and stored never. The first walk
+    /// validates it end to end and totals the declared messages; only then
+    /// is the one flat vector sized, and the second walk — a copy of the
+    /// first taken right after [`HeaderWalk::begin`], so the bitmap is
+    /// validated once — names each message's register as the messages are
+    /// decoded behind it.
+    fn decode_body(
+        r: &mut BitReader<'_>,
+        mut envs: Vec<Envelope<M>>,
+    ) -> Result<Frame<M>, WireError> {
         let mut walk = HeaderWalk::begin(r.clone())?;
         let mut names = walk.clone();
         // Bound the total message count by the remaining input before
@@ -376,8 +424,10 @@ impl<M: WireMessage> Frame<M> {
         }
         // `declared ≤ remaining bits` caps it at 2²⁹, but elements are
         // wider than a bit — never let a declared count pre-reserve more
-        // than a sane chunk; longer frames grow organically.
-        let mut envs = Vec::with_capacity((declared_messages as usize).min(DECODE_RESERVE_CAP));
+        // than a sane chunk; longer frames grow organically. Recycled
+        // storage that is already large enough reserves nothing.
+        envs.clear();
+        envs.reserve_exact((declared_messages as usize).min(DECODE_RESERVE_CAP));
         while let Some((reg, count)) = names.next_group()? {
             for _ in 0..count {
                 envs.push(Envelope::new(reg, M::decode(r)?));
@@ -1181,6 +1231,49 @@ mod tests {
         let again = frame.encode_pooled(&pool).unwrap();
         assert_eq!(again, fresh);
         assert_eq!(pool.recycled(), 1);
+    }
+
+    #[test]
+    fn append_encode_and_decode_into_reuse_their_buffers() {
+        let frame = Frame::from_envelopes([env(0, 7), env(3, 9), env(0, 8)]);
+        let fresh = frame.encode().unwrap();
+        let mut log = b"earlier".to_vec();
+        let len = frame.encode_append(&mut log).unwrap();
+        assert_eq!(len, fresh.len());
+        assert_eq!(&log[..7], b"earlier", "what the buffer held stays");
+        assert_eq!(log[7..], fresh[..], "the appended blob is encode's");
+
+        let storage = Vec::with_capacity(8);
+        let ptr = storage.as_ptr();
+        let decoded = Frame::<Tag>::decode_into(&log[7..], storage).unwrap();
+        assert_eq!(decoded, frame);
+        let storage = decoded.into_vec();
+        assert_eq!(storage.as_ptr(), ptr, "decoded into the storage handed in");
+        // Recycled storage that still holds envelopes is cleared first.
+        let again = Frame::<Tag>::decode_into(&fresh, storage).unwrap();
+        assert_eq!(again, frame);
+    }
+
+    #[test]
+    fn a_failed_append_leaves_the_buffer_as_it_was() {
+        // `Ping` has no byte codec: the encode fails after the header.
+        #[derive(Clone, Debug, PartialEq)]
+        struct Ping;
+        impl WireMessage for Ping {
+            fn kind(&self) -> &'static str {
+                "PING"
+            }
+            fn cost(&self) -> MessageCost {
+                MessageCost::new(2, 0)
+            }
+        }
+        let frame = Frame::from_envelopes([Envelope::new(RegisterId::new(1), Ping)]);
+        let mut log = vec![1, 2, 3];
+        assert_eq!(
+            frame.encode_append(&mut log),
+            Err(WireError::Unsupported("PING"))
+        );
+        assert_eq!(log, [1, 2, 3]);
     }
 
     /// A message with a byte-string payload whose wire layout lands the raw

@@ -251,7 +251,7 @@ impl RouteWelcome {
 /// Appends one record (`[src][dst][seq] ∥ blob`) for `link` to `out`.
 /// `blob` must be a length-prefixed frame blob from
 /// [`Frame::encode`](crate::Frame::encode) /
-/// [`Frame::encode_pooled`](crate::Frame::encode_pooled).
+/// [`Frame::encode_append`](crate::Frame::encode_append).
 pub fn encode_record(link: LinkSeq, blob: &[u8], out: &mut Vec<u8>) {
     out.reserve(LINK_SEQ_LEN + blob.len());
     link.encode_into(out);

@@ -11,16 +11,20 @@
 //! [`PooledBuf`] — when the last `Bytes` view of the frame drops, the
 //! buffer returns to the pool instead of the allocator. Steady state is
 //! one allocation per frame on the encode side: the `Bytes` handle itself.
+//! The simulator and the chaos-link runtime seal this way, because their
+//! frames travel as `Bytes`. The reactor does not: it appends each frame
+//! to its link's resend log with
+//! [`Frame::encode_append`](crate::Frame::encode_append) and allocates
+//! nothing.
 //!
 //! *When* that last view drops decides how many buffers a pool must
 //! retain. A transport that drops the blob after its socket write has one
-//! or two out at a time, which is what [`BufferPool::new`] retains for. A
-//! transport that parks sealed blobs until a cumulative ack (the reactor:
-//! a whole ack window per link, returned in one burst) must retain the
-//! burst, or it frees most of it and then misses on almost every checkout
-//! until the next ack; it builds its pool with
-//! [`BufferPool::with_retention`]. A miss is not a growth spiral either
-//! way: the encoder sizes a cold buffer exactly, once.
+//! or two out at a time, which is what [`BufferPool::new`] retains for. An
+//! owner that gets its blobs back in bursts must retain the burst, or it
+//! frees most of it and then misses on almost every checkout until the
+//! next burst; it builds its pool with [`BufferPool::with_retention`]. A
+//! miss is not a growth spiral either way: the encoder sizes a cold buffer
+//! exactly, once.
 //!
 //! The pool is deliberately tiny: a mutex-guarded free list, bounded so a
 //! burst cannot pin unbounded memory. The `Bytes` owner holds only a

@@ -29,8 +29,8 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use twobit_cache::CacheMode;
 use twobit_proto::{
-    Automaton, BufferPool, Driver, DriverError, Lifecycle, NetStats, OpOutcome, OpTicket,
-    Operation, ProcessId, RegisterId, ShardSet, ShardedHistory, SystemConfig,
+    Automaton, Driver, DriverError, Lifecycle, NetStats, OpOutcome, OpTicket, Operation, ProcessId,
+    RegisterId, ShardSet, ShardedHistory, SystemConfig,
 };
 use twobit_runtime::{
     recover_process, BuildError, DeployConfig, FlushPolicy, Incoming, ProcessCore, Spine,
@@ -39,7 +39,6 @@ use twobit_runtime::{
 use crate::poller::{waker_pair, Waker};
 use crate::reactor::{
     dialer_loop, Cmd, DialReq, Hosted, LinkSpec, Reactor, ReconnectPolicy, SendLink,
-    ACK_EVERY_FRAMES,
 };
 
 fn deploy_err(msg: String) -> BuildError {
@@ -408,9 +407,6 @@ impl ListeningNode {
             for (k, host) in procs.iter().enumerate() {
                 proc_slot[host.core.id().index()] = Some(k);
             }
-            // Every link parks its sealed blobs until the peer's cumulative
-            // ack, and gets a window of them back at once.
-            let pool = BufferPool::with_retention(links.len() * ACK_EVERY_FRAMES as usize);
             let reactor: Reactor<A> = Reactor {
                 slot,
                 tag_bits,
@@ -432,7 +428,6 @@ impl ListeningNode {
                 procs,
                 proc_slot,
                 links,
-                pool,
                 done_tx: done_tx.clone(),
             };
             reactor_threads.push(std::thread::spawn(move || reactor.run()));

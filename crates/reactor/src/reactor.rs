@@ -31,6 +31,14 @@
 //! buffers, and only then writes each route with bytes queued, once: one
 //! `write(2)` carries everything a pass sends between two loops, and
 //! everything the handlers emitted toward one destination shares a frame.
+//! The end of a pass is the batcher's flush point: with no hold (the
+//! adaptive policy) a frame is exactly what one pass emitted toward its
+//! destination, so batches grow with load and never wait on a timer. A
+//! pass that found input yields its core once before it seals, and reads
+//! whatever that let in: where threads outnumber cores, the thread about
+//! to hand this loop work — a client answering the replies the pass just
+//! completed, another loop — runs first, and its work shares the pass's
+//! frames. Where the core is free, the yield returns at once.
 //!
 //! ## Route discovery, reconnect and resend
 //!
@@ -46,6 +54,10 @@
 //!
 //! Every sealed frame gets a per-link sequence number and is retained in a
 //! bounded resend buffer until the receiver's cumulative ack covers it.
+//! The buffer is a byte log per link that frames are encoded straight
+//! into, and the receiver decodes each frame into the envelope vector its
+//! destination's previous frame left behind, so a frame allocates nothing
+//! end to end.
 //! Receivers ack lazily — once [`ACK_EVERY_FRAMES`] frames are owed on a
 //! link or its oldest owed frame is [`ACK_MAX_DELAY`] old, at once for a
 //! replay they had to dedup, and on every pass while draining — and a due
@@ -77,7 +89,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 use twobit_proto::linkseq::{self, LinkSeq, RouteHello, RouteWelcome, LINK_SEQ_LEN};
-use twobit_proto::{Automaton, BufferPool, Bytes, Envelope, Frame, NetStats, ProcessId, WireError};
+use twobit_proto::{Automaton, Envelope, Frame, NetStats, ProcessId, WireError, WireMessage};
 use twobit_runtime::{FlushPolicy, Incoming, LinkBatcher, ProcessCore};
 
 use crate::poller::{poll_fds, PollFd, WakeRx, Waker, POLL_IN, POLL_OUT};
@@ -87,12 +99,13 @@ use crate::poller::{poll_fds, PollFd, WakeRx, Waker, POLL_IN, POLL_OUT};
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A receiver acks once it owes this many frames on a link...
-pub(crate) const ACK_EVERY_FRAMES: u64 = 32;
+const ACK_EVERY_FRAMES: u64 = 32;
 /// ...or once the oldest frame it owes an ack for is this old.
 const ACK_MAX_DELAY: Duration = Duration::from_millis(10);
 /// Poll rounds one pass spends on input before it seals and writes
 /// frames: the first waits for the next deadline, the rest are
-/// zero-timeout re-polls that stop as soon as nothing is ready.
+/// zero-timeout re-polls that stop as soon as nothing is ready — the
+/// first time that happens after input, only once the loop has yielded.
 const MAX_INPUT_ROUNDS: usize = 4;
 /// Bytes one `read(2)` can return; a shorter read means the socket is
 /// empty for now.
@@ -146,10 +159,13 @@ pub(crate) struct LinkSpec {
     pub(crate) addr: SocketAddr,
 }
 
-/// A sealed frame parked in the resend buffer until acked.
+/// A sealed frame parked in its link's [`ResendLog`] until acked.
 struct Sealed {
     seq: u64,
-    blob: Bytes,
+    /// Where the frame's blob lies in the log, in log offsets (see
+    /// [`ResendLog::head`]).
+    offset: usize,
+    len: usize,
     /// Message count, for abandoned-link accounting.
     msgs: u64,
     /// Whether the frame was ever handed to a socket — a replay of a
@@ -158,12 +174,88 @@ struct Sealed {
     transmitted: bool,
 }
 
+/// A link's resend buffer: the blobs of its sealed-but-unacked frames
+/// back to back in one byte log, which frames are encoded straight into,
+/// and where each blob lies. Nothing is allocated per frame once the log
+/// has grown to the link's working size.
+#[derive(Default)]
+struct ResendLog {
+    bytes: Vec<u8>,
+    /// The log offset of `bytes[0]`: advanced as acks prune frames off the
+    /// front, reset whenever the log empties.
+    head: usize,
+    frames: VecDeque<Sealed>,
+}
+
+impl ResendLog {
+    fn len(&self) -> usize {
+        self.frames.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.frames.is_empty()
+    }
+
+    /// Encodes `frame` onto the end of the log as frame `seq`, and returns
+    /// its blob.
+    fn seal<M: WireMessage>(&mut self, seq: u64, frame: &Frame<M>, transmitted: bool) -> &[u8] {
+        let at = self.bytes.len();
+        let len = frame
+            .encode_append(&mut self.bytes)
+            .expect("the reactor transport requires a codec-capable message type");
+        self.frames.push_back(Sealed {
+            seq,
+            offset: self.head + at,
+            len,
+            msgs: frame.len() as u64,
+            transmitted,
+        });
+        &self.bytes[at..]
+    }
+
+    /// Every unacked frame, oldest first, with its blob.
+    fn unacked(&mut self) -> impl Iterator<Item = (&mut Sealed, &[u8])> {
+        let (bytes, head) = (&self.bytes, self.head);
+        self.frames.iter_mut().map(move |s| {
+            let at = s.offset - head;
+            let blob = &bytes[at..at + s.len];
+            (s, blob)
+        })
+    }
+
+    /// Drops every frame up to `seq`, which the receiver has consumed. The
+    /// log is cleared when that empties it and compacted in place
+    /// otherwise.
+    fn prune(&mut self, seq: u64) {
+        while self.frames.front().is_some_and(|s| s.seq <= seq) {
+            self.frames.pop_front();
+        }
+        match self.frames.front() {
+            None => {
+                self.clear();
+            }
+            Some(first) => {
+                self.bytes.drain(..first.offset - self.head);
+                self.head = first.offset;
+            }
+        }
+    }
+
+    /// Drops everything; returns how many messages that was.
+    fn clear(&mut self) -> u64 {
+        let msgs = self.frames.drain(..).map(|s| s.msgs).sum();
+        self.bytes.clear();
+        self.head = 0;
+        msgs
+    }
+}
+
 /// Reactor-side state of one send link.
 pub(crate) struct SendLink<M> {
     pub(crate) spec: LinkSpec,
     pub(crate) batcher: LinkBatcher<Envelope<M>>,
     next_seq: u64,
-    resend: VecDeque<Sealed>,
+    resend: ResendLog,
     /// The route connection currently carrying the link.
     conn: Option<usize>,
     /// A dial naming this link's destination is in flight.
@@ -178,7 +270,7 @@ impl<M> SendLink<M> {
             spec,
             batcher: LinkBatcher::new(policy),
             next_seq: 1,
-            resend: VecDeque::new(),
+            resend: ResendLog::default(),
             conn: None,
             dialing: false,
             ever_connected: false,
@@ -361,7 +453,6 @@ pub(crate) struct Reactor<A: Automaton> {
     pub(crate) proc_slot: Vec<Option<usize>>,
     /// Every send link whose `src` this loop owns.
     pub(crate) links: Vec<SendLink<A::Msg>>,
-    pub(crate) pool: Arc<BufferPool>,
     pub(crate) done_tx: Sender<usize>,
 }
 
@@ -405,11 +496,19 @@ impl<A: Automaton> Reactor<A> {
             // Input first: the first round waits for the next deadline,
             // the following ones only pick up what arrived meanwhile.
             let mut timeout = self.next_deadline(&st, now);
+            let (mut found_input, mut yielded) = (false, false);
             for _ in 0..MAX_INPUT_ROUNDS {
                 self.build_pollfds(&mut st);
                 match poll_fds(&mut st.fds, timeout) {
+                    // Nothing more is ready: before sealing, give the core
+                    // away once (see the module docs), then look again.
+                    Ok(0) if found_input && !yielded => {
+                        yielded = true;
+                        std::thread::yield_now();
+                        continue;
+                    }
                     Ok(0) => break,
-                    Ok(_) => {}
+                    Ok(_) => found_input = true,
                     Err(_) => {
                         // A transient poll failure (fd churn race); don't spin.
                         std::thread::sleep(Duration::from_millis(1));
@@ -572,7 +671,7 @@ impl<A: Automaton> Reactor<A> {
         self.procs[k].out.get(dst.index()).copied().flatten()
     }
 
-    /// Seals every due batch on every link: frame → seq → resend buffer →
+    /// Seals every due batch on every link: frame → seq → resend log →
     /// its route's write buffer (when connected).
     fn flush_all(&mut self, st: &mut LoopState, now: Instant) {
         for li in 0..self.links.len() {
@@ -587,39 +686,30 @@ impl<A: Automaton> Reactor<A> {
         }
         while let Some(f) = link.batcher.take_due(now, st.draining) {
             let frame = Frame::from_envelopes(f.batch);
-            let msgs = frame.len() as u64;
             let cost = frame.cost(self.tag_bits);
-            let blob = frame
-                .encode_pooled(&self.pool)
-                .expect("the reactor transport requires a codec-capable message type");
-            link.batcher.recycle(frame.into_vec());
             let seq = link.next_seq;
             link.next_seq += 1;
             let depth = link.resend.len() + 1;
             // The peer is not acking (down longer than the buffer can
             // absorb): give the link up rather than grow unboundedly.
             let overflow = depth > self.resend_cap;
-            let mut conn = match link.conn {
+            let conn = match link.conn {
                 Some(ci) if !overflow => st.conns.get_mut(ci).and_then(Option::as_mut),
                 _ => None,
             };
+            let LinkSpec { src, dst, .. } = link.spec;
+            let blob = link.resend.seal(seq, &frame, conn.is_some());
             {
                 // One lock per sealed frame.
                 let mut stats = self.stats.lock();
                 stats.record_frame(cost);
                 stats.record_flush(f.reason, f.held.as_nanos().min(u128::from(u64::MAX)) as u64);
                 stats.record_resend_buffer_depth(depth as u64);
-                if let Some(conn) = conn.as_deref_mut() {
-                    let LinkSpec { src, dst, .. } = link.spec;
-                    Self::append_record(&mut stats, conn, LinkSeq { src, dst, seq }, &blob);
+                if let Some(conn) = conn {
+                    Self::append_record(&mut stats, conn, LinkSeq { src, dst, seq }, blob);
                 }
             }
-            link.resend.push_back(Sealed {
-                seq,
-                blob,
-                msgs,
-                transmitted: conn.is_some(),
-            });
+            link.batcher.recycle(frame.into_vec());
             if overflow {
                 self.abandon_link(li);
                 return;
@@ -716,10 +806,7 @@ impl<A: Automaton> Reactor<A> {
                 // A late ack for a link given up since: nothing to prune.
                 Some(li) if self.links[li].abandoned => {}
                 Some(li) if self.links[li].conn == Some(ci) => {
-                    let resend = &mut self.links[li].resend;
-                    while resend.front().is_some_and(|s| s.seq <= ack.seq) {
-                        resend.pop_front();
-                    }
+                    self.links[li].resend.prune(ack.seq);
                 }
                 _ => {
                     poisoned = true;
@@ -909,18 +996,20 @@ impl<A: Automaton> Reactor<A> {
                 link.owed_since.get_or_insert_with(Instant::now);
                 continue;
             }
-            // Decoded where it landed: the record is never copied out of
-            // the connection's buffer, so a frame costs the one vector its
-            // envelopes live in (byte-string payloads are copied to exactly
-            // their own size rather than pinning the read they arrived in).
-            // A corrupt frame from a byzantine-free peer poisons the route.
-            let Ok(frame) = Frame::<A::Msg>::decode(blob) else {
+            // Decoded where it landed, into the envelope vector the
+            // destination's last frame left behind: the record is never
+            // copied out of the connection's buffer, and a frame allocates
+            // nothing (byte-string payloads are copied to exactly their own
+            // size rather than pinning the read they arrived in). A corrupt
+            // frame from a byzantine-free peer poisons the route.
+            let host = link.host;
+            let storage = self.procs[host].core.take_frame_storage();
+            let Ok(frame) = Frame::<A::Msg>::decode_into(blob, storage) else {
                 poisoned = true;
                 break;
             };
             link.delivered = head.seq;
             link.owed_since.get_or_insert_with(Instant::now);
-            let host = link.host;
             let msgs = frame.len() as u64;
             // Mailbox first, so a message posted before the frame arrived
             // is handled before it, as when both shared one inbox.
@@ -1102,15 +1191,13 @@ impl<A: Automaton> Reactor<A> {
                 // The peer consumed up to the cursor: those frames are
                 // settled even if their acks died with the old socket, or
                 // were never sent.
-                while link.resend.front().is_some_and(|s| s.seq <= resume.seq) {
-                    link.resend.pop_front();
-                }
+                link.resend.prune(resume.seq);
                 let LinkSpec { src, dst, .. } = link.spec;
-                for s in &mut link.resend {
+                for (s, blob) in link.resend.unacked() {
                     resent += u64::from(s.transmitted);
                     s.transmitted = true;
                     let seq = s.seq;
-                    Self::append_record(&mut stats, conn, LinkSeq { src, dst, seq }, &s.blob);
+                    Self::append_record(&mut stats, conn, LinkSeq { src, dst, seq }, blob);
                 }
             }
             if resent > 0 {
@@ -1135,9 +1222,7 @@ impl<A: Automaton> Reactor<A> {
         }
         link.abandoned = true;
         link.conn = None;
-        let mut msgs: u64 = link.resend.iter().map(|s| s.msgs).sum();
-        msgs += link.batcher.drain_remaining().len() as u64;
-        link.resend.clear();
+        let msgs = link.resend.clear() + link.batcher.drain_remaining().len() as u64;
         let mut stats = self.stats.lock();
         stats.record_link_abandoned();
         stats.record_messages_abandoned(msgs);
@@ -1345,6 +1430,41 @@ mod tests {
         assert_eq!(backoff_for(&p, 2), Duration::from_millis(2));
         assert_eq!(backoff_for(&p, 4), Duration::from_millis(8));
         assert_eq!(backoff_for(&p, 30), Duration::from_millis(100), "capped");
+    }
+
+    #[test]
+    fn the_resend_log_prunes_from_the_front_and_replays_the_rest() {
+        use twobit_core::TwoBitMsg;
+        use twobit_proto::RegisterId;
+        // A frame of `k` messages, and the blob `Frame::encode` makes of it.
+        let frame = |k: u64| {
+            Frame::from_envelopes(
+                (0..k).map(|r| Envelope::new(RegisterId::new(r as usize), TwoBitMsg::<u64>::Read)),
+            )
+        };
+        let blob = |k: u64| frame(k).encode().unwrap().to_vec();
+        let mut log = ResendLog::default();
+        for seq in 1..=4 {
+            assert_eq!(log.seal(seq, &frame(seq), true), blob(seq));
+        }
+        log.prune(2);
+        let replay: Vec<(u64, Vec<u8>)> = log.unacked().map(|(s, b)| (s.seq, b.to_vec())).collect();
+        assert_eq!(replay, [(3, blob(3)), (4, blob(4))]);
+        assert_eq!(
+            log.bytes.len(),
+            blob(3).len() + blob(4).len(),
+            "compacted in place: only unacked bytes are kept"
+        );
+        // A frame sealed after a prune lands behind the survivors.
+        log.seal(5, &frame(1), false);
+        log.prune(4);
+        let (sealed, bytes) = log.unacked().next().unwrap();
+        assert_eq!((sealed.seq, sealed.transmitted), (5, false));
+        assert_eq!(bytes, blob(1));
+        log.prune(5);
+        assert!(log.is_empty() && log.bytes.is_empty() && log.head == 0);
+        log.seal(6, &frame(2), true);
+        assert_eq!(log.clear(), 2, "clearing reports the messages it drops");
     }
 
     #[test]

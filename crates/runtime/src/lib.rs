@@ -55,7 +55,7 @@ pub mod recovery;
 mod reply;
 pub mod spine;
 
-pub use batcher::{BuildError, ConfigError, Flush, FlushPolicy, HoldPolicy, LinkBatcher};
+pub use batcher::{BuildError, ConfigError, Flush, FlushPolicy, LinkBatcher};
 pub use client::{ClientError, OpHandle, RegisterClient};
 pub use cluster::{Cluster, ClusterBuilder, Incoming, ProcessCore, RegisterSnapshots};
 pub use recorder::Recorder;

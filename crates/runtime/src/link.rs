@@ -2,9 +2,11 @@
 //! now speaking *frames*.
 //!
 //! One link thread serves one ordered process pair `p_i → p_j`. Incoming
-//! items accumulate in the shared [`LinkBatcher`] under a [`FlushPolicy`]
-//! (size-based, hold-based — static or adaptive); each flush hands the
-//! batch to a caller-supplied closure — the cluster builds a
+//! items accumulate in the shared [`LinkBatcher`] under a [`FlushPolicy`]:
+//! each pass gulps whatever the channel has queued (up to `max_batch`),
+//! and the batch flushes once it is full or has waited out the policy's
+//! hold — at once under a zero hold, so a batch is one gulp. Each flush
+//! hands the batch to a caller-supplied closure — the cluster builds a
 //! [`Frame`](twobit_proto::Frame) there and records its shared-header cost
 //! plus the flush reason — and the result enters the delay heap as **one
 //! unit** with **one** independently sampled delay (ticks of the
@@ -186,7 +188,6 @@ mod tests {
     use std::sync::atomic::AtomicU32;
 
     use super::*;
-    use crate::batcher::HoldPolicy;
     use crossbeam::channel::{unbounded, Sender};
 
     /// Spawns a link whose flush unit is simply the batch itself; dropped
@@ -368,10 +369,10 @@ mod tests {
         );
     }
 
-    /// The trickle regression the adaptive hold exists for: messages
-    /// arriving far apart must neither strand (waiting for company that
-    /// never comes) nor busy-spin the thread. Exercises both a zero-hold
-    /// static policy and an adaptive one on the same workload.
+    /// The trickle regression: messages arriving far apart must neither
+    /// strand (waiting for company that never comes) nor busy-spin the
+    /// thread. Exercises both a zero-hold fixed policy and an adaptive one
+    /// on the same workload.
     #[test]
     fn trickle_workload_strands_nothing_under_static_zero_and_adaptive_holds() {
         for policy in [
@@ -402,18 +403,13 @@ mod tests {
     }
 
     /// A bursty sender under the adaptive policy coalesces harder than
-    /// the trickle case: batches actually fill.
+    /// the trickle case: batches actually fill. Nothing holds them — the
+    /// gulp takes whatever the channel queued since the last flush.
     #[test]
     fn adaptive_link_coalesces_bursts() {
         let crashed = Arc::new(AtomicBool::new(false));
         let (tx, out, _dropped, h) = id_link(
-            FlushPolicy {
-                max_batch: 16,
-                hold: HoldPolicy::Adaptive {
-                    floor: Duration::ZERO,
-                    ceil: Duration::from_millis(2),
-                },
-            },
+            FlushPolicy::adaptive(16, Duration::ZERO, Duration::from_millis(2)),
             DelayModel::Fixed(100),
             17,
             crashed,

@@ -62,8 +62,8 @@ use crate::delay::DelayModel;
 use crate::SimTime;
 
 /// How long a staged link waits for company before flushing, in virtual
-/// ticks — the engine-side counterpart of the runtime links'
-/// `HoldPolicy`.
+/// ticks — the engine-side counterpart of the live links' `FlushPolicy`
+/// hold.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VirtualHold {
     /// A fixed hold window (0 coalesces exactly the sends of one virtual
@@ -72,12 +72,12 @@ pub enum VirtualHold {
     /// Auto-tune the hold between `floor` and `ceil` from the link's
     /// observed (EWMA) inter-arrival gap in virtual ticks: an idle link
     /// flushes after `floor`, a busy link holds toward `ceil` so staggered
-    /// operations coalesce. The same idle/busy EWMA rule as the live
-    /// runtime's adaptive `FlushPolicy`, with one deliberate difference:
-    /// the virtual engine has no `max_batch` size bound, so a busy link's
-    /// hold stretches toward a fixed few arrivals' worth
-    /// (`VIRTUAL_GAP_MULTIPLIER` × gap, clamped by `ceil`) instead of the
-    /// live batcher's time-to-fill-a-batch (`gap × max_batch`).
+    /// operations coalesce: a busy link's hold stretches toward a fixed few
+    /// arrivals' worth (`VIRTUAL_GAP_MULTIPLIER` × gap, clamped by `ceil`).
+    /// The live backends dropped this rule — their adaptive `FlushPolicy`
+    /// seals whatever an event-loop pass or a link gulp gathered, with no
+    /// timer — but the engine has no pass to size a batch by, and the
+    /// seeded count tables are pinned to this one.
     Adaptive {
         /// Minimum hold, applied when the link looks idle.
         floor: SimTime,
@@ -101,7 +101,7 @@ impl VirtualHold {
 
 /// Per-link adaptive state: the EWMA inter-arrival gap and the last
 /// arrival instant, in virtual ticks (`None` before the link's first
-/// arrival, matching the live batcher: one message is no evidence).
+/// arrival: one message is no evidence).
 #[derive(Clone, Copy, Debug, Default)]
 struct LinkGap {
     ewma: Option<SimTime>,
@@ -281,14 +281,13 @@ impl SpaceBuilder {
 
     /// Sets the flush hold policy, including the adaptive variant
     /// ([`VirtualHold::Adaptive`]) that auto-tunes each link's hold from
-    /// its observed inter-arrival gaps — the virtual-time analogue of the
-    /// runtime's adaptive `FlushPolicy`.
+    /// its observed inter-arrival gaps (the live backends' adaptive
+    /// `FlushPolicy` no longer does this; see [`VirtualHold::Adaptive`]).
     ///
     /// # Panics
     ///
     /// Panics on an adaptive hold with `floor > ceil` (this builder has no
-    /// fallible build step; the live builders return a typed error for the
-    /// same mistake).
+    /// fallible build step).
     pub fn flush_hold_policy(mut self, hold: VirtualHold) -> Self {
         hold.validate();
         self.flush_hold = hold;
@@ -775,8 +774,7 @@ impl<A: Automaton> SimSpace<A> {
                 let gap = now.saturating_sub(last);
                 gap_state.ewma = Some(match gap_state.ewma {
                     None => gap,
-                    // Keep a quarter of each new sample (EWMA α = 1/4),
-                    // mirroring the live batcher.
+                    // Keep a quarter of each new sample (EWMA α = 1/4).
                     Some(ewma) => ewma + (gap >> 2) - (ewma >> 2),
                 });
             }

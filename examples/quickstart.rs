@@ -33,20 +33,21 @@
 //!
 //! # Flush semantics: when does a frame form?
 //!
-//! How long a link holds a batch open is the latency/overhead knob. A
-//! `FlushPolicy` (runtime + reactor; `flush_hold`/`flush_hold_policy` is the
-//! simulator's virtual-time analogue) flushes on **size** (`max_batch`
-//! pending), on **hold** (the oldest item waited out the window), or on
-//! **shutdown** — and the stats say which, per frame
+//! A frame is whatever a link gathered before its next flush point: one
+//! pass of a reactor event loop, one gulp of a chaos link's channel. So
+//! batches grow with load, and a lone message on an idle link leaves at
+//! once. A `FlushPolicy` (runtime + reactor; `flush_hold`/`flush_hold_policy`
+//! is the simulator's virtual-time analogue) flushes on **size**
+//! (`max_batch` pending), on **hold** (the oldest item waited out the
+//! hold), or on **shutdown** — and the stats say which, per frame
 //! (`NetStats::flushes(reason)`, plus the observed-hold summary). The hold
-//! itself is `HoldPolicy::Static(window)` or `HoldPolicy::Adaptive
-//! { floor, ceil }`, which EWMA-tracks each link's inter-arrival gap:
-//! a lone message on an idle link flushes after just `floor`
-//! (immediately, with the default zero floor), a bursty link holds toward
-//! `ceil` so the size bound does the flushing. Per-link overrides
-//! (`flush_policy_for` / `flush_hold_for`) tune asymmetric topologies.
-//! The runtime backend below runs adaptive; see `docs/wire-format.md` for
-//! the full semantics and `tests/frame_semantics.rs` for static-vs-adaptive rows.
+//! is an optional fixed timer: `FlushPolicy::fixed(max_batch, hold)`
+//! waits that long for company, `FlushPolicy::adaptive(max_batch, floor,
+//! ceil)` holds only its floor and never reads its ceiling. Per-link
+//! overrides (`flush_policy_for` / `flush_hold_for`) tune asymmetric
+//! topologies. The runtime backend below runs adaptive; see
+//! `docs/wire-format.md` for the full semantics and
+//! `tests/frame_semantics.rs` for the simulator's static-vs-adaptive rows.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -122,8 +123,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Backend 2: live threads with chaos links — 50–500µs delays plus 2ms
     // spikes, so messages genuinely reorder (the channels are not FIFO; the
     // algorithm's alternating-bit discipline handles that). The links run
-    // the adaptive flush policy: idle links flush a lone message at once,
-    // bursty links converge toward full frames.
+    // the adaptive flush policy: no hold, so each frame is whatever a link
+    // thread found queued on its channel.
     let mut cluster = ClusterBuilder::new(cfg)
         .seed(7)
         .delay(DelayModel::Spiky {

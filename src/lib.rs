@@ -213,24 +213,26 @@
 //!   methods have defaults — but must override them to cross the reactor's
 //!   sockets or a `wire_codec(true)` backend. See `docs/wire-format.md`.
 //!
-//! ## Flush semantics: static and adaptive holds
+//! ## Flush semantics: load-sized batches and an optional hold
 //!
 //! How aggressively a link coalesces envelopes into frames is a
 //! [`FlushPolicy`]: flush on **size** (`max_batch` pending), on **hold**
-//! (the oldest envelope waited out the window), or on **shutdown** —
+//! (the oldest envelope waited out the hold), or on **shutdown** —
 //! every backend records which, per frame
-//! ([`proto::NetStats::flushes`]), plus the observed-hold summary. The
-//! hold is [`HoldPolicy::Static`] or [`HoldPolicy::Adaptive`]`{ floor,
-//! ceil }`, which EWMA-tracks each link's inter-arrival gap so an idle
-//! link flushes a lone message immediately while a bursty link converges
-//! toward full frames. One shared state machine
-//! ([`runtime::LinkBatcher`]) drives the runtime's chaos links and the
-//! reactor's send links; [`SpaceBuilder::flush_hold_policy`] /
-//! [`VirtualHold`] is the simulator's virtual-time analogue. Per-link
-//! overrides (`flush_policy_for`, `flush_hold_for`) handle asymmetric
-//! topologies, and unsatisfiable policies (`max_batch == 0`, inverted
-//! adaptive bands) fail the build with a typed [`BuildError`] instead of
-//! panicking a link thread:
+//! ([`proto::NetStats::flushes`]), plus the observed-hold summary. A batch
+//! is whatever its link gathered before the next flush point — one reactor
+//! event-loop pass, one chaos-link gulp of its channel — so batches grow
+//! with load and a lone message on an idle link leaves at once. The hold
+//! is an optional fixed timer on top ([`FlushPolicy::fixed`]);
+//! [`FlushPolicy::adaptive`] takes its floor as the hold and ignores its
+//! ceiling. One shared state machine ([`runtime::LinkBatcher`]) drives
+//! the runtime's chaos links and the reactor's send links;
+//! [`SpaceBuilder::flush_hold_policy`] / [`VirtualHold`] is the
+//! simulator's virtual-time analogue, whose adaptive mode still tracks
+//! each link's inter-arrival gap. Per-link overrides (`flush_policy_for`,
+//! `flush_hold_for`) handle asymmetric topologies, and an unsatisfiable
+//! policy (`max_batch == 0`) fails the build with a typed [`BuildError`]
+//! instead of panicking a link thread:
 //!
 //! ```
 //! use std::time::Duration;
@@ -239,7 +241,7 @@
 //! let cfg = SystemConfig::new(3, 1)?;
 //! let writer = ProcessId::new(0);
 //! let cluster = ClusterBuilder::new(cfg)
-//!     // Auto-tuned hold: 0 floor (idle links flush at once), 200µs ceil.
+//!     // No hold: each link thread sends what it gulped, up to 64 at once.
 //!     .flush_policy(FlushPolicy::adaptive(64, Duration::ZERO, Duration::from_micros(200)))
 //!     // Keep one latency-critical link unbatched.
 //!     .flush_policy_for(0, 1, FlushPolicy::immediate())
@@ -348,8 +350,7 @@ pub use twobit_reactor::{
     ListeningNode, ReactorClusterBuilder, ReactorNode, ReactorNodeBuilder, ReconnectPolicy,
 };
 pub use twobit_runtime::{
-    BuildError, ClientError, Cluster, ClusterBuilder, ConfigError, FlushPolicy, HoldPolicy,
-    RegisterClient,
+    BuildError, ClientError, Cluster, ClusterBuilder, ConfigError, FlushPolicy, RegisterClient,
 };
 pub use twobit_simnet::{
     ClientPlan, CrashPlan, CrashPoint, DelayModel, SimBuilder, SimSpace, Simulation, SpaceBuilder,

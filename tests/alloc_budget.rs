@@ -4,9 +4,15 @@
 //! never builds it. This binary installs its own counting allocator and
 //! pins the steady-state figures the flat, streamed codec was built for:
 //!
-//! * sealing a frame — `Frame::from_envelopes(Vec)` + `cost` +
-//!   `encode_pooled` — allocates nothing but the `Bytes` owner;
-//! * `decode_shared` of a small frame allocates once (the flat vector);
+//! * sealing a frame the reactor's way — `Frame::from_envelopes(Vec)` +
+//!   `cost` + `encode_append` onto a warm buffer — allocates nothing, and
+//!   decoding into recycled storage (`decode_into`) allocates nothing: a
+//!   reactor frame is free end to end (`tests/reactor_alloc.rs` holds the
+//!   whole node to that);
+//! * the pooled seal the simulator and a `wire_codec(true)` runtime use
+//!   (`encode_pooled`) allocates nothing but the `Bytes` owner, and
+//!   `decode` / `decode_shared` of a small frame allocate once (the flat
+//!   vector);
 //! * `ShardSet::on_message` allocates nothing;
 //! * a `LinkBatcher` whose storage is handed back allocates nothing;
 //! * `CacheWriter::publish` allocates nothing, from the first call on —
@@ -20,7 +26,8 @@
 //!
 //! It also holds the decoders' other promise: whatever bytes arrive —
 //! random, or a valid encoding with bits flipped — `Frame::decode`,
-//! `Frame::decode_shared` and `FrameHeader::decode`, and the reactor's
+//! `Frame::decode_into`, `Frame::decode_shared` and `FrameHeader::decode`,
+//! and the reactor's
 //! route decoders (`RouteHello::decode`, `RouteWelcome::decode`, the record
 //! splitter and the ack parser), return a typed `WireError` or a value,
 //! never panic, and never allocate more than a fixed multiple of the
@@ -152,6 +159,65 @@ fn sealing_a_frame_allocates_only_the_bytes_owner() {
             pool.recycled(),
             ROUNDS,
             "every encode reused the pooled buffer"
+        );
+    }
+}
+
+#[test]
+fn appending_a_frame_to_a_warm_buffer_allocates_nothing() {
+    for k in [1, 3, 16] {
+        let mut envs = batch(k);
+        // A window of frames appended back to back, then dropped at once —
+        // a link's resend log between two acks.
+        let window = |envs: &mut Vec<Envelope<TwoBitMsg<u64>>>, log: &mut Vec<u8>| {
+            log.clear();
+            for _ in 0..32 {
+                // Un-sort the batch so every frame pays for the sort too.
+                envs.rotate_left(1);
+                let frame = Frame::from_envelopes(std::mem::take(envs));
+                assert_eq!(frame.cost(4).messages, k as u64);
+                let len = frame.encode_append(log).expect("TwoBitMsg has a codec");
+                assert_eq!(len as u64, 4 + frame.encoded_bits().div_ceil(8));
+                *envs = frame.into_vec();
+            }
+        };
+        // Warm-up: the buffer grows to a window's worth once.
+        let mut log = Vec::new();
+        window(&mut envs, &mut log);
+        let ((), allocs, _) = measured(|| {
+            for _ in 0..10 {
+                window(&mut envs, &mut log);
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "{k}-message frames: appending to a warm buffer allocates nothing"
+        );
+    }
+}
+
+#[test]
+fn decoding_into_recycled_storage_allocates_nothing() {
+    for k in [1, 3, 16] {
+        let frame = Frame::from_envelopes(batch(k));
+        let blob = frame.encode().expect("codec");
+        // The first decode sizes the storage; every later one refills it.
+        let mut storage = Frame::<TwoBitMsg<u64>>::decode(&blob)
+            .expect("round trip")
+            .into_vec();
+        let ((), allocs, _) = measured(|| {
+            for _ in 0..100 {
+                let decoded =
+                    Frame::<TwoBitMsg<u64>>::decode_into(&blob, storage).expect("round trip");
+                assert_eq!(decoded, frame);
+                // What a handler leaves behind: the emptied vector.
+                storage = decoded.into_vec();
+                storage.clear();
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "{k}-message frame: decoding into recycled storage allocates nothing"
         );
     }
 }
@@ -386,11 +452,24 @@ fn decode_within_budget<M: WireMessage>(blob: &[u8]) -> Result<(), String> {
         "decode_shared requested {bytes} B for {} input bytes (budget {budget})",
         blob.len()
     );
+    // Storage a handler emptied, with room for a few envelopes already.
+    let storage: Vec<Envelope<M>> = Vec::with_capacity(4);
+    let (recycled, _, bytes) = measured(|| Frame::<M>::decode_into(blob, storage));
+    prop_assert!(
+        bytes <= budget,
+        "decode_into requested {bytes} B for {} input bytes (budget {budget})",
+        blob.len()
+    );
     let verdict = |r: &Result<Frame<M>, WireError>| r.as_ref().map(Frame::len).map_err(|e| *e);
     prop_assert_eq!(
         verdict(&plain),
         verdict(&viewed),
-        "the two decoders disagree"
+        "decode and decode_shared disagree"
+    );
+    prop_assert_eq!(
+        verdict(&plain),
+        verdict(&recycled),
+        "decode and decode_into disagree"
     );
     Ok(())
 }

@@ -458,6 +458,42 @@ fn short_burst_then_silence_drains_with_nothing_abandoned() {
     );
 }
 
+/// Under the adaptive policy a frame is what one pass of an event loop
+/// gathered, and nothing waits on a timer for company. A gap-tracking hold
+/// with a one-second ceiling would hold every hop of a sequential workload
+/// for about gap × 64 — several milliseconds — and take far longer than
+/// the bound below.
+#[test]
+fn a_closed_loop_never_waits_on_an_adaptive_ceiling() {
+    let cfg = SystemConfig::max_resilience(3);
+    let writer = ProcessId::new(0);
+    let mut node = ReactorClusterBuilder::new(cfg)
+        .flush_policy(FlushPolicy::adaptive(
+            64,
+            Duration::ZERO,
+            Duration::from_secs(1),
+        ))
+        .build(0u64, |id| TwoBitProcess::new(id, cfg, writer, 0u64))
+        .expect("reactor cluster starts");
+    let started = Instant::now();
+    for v in 1..=200u64 {
+        node.write(writer, RegisterId::ZERO, v).unwrap();
+        assert_eq!(node.read(ProcessId::new(1), RegisterId::ZERO).unwrap(), v);
+    }
+    let elapsed = started.elapsed();
+    let (history, stats) = node.shutdown();
+    check_swmr(history.shard(RegisterId::ZERO).unwrap()).unwrap();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "200 write+read pairs took {elapsed:?}"
+    );
+    let mean_hold_ns = stats.mean_observed_hold_ns();
+    assert!(
+        mean_hold_ns < 1e6,
+        "frames were held {mean_hold_ns:.0} ns on average"
+    );
+}
+
 /// The far end of the reactor's route protocol, scripted: stands in for the
 /// node hosting p1 and p2. Accepts the routes the node under test dials,
 /// welcomes every named link toward p1 or p2 at its cursor, acks every
