@@ -13,7 +13,7 @@
 //!   ablation        E7: writer fast-path & read-dominated comparison
 //!   wire-growth     E8: control bits vs history length
 //!   latency-dist    E9: latency distributions across algorithms
-//!   live            E10: live threaded runtime end-to-end
+//!   live            E10: live chaos-link cluster end-to-end
 //!   all             run everything with defaults
 //! ```
 

@@ -4,7 +4,7 @@
 //! algorithms) plus in-text claims (Theorem 2's message counts, the 2Δ/4Δ
 //! latency bounds, the P1/P2 synchronizer properties). Each experiment
 //! module reproduces one of them on the deterministic simulator (or, for
-//! E10, on the live threaded runtime) and emits a markdown/CSV report:
+//! E10, on a live chaos-link cluster) and emits a markdown/CSV report:
 //!
 //! | module | experiment | paper source |
 //! |--------|-----------|--------------|

@@ -1,15 +1,16 @@
-//! Experiment E10: end-to-end run on the live threaded runtime.
+//! Experiment E10: end-to-end run on a live chaos-link cluster.
 //!
-//! The same automaton that was measured on the simulator runs on OS threads
-//! with chaos links (real delays, real reordering) and a real crash, and the
+//! The same automaton that was measured on the simulator runs on the
+//! reactor's event loops with chaos links (real delays, real reordering)
+//! and a real crash, while client threads drive it, and the
 //! client-observed history is checked for atomicity. This is the
-//! whole-system smoke test: protocol + runtime + checker.
+//! whole-system smoke test: protocol + live runtime + checker.
 
 use std::time::Duration;
 
 use twobit_core::TwoBitProcess;
 use twobit_proto::{ProcessId, SystemConfig};
-use twobit_runtime::ClusterBuilder;
+use twobit_reactor::ClusterBuilder;
 use twobit_simnet::DelayModel;
 
 /// Summary of the live run.
@@ -76,7 +77,8 @@ pub fn scenario(n: usize, writes: u64, seed: u64) -> LiveSummary {
         });
     });
 
-    let (history, stats) = cluster.shutdown();
+    let history = cluster.history();
+    let (_, stats) = cluster.shutdown();
     let atomic = twobit_lincheck::check_swmr(&history).is_ok();
     LiveSummary {
         completed: history.completed().count(),
@@ -90,7 +92,7 @@ pub fn run(n: usize, writes: u64, seed: u64) -> String {
     let s = scenario(n, writes, seed);
     assert!(s.atomic, "live history must be atomic");
     format!(
-        "## E10 — Live threaded runtime (n = {n}, chaos links, one crash)\n\n\
+        "## E10 — Live cluster (n = {n}, chaos links, one crash)\n\n\
          completed operations: {}\nmessages sent: {}\natomic: {}\n",
         s.completed, s.messages, s.atomic
     )

@@ -8,7 +8,7 @@
 //! operation on a `(process, register)` pair, *poll* its completion, crash
 //! processes, and extract per-register histories plus wire statistics. The
 //! simulator implements `poll` by advancing virtual time; the runtime by
-//! blocking on the reply channel — workload code cannot tell the difference,
+//! blocking on the reply cell — workload code cannot tell the difference,
 //! which is exactly the point.
 //!
 //! Sequentiality is the paper's model (§2.1: processes are sequential), so
@@ -112,9 +112,9 @@ impl std::error::Error for DriverError {}
 
 /// A running register deployment that can be driven one operation at a time.
 ///
-/// Implemented by `twobit_simnet::SimSpace` (virtual time),
-/// `twobit_runtime::Cluster` (real threads) and `twobit_reactor::ReactorNode`
-/// (real sockets), all sharded. Code written against this trait —
+/// Implemented by `twobit_simnet::SimSpace` (virtual time) and
+/// `twobit_reactor::ReactorNode` (real event loops, over sockets or — as
+/// `twobit_reactor::Cluster` — over chaos links), all sharded. Code written against this trait —
 /// workloads, equivalence tests, benchmarks — runs unchanged on every
 /// backend.
 pub trait Driver {

@@ -6,7 +6,8 @@
 //! updating local state, sending messages, and completing operations. This
 //! crate defines that common vocabulary so the same algorithm code can run
 //! unchanged on the deterministic discrete-event simulator
-//! (`twobit-simnet`) and on the live threaded runtime (`twobit-runtime`).
+//! (`twobit-simnet`) and on the live event loops (`twobit-runtime`,
+//! `twobit-reactor`).
 //!
 //! Main items:
 //!

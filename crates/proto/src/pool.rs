@@ -3,8 +3,8 @@
 //! [`Frame::encode`](crate::Frame::encode) builds a fresh blob per frame —
 //! fine for tests, but on a busy link the allocator becomes the hot path:
 //! one `Vec` per flush, freed as soon as the frame is done with. A
-//! [`BufferPool`] breaks that cycle. Whoever seals frames (a link thread,
-//! an event loop, the simulator) owns one pool;
+//! [`BufferPool`] breaks that cycle. Whoever seals frames (the simulator,
+//! a benchmark) owns one pool;
 //! [`Frame::encode_pooled`](crate::Frame::encode_pooled) checks a recycled
 //! `Vec<u8>` out, encodes into it (capacity warm from an earlier frame of
 //! similar size), and freezes it into a [`Bytes`] whose owner is a

@@ -1,5 +1,6 @@
-//! `twobit-reactor` — event-driven cross-host TCP transport with
-//! reconnect-and-resend.
+//! `twobit-reactor` — the live runtime: event loops that run a node's
+//! processes over cross-host TCP with reconnect-and-resend, or, in one
+//! process, over chaos links that delay and reorder frames.
 //!
 //! A reader and a writer thread per ordered link is fine at `n = 3` and
 //! ruinous at `n = 64` (4032 links → 8064 threads). This crate runs *all*
@@ -15,7 +16,7 @@
 //! between their processes (at most `pool²` connections on an all-local
 //! node, not `n(n−1)`), and each pass writes each route once.
 //!
-//! Beyond the flat thread count, the reactor does two things a socket
+//! Beyond the flat thread count, the reactor does three things a socket
 //! per link does not give for free:
 //!
 //! * **Cross-host deployment.** The builder is split into
@@ -33,15 +34,21 @@
 //!   number, so a frame that was delivered-but-un-acked when the socket
 //!   died is never delivered twice. Crash semantics
 //!   ([`twobit_proto::Driver::crash`]) are unchanged and permanent.
+//! * **The paper's non-FIFO channels, on the same handler path.** A
+//!   [`ClusterBuilder`] node hosts every process and binds no socket: its
+//!   links are *chaos links*, which seal frames as a route link does and
+//!   then hold each for a delay sampled from a seeded
+//!   [`DelayModel`](twobit_simnet::DelayModel), so a later frame can
+//!   overtake an earlier one on its way to the handler. A [`Cluster`] is
+//!   the [`ReactorNode`] it builds.
 //!
 //! Frame semantics, flush policies, and the `NetStats` reconciliation
 //! invariant (`delivered + dropped + abandoned == sent`, exact while
-//! `links_abandoned == 0`) are shared with the other live backends;
-//! reconnect activity is visible as `reconnects`, `frames_resent`,
+//! `links_abandoned == 0`) are the same on both link kinds; reconnect
+//! activity is visible as `reconnects`, `frames_resent`,
 //! `frames_deduped`, and `resend_buffer_high_water`. The `Driver` surface
-//! is shared outright: a node forwards to the same
-//! [`twobit_runtime::Spine`] as the in-process cluster, so tickets,
-//! timeouts, crash and recovery mean one thing on both.
+//! is [`twobit_runtime::Spine`]'s, so tickets, timeouts, crash and
+//! recovery mean one thing on every live deployment.
 //!
 //! See `docs/transport.md` for the architecture tour and deployment
 //! guide.
@@ -52,10 +59,13 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cluster;
+mod link;
 mod node;
 #[allow(unsafe_code)]
 pub mod poller;
 mod reactor;
 
+pub use cluster::{Cluster, ClusterBuilder};
 pub use node::{ListeningNode, ReactorClusterBuilder, ReactorNode, ReactorNodeBuilder};
 pub use reactor::ReconnectPolicy;

@@ -29,16 +29,18 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use twobit_cache::CacheMode;
 use twobit_proto::{
-    Automaton, Driver, DriverError, Lifecycle, NetStats, OpOutcome, OpTicket, Operation, ProcessId,
-    RegisterId, ShardSet, ShardedHistory, SystemConfig,
+    Automaton, Driver, DriverError, History, Lifecycle, NetStats, OpOutcome, OpTicket, Operation,
+    ProcessId, RegisterId, ShardSet, ShardedHistory, SystemConfig,
 };
 use twobit_runtime::{
-    recover_process, BuildError, DeployConfig, FlushPolicy, Incoming, ProcessCore, Spine,
+    recover_process, BuildError, ClientError, DeployConfig, FlushPolicy, Incoming, ProcessCore,
+    RegisterClient, Spine,
 };
 
+use crate::link::{ChaosConfig, ChaosLink, InFlight};
 use crate::poller::{waker_pair, Waker};
 use crate::reactor::{
-    dialer_loop, Cmd, DialReq, Hosted, LinkSpec, Reactor, ReconnectPolicy, SendLink,
+    dialer_loop, Carrier, Cmd, DialReq, Hosted, LinkSpec, Reactor, ReconnectPolicy, SendLink,
 };
 
 fn deploy_err(msg: String) -> BuildError {
@@ -120,8 +122,8 @@ impl ReactorNodeBuilder {
     }
 
     /// Sets the links' default frame flush policy — the same engine and
-    /// semantics as the other live backends; the hold deadline is kept as
-    /// a reactor timer instead of a parked thread's sleep.
+    /// semantics on both link kinds; the hold deadline is kept as a
+    /// reactor timer.
     pub fn flush_policy(mut self, flush: FlushPolicy) -> Self {
         self.deploy.flush = flush;
         self
@@ -274,7 +276,7 @@ impl ListeningNode {
         self,
         peers: &HashMap<ProcessId, SocketAddr>,
         initial: A::Value,
-        mut make: F,
+        make: F,
     ) -> Result<ReactorNode<A>, BuildError>
     where
         A: Automaton,
@@ -317,144 +319,198 @@ impl ListeningNode {
             }
         }
 
-        let pool = b.pool_size.min(b.local.len());
-        let tag_bits = RegisterId::routing_bits(b.deploy.registers.len());
         listener.set_nonblocking(true)?;
-
-        // Per-thread plumbing first: the spine's wake hook needs the wakers.
-        let (done_tx, done_rx) = unbounded::<usize>();
-        let (dial_tx, dial_rx) = unbounded::<DialReq>();
-        let mut cmd_txs = Vec::with_capacity(pool);
-        let mut cmd_rxs = Vec::with_capacity(pool);
-        let mut wakers: Vec<Arc<Waker>> = Vec::with_capacity(pool);
-        let mut wake_rxs = Vec::with_capacity(pool);
-        for _ in 0..pool {
-            let (ct, cr) = unbounded::<Cmd>();
-            cmd_txs.push(ct);
-            cmd_rxs.push(cr);
-            let (w, wr) = waker_pair()?;
-            wakers.push(w);
-            wake_rxs.push(wr);
-        }
-
-        // Deal the hosted processes over the pool. The loop that owns a
-        // process owns its handler state, its mailbox, every ordered link
-        // it sends on, and the receive side of every link toward it (whose
-        // route the accepting loop hands over).
-        let mut owners: Vec<Option<usize>> = vec![None; n];
-        let mut inboxes: Vec<Option<Sender<Incoming<A>>>> = (0..n).map(|_| None).collect();
-        let mut mailboxes = Vec::with_capacity(b.local.len());
-        for (k, &src) in b.local.iter().enumerate() {
-            owners[src.index()] = Some(k % pool);
-            let (tx, mailbox) = unbounded();
-            inboxes[src.index()] = Some(tx);
-            mailboxes.push(mailbox);
-        }
-        let owners: Arc<[Option<usize>]> = owners.into();
-        // An event loop parked in `poll(2)` does not see a channel send:
-        // every post to a mailbox nudges the loop that owns the process.
-        let wake = {
-            let (owners, wakers) = (Arc::clone(&owners), wakers.clone());
-            move |p: ProcessId| {
-                if let Some(owner) = owners[p.index()] {
-                    wakers[owner].wake();
-                }
-            }
+        let routes = Routes {
+            listener,
+            self_addr,
+            peers,
+            reconnect: b.reconnect,
         };
-        let spine = Spine::new(b.cfg, &b.deploy, inboxes, wake, initial)?;
-        let crashed = spine.crash_flags();
-        let stats = spine.stats_handle();
-
-        let mut procs: Vec<Vec<Hosted<A>>> = (0..pool).map(|_| Vec::new()).collect();
-        let mut links: Vec<Vec<SendLink<A::Msg>>> = (0..pool).map(|_| Vec::new()).collect();
-        for ((k, &src), mailbox) in b.local.iter().enumerate().zip(mailboxes) {
-            let slot = k % pool;
-            let mut out = vec![None; n];
-            for dst in (0..n).map(ProcessId::new).filter(|&dst| dst != src) {
-                let addr = if local_set.contains(&dst) {
-                    self_addr
-                } else {
-                    peers[&dst]
-                };
-                out[dst.index()] = Some(links[slot].len());
-                links[slot].push(SendLink::new(
-                    LinkSpec { src, dst, addr },
-                    b.deploy.policy_for(src, dst),
-                ));
-            }
-            let shards = ShardSet::new(src, &b.deploy.registers, &mut make);
-            procs[slot].push(Hosted {
-                core: ProcessCore::new(
-                    shards,
-                    crashed.to_vec(),
-                    Arc::clone(stats),
-                    b.deploy.cache_mode,
-                ),
-                mailbox,
-                out,
-                retired: false,
-            });
-        }
-
-        let mut reactor_threads = Vec::with_capacity(pool);
-        let mut listener_slot = Some(listener);
-        let parts = cmd_rxs
-            .into_iter()
-            .zip(wake_rxs)
-            .zip(procs.into_iter().zip(links));
-        for (slot, ((cmd_rx, wake_rx), (procs, links))) in parts.enumerate() {
-            let mut proc_slot = vec![None; n];
-            for (k, host) in procs.iter().enumerate() {
-                proc_slot[host.core.id().index()] = Some(k);
-            }
-            let reactor: Reactor<A> = Reactor {
-                slot,
-                tag_bits,
-                resend_cap: b.resend_cap,
-                drain_grace: b.drain_grace,
-                stats: Arc::clone(stats),
-                crashed: crashed.to_vec(),
-                owners: Arc::clone(&owners),
-                cmd_rx,
-                cmd_txs: cmd_txs.clone(),
-                wakers: wakers.clone(),
-                wake_rx,
-                dial_tx: dial_tx.clone(),
-                listener: if slot == 0 {
-                    listener_slot.take()
-                } else {
-                    None
-                },
-                procs,
-                proc_slot,
-                links,
-                done_tx: done_tx.clone(),
-            };
-            reactor_threads.push(std::thread::spawn(move || reactor.run()));
-        }
-
-        // The shared dialer; each loop asks it for its routes as it starts.
-        let dialer = {
-            let cmd_txs = cmd_txs.clone();
-            let wakers = wakers.clone();
-            let policy = b.reconnect;
-            std::thread::spawn(move || dialer_loop(&dial_rx, &cmd_txs, &wakers, policy))
-        };
-
-        Ok(ReactorNode {
-            spine,
-            local: b.local,
-            addr: bound_addr,
-            reactor_threads,
-            dialer: Some(dialer),
-            dial_tx: Some(dial_tx),
-            cmd_txs,
-            wakers,
-            done_rx,
-            drain_grace: b.drain_grace,
-            stopped: false,
-        })
+        start(b, Carriers::Routes(routes), bound_addr, initial, make)
     }
+}
+
+/// The route sockets of a listen/join node.
+pub(crate) struct Routes<'a> {
+    /// The node's listener, which loop 0 accepts on.
+    listener: TcpListener,
+    /// Where routes toward this node's own processes dial.
+    self_addr: SocketAddr,
+    /// Where every process hosted elsewhere listens.
+    peers: &'a HashMap<ProcessId, SocketAddr>,
+    reconnect: ReconnectPolicy,
+}
+
+/// What carries a node's frames between its processes: route sockets, or
+/// the chaos links of an in-process [`Cluster`](crate::Cluster).
+pub(crate) enum Carriers<'a> {
+    Routes(Routes<'a>),
+    Chaos(ChaosConfig),
+}
+
+/// Starts a node whose deployment `b` describes: deals the hosted
+/// processes over the event-loop pool, gives every ordered link from a
+/// hosted process its carrier, and spawns the loops — plus, for route
+/// sockets, the dialer, with loop 0 accepting on the listener.
+///
+/// # Errors
+///
+/// [`BuildError::Config`] for an unsatisfiable flush policy;
+/// [`BuildError::Io`] when a waker cannot be made.
+pub(crate) fn start<A, F>(
+    b: ReactorNodeBuilder,
+    carriers: Carriers<'_>,
+    addr: SocketAddr,
+    initial: A::Value,
+    mut make: F,
+) -> Result<ReactorNode<A>, BuildError>
+where
+    A: Automaton,
+    F: FnMut(RegisterId, ProcessId) -> A,
+{
+    let n = b.cfg.n();
+    let pool = b.pool_size.min(b.local.len());
+    let tag_bits = RegisterId::routing_bits(b.deploy.registers.len());
+
+    // Per-thread plumbing first: the spine's wake hook needs the wakers.
+    let (done_tx, done_rx) = unbounded::<usize>();
+    let (dial_tx, dial_rx) = unbounded::<DialReq>();
+    let mut cmd_txs = Vec::with_capacity(pool);
+    let mut cmd_rxs = Vec::with_capacity(pool);
+    let mut wakers: Vec<Arc<Waker>> = Vec::with_capacity(pool);
+    let mut wake_rxs = Vec::with_capacity(pool);
+    for _ in 0..pool {
+        let (ct, cr) = unbounded::<Cmd>();
+        cmd_txs.push(ct);
+        cmd_rxs.push(cr);
+        let (w, wr) = waker_pair()?;
+        wakers.push(w);
+        wake_rxs.push(wr);
+    }
+
+    // Deal the hosted processes over the pool. The loop that owns a
+    // process owns its handler state, its mailbox, every ordered link it
+    // sends on, and the receive side of every link toward it (whose route
+    // the accepting loop hands over).
+    let mut owners: Vec<Option<usize>> = vec![None; n];
+    let mut inboxes: Vec<Option<Sender<Incoming<A>>>> = (0..n).map(|_| None).collect();
+    let mut mailboxes = Vec::with_capacity(b.local.len());
+    for (k, &src) in b.local.iter().enumerate() {
+        owners[src.index()] = Some(k % pool);
+        let (tx, mailbox) = unbounded();
+        inboxes[src.index()] = Some(tx);
+        mailboxes.push(mailbox);
+    }
+    let owners: Arc<[Option<usize>]> = owners.into();
+    // An event loop parked in `poll(2)` does not see a channel send: every
+    // post to a mailbox nudges the loop that owns the process.
+    let wake = {
+        let (owners, wakers) = (Arc::clone(&owners), wakers.clone());
+        move |p: ProcessId| {
+            if let Some(owner) = owners[p.index()] {
+                wakers[owner].wake();
+            }
+        }
+    };
+    let spine = Arc::new(Spine::new(
+        b.cfg,
+        &b.deploy,
+        inboxes.clone(),
+        wake,
+        initial,
+    )?);
+    let crashed = spine.crash_flags();
+    let stats = spine.stats_handle();
+
+    let mut procs: Vec<Vec<Hosted<A>>> = (0..pool).map(|_| Vec::new()).collect();
+    let mut links: Vec<Vec<SendLink<A::Msg>>> = (0..pool).map(|_| Vec::new()).collect();
+    for ((k, &src), mailbox) in b.local.iter().enumerate().zip(mailboxes) {
+        let slot = k % pool;
+        let mut out = vec![None; n];
+        for dst in (0..n).map(ProcessId::new).filter(|&dst| dst != src) {
+            let policy = b.deploy.policy_for(src, dst);
+            let carrier = match &carriers {
+                Carriers::Routes(r) if owners[dst.index()].is_some() => Carrier::Route(r.self_addr),
+                Carriers::Routes(r) => Carrier::Route(r.peers[&dst]),
+                Carriers::Chaos(cfg) => {
+                    Carrier::Chaos(ChaosLink::new(*cfg, src, dst, n, policy.max_batch))
+                }
+            };
+            out[dst.index()] = Some(links[slot].len());
+            links[slot].push(SendLink::new(LinkSpec { src, dst }, carrier, policy));
+        }
+        let shards = ShardSet::new(src, &b.deploy.registers, &mut make);
+        procs[slot].push(Hosted {
+            core: ProcessCore::new(
+                shards,
+                crashed.to_vec(),
+                Arc::clone(stats),
+                b.deploy.cache_mode,
+            ),
+            mailbox,
+            out,
+            retired: false,
+        });
+    }
+
+    let (mut listener, reconnect) = match carriers {
+        Carriers::Routes(r) => (Some(r.listener), Some(r.reconnect)),
+        Carriers::Chaos(_) => (None, None),
+    };
+    let mut reactor_threads = Vec::with_capacity(pool);
+    let parts = cmd_rxs
+        .into_iter()
+        .zip(wake_rxs)
+        .zip(procs.into_iter().zip(links));
+    for (slot, ((cmd_rx, wake_rx), (procs, links))) in parts.enumerate() {
+        let mut proc_slot = vec![None; n];
+        for (k, host) in procs.iter().enumerate() {
+            proc_slot[host.core.id().index()] = Some(k);
+        }
+        let reactor: Reactor<A> = Reactor {
+            slot,
+            tag_bits,
+            resend_cap: b.resend_cap,
+            drain_grace: b.drain_grace,
+            stats: Arc::clone(stats),
+            crashed: crashed.to_vec(),
+            owners: Arc::clone(&owners),
+            cmd_rx,
+            cmd_txs: cmd_txs.clone(),
+            wakers: wakers.clone(),
+            wake_rx,
+            dial_tx: dial_tx.clone(),
+            listener: listener.take(),
+            procs,
+            proc_slot,
+            links,
+            in_flight: InFlight::new(),
+            inboxes: inboxes.clone(),
+            done_tx: done_tx.clone(),
+        };
+        reactor_threads.push(std::thread::spawn(move || reactor.run()));
+    }
+
+    // The shared dialer; each loop asks it for its routes as it starts.
+    let dialer = reconnect.map(|policy| {
+        let cmd_txs = cmd_txs.clone();
+        let wakers = wakers.clone();
+        std::thread::spawn(move || dialer_loop(&dial_rx, &cmd_txs, &wakers, policy))
+    });
+
+    Ok(ReactorNode {
+        spine,
+        local: b.local,
+        addr,
+        reactor_threads,
+        dial_tx: dialer.is_some().then_some(dial_tx),
+        dialer,
+        cmd_txs,
+        wakers,
+        done_rx,
+        drain_grace: b.drain_grace,
+        stopped: false,
+    })
 }
 
 /// A running reactor-transport node: hosts some (or all) of the
@@ -467,7 +523,7 @@ impl ListeningNode {
 pub struct ReactorNode<A: Automaton> {
     /// The live-backend state and its one `Driver` body; hosted processes'
     /// mailboxes are posted to through it, which nudges the owning loop.
-    spine: Spine<A>,
+    spine: Arc<Spine<A>>,
     local: Vec<ProcessId>,
     addr: SocketAddr,
     reactor_threads: Vec<JoinHandle<()>>,
@@ -492,9 +548,57 @@ impl<A: Automaton> std::fmt::Debug for ReactorNode<A> {
 }
 
 impl<A: Automaton> ReactorNode<A> {
-    /// The node's bound listener address.
+    /// The node's bound listener address; the unspecified address
+    /// `0.0.0.0:0` on a [`Cluster`](crate::Cluster), which binds nothing.
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// Creates a blocking client bound to process `proc` on the default
+    /// register `r0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r0` is not hosted (custom `register_ids` without it).
+    pub fn client(&self, proc: impl Into<ProcessId>) -> RegisterClient<A> {
+        self.client_for(proc, RegisterId::ZERO)
+            .expect("default register r0 not hosted")
+    }
+
+    /// Creates a blocking client bound to process `proc` on register `reg`.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::UnknownRegister`] if the node does not host `reg`.
+    pub fn client_for(
+        &self,
+        proc: impl Into<ProcessId>,
+        reg: RegisterId,
+    ) -> Result<RegisterClient<A>, ClientError> {
+        self.spine.client(proc.into(), reg)
+    }
+
+    /// Crashes process `proc`, as [`Driver::crash`] does, through a shared
+    /// reference: clients on other threads keep running meanwhile.
+    ///
+    /// # Errors
+    ///
+    /// As [`Driver::crash`].
+    pub fn crash(&self, proc: impl Into<ProcessId>) -> Result<(), DriverError> {
+        self.spine.crash(proc.into())
+    }
+
+    /// Snapshot of the flat operation history recorded so far: every
+    /// register interleaved, as `twobit_lincheck::check_swmr` takes it.
+    /// The per-register projection is [`ReactorNode::sharded_history`]
+    /// (which [`Driver::history`] returns).
+    pub fn history(&self) -> History<A::Value> {
+        self.spine.history()
+    }
+
+    /// Snapshot of the per-register operation histories recorded so far.
+    pub fn sharded_history(&self) -> ShardedHistory<A::Value> {
+        self.spine.sharded_history()
     }
 
     /// The processes hosted (and drivable) on this node.
@@ -511,9 +615,10 @@ impl<A: Automaton> ReactorNode<A> {
     }
 
     /// Total OS threads this node runs: the event-loop pool (`pool_size`,
-    /// clamped to the hosted process count) plus the dialer. Notably *not*
-    /// a function of the link count, nor — past the clamp — of how many
-    /// processes the node hosts: handlers run on the loops.
+    /// clamped to the hosted process count) plus the dialer, which a
+    /// [`Cluster`](crate::Cluster) does not have. Notably *not* a function
+    /// of the link count, nor — past the clamp — of how many processes the
+    /// node hosts: handlers run on the loops.
     pub fn thread_count(&self) -> usize {
         self.reactor_threads.len() + usize::from(self.dialer.is_some())
     }
@@ -714,6 +819,18 @@ mod tests {
             .unwrap();
         assert_eq!(node.thread_count(), 1 + 1, "one process, one loop");
         node.shutdown();
+
+        // A chaos cluster runs on the same pool, with no dialer: not one
+        // thread per process and one per ordered link, n + n(n−1) = 25.
+        let c = cfg(5);
+        let cluster = crate::ClusterBuilder::new(c)
+            .build(0u64, |id| TwoBitProcess::new(id, c, writer, 0u64))
+            .unwrap();
+        assert_eq!(cluster.thread_count(), cores.min(5), "loops only");
+        let mut w = cluster.client(writer);
+        w.write(5).unwrap();
+        assert_eq!(cluster.client(4).read().unwrap(), 5);
+        cluster.shutdown();
     }
 
     #[test]

@@ -9,9 +9,14 @@
 //! [`LinkBatcher`]s — no inbox hop, no envelope channel, no process
 //! thread. One `poll(2)` set per loop watches its sockets plus a
 //! [`Waker`](crate::poller::Waker) and — on loop 0 — the node's listener.
-//! The per-link [`LinkBatcher`] is the same flush engine the runtime's
-//! chaos-link threads use; its hold deadline becomes the poll timeout
-//! instead of a parked thread's `recv_timeout`.
+//! A link's [`LinkBatcher`] hold deadline becomes the poll timeout.
+//!
+//! A send link is one of two kinds ([`Carrier`]). A route link hands its
+//! sealed frames to a socket, as below. A chaos link — every link of a
+//! [`Cluster`](crate::Cluster) — seals the same way and then puts the frame
+//! in the loop's deadline queue for a sampled delay (see [`crate::link`]);
+//! the queue's head is one more poll deadline, and due frames run their
+//! destinations' handlers right after the pass's input, before its seal.
 //!
 //! ## Routes
 //!
@@ -92,6 +97,7 @@ use twobit_proto::linkseq::{self, LinkSeq, RouteHello, RouteWelcome, LINK_SEQ_LE
 use twobit_proto::{Automaton, Envelope, Frame, NetStats, ProcessId, WireError, WireMessage};
 use twobit_runtime::{FlushPolicy, Incoming, LinkBatcher, ProcessCore};
 
+use crate::link::{ChaosLink, InFlight};
 use crate::poller::{poll_fds, PollFd, WakeRx, Waker, POLL_IN, POLL_OUT};
 
 /// How long a freshly accepted connection may sit without completing its
@@ -155,8 +161,14 @@ fn backoff_for(policy: &ReconnectPolicy, attempt: u32) -> Duration {
 pub(crate) struct LinkSpec {
     pub(crate) src: ProcessId,
     pub(crate) dst: ProcessId,
-    /// Where `dst`'s node listens.
-    pub(crate) addr: SocketAddr,
+}
+
+/// What carries a send link's sealed frames.
+pub(crate) enum Carrier {
+    /// A route socket to the node listening here, which hosts `dst`.
+    Route(SocketAddr),
+    /// This loop's chaos-frame queue (see [`crate::link`]).
+    Chaos(ChaosLink),
 }
 
 /// A sealed frame parked in its link's [`ResendLog`] until acked.
@@ -253,6 +265,7 @@ impl ResendLog {
 /// Reactor-side state of one send link.
 pub(crate) struct SendLink<M> {
     pub(crate) spec: LinkSpec,
+    carrier: Carrier,
     pub(crate) batcher: LinkBatcher<Envelope<M>>,
     next_seq: u64,
     resend: ResendLog,
@@ -265,9 +278,10 @@ pub(crate) struct SendLink<M> {
 }
 
 impl<M> SendLink<M> {
-    pub(crate) fn new(spec: LinkSpec, policy: FlushPolicy) -> Self {
+    pub(crate) fn new(spec: LinkSpec, carrier: Carrier, policy: FlushPolicy) -> Self {
         SendLink {
             spec,
+            carrier,
             batcher: LinkBatcher::new(policy),
             next_seq: 1,
             resend: ResendLog::default(),
@@ -282,8 +296,15 @@ impl<M> SendLink<M> {
         self.abandoned || (self.resend.is_empty() && !self.batcher.has_pending())
     }
 
-    fn needs_carrier(&self) -> bool {
-        !self.abandoned && self.conn.is_none() && !self.dialing
+    /// Where to dial for this link: its route's address while it has
+    /// neither a connection nor a dial in flight. A chaos link never dials.
+    fn needs_dial(&self) -> Option<SocketAddr> {
+        match self.carrier {
+            Carrier::Route(addr) if !self.abandoned && self.conn.is_none() && !self.dialing => {
+                Some(addr)
+            }
+            _ => None,
+        }
     }
 }
 
@@ -453,6 +474,11 @@ pub(crate) struct Reactor<A: Automaton> {
     pub(crate) proc_slot: Vec<Option<usize>>,
     /// Every send link whose `src` this loop owns.
     pub(crate) links: Vec<SendLink<A::Msg>>,
+    /// Frames this loop's chaos links sealed, waiting out their delays.
+    pub(crate) in_flight: InFlight<A::Msg>,
+    /// The node's mailboxes, where a chaos frame goes when another loop
+    /// owns its destination.
+    pub(crate) inboxes: Vec<Option<Sender<Incoming<A>>>>,
     pub(crate) done_tx: Sender<usize>,
 }
 
@@ -521,6 +547,7 @@ impl<A: Automaton> Reactor<A> {
                 timeout = Some(Duration::ZERO);
             }
             let now = Instant::now();
+            self.deliver_chaos(now);
             self.flush_all(&mut st, now);
             Self::flush_acks(&mut st, now);
             self.write_routes(&mut st);
@@ -581,12 +608,16 @@ impl<A: Automaton> Reactor<A> {
     }
 
     /// The poll timeout: the earliest of any link's flush-hold deadline,
-    /// any owed ack's deadline, the drain grace deadline, and any pending
-    /// handshake's expiry. `None` (block forever) when nothing is
-    /// scheduled — a waker nudge delivers whatever comes next.
+    /// the first chaos frame's delivery, any owed ack's deadline, the
+    /// drain grace deadline, and any pending handshake's expiry. `None`
+    /// (block forever) when nothing is scheduled — a waker nudge delivers
+    /// whatever comes next.
     fn next_deadline(&self, st: &LoopState, now: Instant) -> Option<Duration> {
         let mut min: Option<Instant> = st.drain_deadline;
         let mut fold = |d: Instant| min = Some(min.map_or(d, |m| m.min(d)));
+        if let Some(d) = self.in_flight.next_deadline() {
+            fold(d);
+        }
         for link in &self.links {
             if !link.abandoned {
                 if let Some(d) = link.batcher.flush_deadline() {
@@ -684,6 +715,12 @@ impl<A: Automaton> Reactor<A> {
         if link.abandoned {
             return;
         }
+        if let Carrier::Chaos(chaos) = &mut link.carrier {
+            while let Some(f) = link.batcher.take_due(now, st.draining) {
+                chaos.seal(li, f, self.tag_bits, &self.stats, &mut self.in_flight, now);
+            }
+            return;
+        }
         while let Some(f) = link.batcher.take_due(now, st.draining) {
             let frame = Frame::from_envelopes(f.batch);
             let cost = frame.cost(self.tag_bits);
@@ -714,6 +751,47 @@ impl<A: Automaton> Reactor<A> {
                 self.abandon_link(li);
                 return;
             }
+        }
+    }
+
+    /// Hands every chaos frame whose delay has run out to its destination
+    /// (see [`crate::link`]) — whole, or dropped whole when the
+    /// destination has crashed or retired — and counts the deliveries and
+    /// drops under one lock once the handlers have run.
+    fn deliver_chaos(&mut self, now: Instant) {
+        let (mut delivered, mut dropped) = (0u64, 0u64);
+        while let Some((li, frame)) = self.in_flight.pop_due(now) {
+            let LinkSpec { src, dst } = self.links[li].spec;
+            let msgs = frame.len() as u64;
+            let host = self.proc_slot[dst.index()];
+            if self.crashed[dst.index()].load(Ordering::Relaxed)
+                || host.is_some_and(|k| self.procs[k].retired)
+            {
+                dropped += msgs;
+                self.links[li].batcher.recycle(frame.into_vec());
+                continue;
+            }
+            delivered += msgs;
+            let incoming = Incoming::Frame { from: src, frame };
+            let Some(k) = host else {
+                let owner = self.owners[dst.index()].expect("a chaos cluster hosts every process");
+                if let Some(inbox) = &self.inboxes[dst.index()] {
+                    if inbox.send(incoming).is_ok() {
+                        self.wakers[owner].wake();
+                    }
+                }
+                continue;
+            };
+            // Mailbox first, as for a frame read off a socket.
+            self.drain_mailbox(k);
+            self.run_handler(k, incoming);
+            let storage = self.procs[k].core.take_frame_storage();
+            self.links[li].batcher.recycle(storage);
+        }
+        if delivered + dropped > 0 {
+            let mut stats = self.stats.lock();
+            stats.record_deliveries(delivered);
+            stats.record_frame_drop_to_crashed(dropped);
         }
     }
 
@@ -1114,15 +1192,10 @@ impl<A: Automaton> Reactor<A> {
     fn dial_uncovered(&mut self) {
         let mut srcs: Vec<ProcessId> = self.procs.iter().map(|h| h.core.id()).collect();
         srcs.sort_unstable();
-        while let Some(addr) = self
-            .links
-            .iter()
-            .find(|l| l.needs_carrier())
-            .map(|l| l.spec.addr)
-        {
+        while let Some(addr) = self.links.iter().find_map(SendLink::needs_dial) {
             let mut dsts = Vec::new();
             for link in &mut self.links {
-                if link.spec.addr == addr && link.needs_carrier() {
+                if link.needs_dial() == Some(addr) {
                     link.dialing = true;
                     dsts.push(link.spec.dst);
                 }
@@ -1267,9 +1340,10 @@ impl<A: Automaton> Reactor<A> {
     }
 
     /// During a drain: signal `done_tx` once every owned link has settled
-    /// (resend empty, nothing pending, all route write buffers flushed).
-    /// Past the grace deadline, force-abandon what's left and signal
-    /// anyway — a peer that will never ack must not hang teardown.
+    /// (resend empty, nothing pending, no chaos frame in flight, all route
+    /// write buffers flushed). Past the grace deadline, force-abandon
+    /// what's left and signal anyway — a peer that will never ack must not
+    /// hang teardown.
     fn check_drained(&mut self, st: &mut LoopState, now: Instant) {
         if !st.draining || st.done_sent {
             return;
@@ -1281,8 +1355,12 @@ impl<A: Automaton> Reactor<A> {
                     self.abandon_link(li);
                 }
             }
+            let msgs = self.in_flight.clear();
+            if msgs > 0 {
+                self.stats.lock().record_messages_abandoned(msgs);
+            }
         }
-        let links_done = self.links.iter().all(SendLink::drained);
+        let links_done = self.in_flight.is_empty() && self.links.iter().all(SendLink::drained);
         let writes_done = st
             .conns
             .iter()

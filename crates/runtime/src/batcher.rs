@@ -1,21 +1,19 @@
 //! The one batching state machine every real-time link shares.
 //!
-//! [`LinkBatcher`] is the one implementation of the pending/hold/gulp loop
-//! — the chaos links (`crates/runtime/src/link.rs`) and the reactor's send
-//! links both drive it, because a copy per owner drifts:
-//! items accumulate in a pending batch, a whole channel backlog is gulped
-//! in one pass, and the batch flushes as one frame when **either** bound of
-//! its [`FlushPolicy`] is hit — `max_batch` items pending, or the oldest
-//! item having waited out the hold — or unconditionally on shutdown so
-//! nothing is stranded. Each flush reports *why* it happened
+//! [`LinkBatcher`] is the one implementation of the pending/hold loop —
+//! every send link of the reactor drives it, socket and chaos kind alike:
+//! items accumulate in a pending batch, and the batch flushes when
+//! **either** bound of its [`FlushPolicy`] is hit — `max_batch` items
+//! pending, or the oldest item having waited out the hold — or
+//! unconditionally on shutdown so nothing is stranded. Each flush reports *why* it happened
 //! ([`FlushReason`]) and how long the batch was actually held, which the
 //! backends feed into
 //! [`NetStats::record_flush`](twobit_proto::NetStats::record_flush).
 //!
 //! Batches are sized by load, not by a timer. The owner decides when it
-//! next looks at the batch — a chaos link after one gulp of its channel,
-//! the reactor after one pass of its event loop — and everything that
-//! arrived before that flush point is already in the batch. Under load the
+//! next looks at the batch — the reactor, after one pass of its event
+//! loop — and everything that arrived before that flush point is already
+//! in the batch. Under load the
 //! batches grow by themselves; on an idle link a lone message leaves at the
 //! next flush point. Waiting longer for company buys little: in a closed
 //! loop the company a held message waits for is mostly the replies that
@@ -31,20 +29,19 @@
 //! The batcher never blocks and never sleeps — the owning loop does the
 //! waiting, using [`LinkBatcher::flush_deadline`] as its timeout. With
 //! nothing pending the deadline is `None`, so a well-behaved owner parks
-//! in a blocking `recv` instead of spinning; the unit tests pin this down.
+//! instead of spinning; the unit tests pin this down.
 
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, TryRecvError};
 use twobit_proto::{FlushReason, ProcessId};
 
 /// When a link flushes its pending batch into one frame.
 ///
 /// A batch flushes as soon as **either** bound is hit: it has `max_batch`
-/// items, or its oldest item has waited out `hold`. Items already queued
-/// on the channel are drained into the batch in one gulp before either
-/// bound is checked, so a burst coalesces without paying the hold time;
-/// the hold only bounds how long a lone early message waits for company.
+/// items, or its oldest item has waited out `hold`. Everything a pass of
+/// the owner's loop pushed is in the batch before either bound is
+/// checked, so a burst coalesces without paying the hold time; the hold
+/// only bounds how long a lone early message waits for company.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlushPolicy {
     /// Flush when this many items are pending (≥ 1 — validated by the
@@ -56,11 +53,11 @@ pub struct FlushPolicy {
 }
 
 impl FlushPolicy {
-    /// No hold, and batches of one where the owner can split them. A
-    /// chaos link (`Cluster`) gulps one item at a time, so every item
-    /// crosses alone. The reactor seals once per event-loop pass and takes
-    /// everything pending, so the items one pass emits toward a link share
-    /// a frame.
+    /// No hold, and batches of one where the link splits them. A chaos
+    /// link (`Cluster`) caps each frame at `max_batch`, so every item
+    /// crosses alone, with its own delay. A socket link seals once per
+    /// event-loop pass and takes everything pending, so the items one pass
+    /// emits toward a link share a frame.
     pub fn immediate() -> Self {
         FlushPolicy::fixed(1, Duration::ZERO)
     }
@@ -74,18 +71,18 @@ impl FlushPolicy {
     }
 
     /// Load-sized batches with no timer: a batch is whatever the owner
-    /// gathered before its next flush point (one reactor pass, one
-    /// chaos-link gulp), so batches grow with load by themselves. `floor`
+    /// gathered before its next flush point (one reactor pass), so batches
+    /// grow with load by themselves. `floor`
     /// is a fixed hold on top; `ceil` is not read. The same policy as
     /// `fixed(max_batch, floor)`.
     pub fn adaptive(max_batch: usize, floor: Duration, _ceil: Duration) -> Self {
         FlushPolicy::fixed(max_batch, floor)
     }
 
-    /// Checks the policy is satisfiable — called by the cluster builders
-    /// so a bad policy is a typed error at build time instead of a panic
-    /// inside a spawned link thread (which would silently strand every
-    /// message on that pair).
+    /// Checks the policy is satisfiable — called by the node builders so a
+    /// bad policy is a typed error at build time instead of a batch that
+    /// can never flush (which would silently strand every message on that
+    /// pair).
     ///
     /// # Errors
     ///
@@ -199,10 +196,9 @@ pub struct Flush<M> {
 
 /// The shared batching state machine (see the module docs).
 ///
-/// Owned by exactly one loop (a chaos-link thread or a reactor event
-/// loop); the owner alternates [`LinkBatcher::gulp`] /
-/// [`LinkBatcher::take_due`] with blocking on the channel until
-/// [`LinkBatcher::flush_deadline`].
+/// Owned by exactly one reactor event loop, which alternates
+/// [`LinkBatcher::push`] / [`LinkBatcher::take_due`] with waiting for
+/// input until [`LinkBatcher::flush_deadline`].
 pub struct LinkBatcher<M> {
     policy: FlushPolicy,
     pending: Vec<M>,
@@ -223,7 +219,7 @@ impl<M> std::fmt::Debug for LinkBatcher<M> {
 impl<M> LinkBatcher<M> {
     /// Creates an empty batcher. The policy must be valid
     /// ([`FlushPolicy::validate`]) — the builders guarantee this before
-    /// any link thread exists.
+    /// any event loop exists.
     pub fn new(policy: FlushPolicy) -> Self {
         debug_assert!(policy.validate().is_ok(), "builders validate policies");
         LinkBatcher {
@@ -239,20 +235,6 @@ impl<M> LinkBatcher<M> {
             self.since = Some(now);
         }
         self.pending.push(item);
-    }
-
-    /// Pulls whatever is already queued on `rx` (up to the batch bound) —
-    /// coalescing without holding. Returns `true` once the channel has
-    /// disconnected.
-    pub fn gulp(&mut self, rx: &Receiver<M>) -> bool {
-        while self.pending.len() < self.policy.max_batch {
-            match rx.try_recv() {
-                Ok(item) => self.push(item, Instant::now()),
-                Err(TryRecvError::Empty) => return false,
-                Err(TryRecvError::Disconnected) => return true,
-            }
-        }
-        false
     }
 
     /// Takes the pending batch if a flush is due: the size bound is hit,
@@ -289,16 +271,16 @@ impl<M> LinkBatcher<M> {
     }
 
     /// When the current batch's hold expires — the owner's wait bound.
-    /// `None` with nothing pending, so an idle owner blocks on its channel
-    /// instead of busy-spinning.
+    /// `None` with nothing pending, so an idle owner blocks instead of
+    /// busy-spinning.
     pub fn flush_deadline(&self) -> Option<Instant> {
         self.since.map(|s| s + self.policy.hold)
     }
 
     /// The time remaining until [`LinkBatcher::flush_deadline`], saturated
     /// at zero — the timer form an event loop wants: a reactor registers
-    /// this as its poll timeout instead of parking a dedicated thread per
-    /// link (`None` still means "nothing pending, no timer needed").
+    /// this as its poll timeout (`None` still means "nothing pending, no
+    /// timer needed").
     pub fn time_to_deadline(&self, now: Instant) -> Option<Duration> {
         self.flush_deadline()
             .map(|d| d.saturating_duration_since(now))
@@ -307,11 +289,6 @@ impl<M> LinkBatcher<M> {
     /// Whether any items are pending.
     pub fn has_pending(&self) -> bool {
         !self.pending.is_empty()
-    }
-
-    /// Number of pending items.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
     }
 
     /// Takes whatever is pending without a flush decision — the failed-link
@@ -326,7 +303,6 @@ impl<M> LinkBatcher<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
 
     fn at(base: Instant, micros: u64) -> Instant {
         base + Duration::from_micros(micros)
@@ -390,9 +366,9 @@ mod tests {
     #[test]
     fn idle_batcher_reports_no_deadline_so_owners_block_instead_of_spinning() {
         // The no-busy-spin contract: with nothing pending there is nothing
-        // to wait for, so the owning loop must land in a blocking recv.
-        // Both owner loops (chaos link, reactor event loop) key their wait
-        // on flush_deadline() — None means "block indefinitely".
+        // to wait for, so the owning loop must block. The reactor keys its
+        // poll timeout on flush_deadline() — None means "block
+        // indefinitely".
         let b = LinkBatcher::<u32>::new(FlushPolicy::fixed(64, Duration::ZERO));
         assert!(b.flush_deadline().is_none());
         let mut b2 = LinkBatcher::<u32>::new(FlushPolicy::adaptive(
@@ -449,25 +425,6 @@ mod tests {
             assert_eq!(f.held, t - since);
             assert_eq!(b.flush_deadline(), None);
         }
-    }
-
-    #[test]
-    fn gulp_coalesces_a_backlog_and_reports_disconnect() {
-        let (tx, rx) = unbounded();
-        for i in 0..5u32 {
-            tx.send(i).unwrap();
-        }
-        let mut b = LinkBatcher::new(FlushPolicy::fixed(3, Duration::from_millis(1)));
-        assert!(!b.gulp(&rx), "channel still open");
-        assert_eq!(b.pending_len(), 3, "gulp respects the size bound");
-        let f = b.take_due(Instant::now(), false).unwrap();
-        assert_eq!(f.reason, FlushReason::Size);
-        drop(tx);
-        assert!(
-            b.gulp(&rx),
-            "a closed channel drains its backlog, then reports disconnect"
-        );
-        assert_eq!(b.pending_len(), 2, "the backlog survived the disconnect");
     }
 
     #[test]

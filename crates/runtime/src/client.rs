@@ -8,7 +8,7 @@
 //! *different* registers while each register stays sequential — the model's
 //! requirement, now enforced at the API layer: a second `issue` on a busy
 //! pair returns [`ClientError::OperationInFlight`] instead of the historic
-//! behaviour of panicking the process thread.
+//! behaviour of panicking the process's handler.
 
 use std::fmt;
 use std::sync::Arc;
@@ -114,7 +114,7 @@ impl<A: Automaton> RegisterClient<A> {
     }
 
     /// Writes `v` to the register (only valid on the writer's client for
-    /// SWMR algorithms; the process thread panics otherwise).
+    /// SWMR algorithms; the process's handler panics otherwise).
     ///
     /// # Errors
     ///

@@ -1,32 +1,37 @@
-//! Live threaded message-passing runtime for register automatons.
+//! What every live deployment of register automatons shares, whatever
+//! carries its frames.
 //!
 //! Where `twobit-simnet` executes an [`Automaton`](twobit_proto::Automaton)
-//! under *virtual* time for deterministic measurement, this crate runs the
-//! same automaton code on real OS threads connected by `crossbeam` channels:
-//! one thread per process, one *chaos link* thread per ordered process pair.
-//! Links inject sampled delays (reusing
-//! [`DelayModel`](twobit_simnet::DelayModel), interpreted in microseconds)
-//! and therefore real reordering on the non-FIFO channels; processes can be
-//! crashed at any time. Client handles offer a blocking `read`/`write` API —
-//! the register abstraction the paper builds.
+//! under *virtual* time for deterministic measurement, the live backends
+//! run the same automaton code on real threads. This crate holds what they
+//! have in common; `twobit-reactor` runs it on event loops, over route
+//! sockets or over in-process chaos links:
+//!
+//! * [`Spine`] — mailboxes, crash flags, lifecycle, the history
+//!   [`Recorder`], statistics, the per-pair in-flight table and the one
+//!   `Driver` body over them, configured by [`DeployConfig`];
+//! * [`ProcessCore`] — the one handler body a hosted process runs on each
+//!   [`Incoming`] message or frame;
+//! * [`LinkBatcher`] — the batching state machine every send link drives
+//!   under its [`FlushPolicy`];
+//! * [`RegisterClient`] — blocking `read`/`write` handles, the register
+//!   abstraction the paper builds;
+//! * [`recover_process`] — the stop-the-world recovery coordinator.
 //!
 //! Operation histories are recorded with client-side monotonic timestamps
 //! and can be fed to `twobit-lincheck` for post-hoc atomicity checking, so
-//! the live runtime doubles as an end-to-end stress test (experiment E10).
-//!
-//! What a live deployment *is*, whatever moves its frames — mailboxes, crash
-//! flags, lifecycle, recorder, statistics, the per-pair in-flight table, and
-//! the one `Driver` body over them — lives in [`Spine`]; [`Cluster`] adds
-//! threads and chaos links, the reactor transport adds event loops and
-//! sockets, and both share [`DeployConfig`] for the knobs they have in
-//! common.
+//! a live deployment doubles as an end-to-end stress test (experiment
+//! E10).
 //!
 //! # Examples
+//!
+//! A chaos-link cluster from `twobit-reactor`, driven through this
+//! crate's blocking clients:
 //!
 //! ```
 //! use twobit_core::TwoBitProcess;
 //! use twobit_proto::{ProcessId, SystemConfig};
-//! use twobit_runtime::ClusterBuilder;
+//! use twobit_reactor::ClusterBuilder;
 //!
 //! let cfg = SystemConfig::new(3, 1)?;
 //! let writer = ProcessId::new(0);
@@ -38,7 +43,8 @@
 //! w.write(42)?;
 //! assert_eq!(r.read()?, 42);
 //!
-//! let (history, _stats) = cluster.shutdown();
+//! let history = cluster.history();
+//! cluster.shutdown();
 //! twobit_lincheck::check_swmr(&history)?;
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -49,7 +55,6 @@
 pub mod batcher;
 pub mod client;
 pub mod cluster;
-mod link;
 pub mod recorder;
 pub mod recovery;
 mod reply;
@@ -57,7 +62,7 @@ pub mod spine;
 
 pub use batcher::{BuildError, ConfigError, Flush, FlushPolicy, LinkBatcher};
 pub use client::{ClientError, OpHandle, RegisterClient};
-pub use cluster::{Cluster, ClusterBuilder, Incoming, ProcessCore, RegisterSnapshots};
+pub use cluster::{Incoming, ProcessCore, RegisterSnapshots};
 pub use recorder::Recorder;
 pub use recovery::recover_process;
 pub use reply::ReplyTo;

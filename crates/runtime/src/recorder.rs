@@ -12,8 +12,8 @@ use twobit_proto::{
 /// Records operation invocations/responses from many client threads,
 /// tagging each operation with its target register.
 ///
-/// Public so other live backends (the reactor transport) can record histories
-/// with the same clock and projection semantics as the in-process cluster.
+/// Public so the reactor (through [`Spine`](crate::Spine)) and the benchmark
+/// record histories with the same clock and projection semantics.
 pub struct Recorder<V> {
     start: Instant,
     initial: V,

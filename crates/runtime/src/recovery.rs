@@ -2,26 +2,25 @@
 //!
 //! The deterministic simulator recovers a process by running the event
 //! queue to quiescence and then transferring state synchronously — there
-//! is nothing in flight by construction. The live backends (in-process
-//! cluster, reactor transport) reproduce the same recipe
-//! against real threads and sockets:
+//! is nothing in flight by construction. The live deployments (route
+//! sockets, or the chaos links of an in-process cluster) reproduce the same
+//! recipe against real threads:
 //!
 //! 1. **Quiesce**: wait until the wire books balance
 //!    (`delivered + dropped + stale + abandoned == sent`) *and* a barrier
 //!    round-trip through every live process confirms the balance is
-//!    stable — i.e. no frame is in a socket buffer, link queue, or
-//!    unprocessed inbox, and handling the last of them produced no new
+//!    stable — i.e. no frame is in a socket buffer, a chaos queue, or an
+//!    unprocessed mailbox, and handling the last of them produced no new
 //!    sends. The [`Incoming::SnapshotReq`] doubles as that barrier, so
 //!    the snapshots it returns are exactly the frame-aligned state the
-//!    paper's recovery argument needs. On the thread-per-process backends
-//!    frames and requests share one FIFO inbox, so the reply proves every
-//!    frame enqueued before the request has been handled. On the reactor a
-//!    frame never sits in the mailbox: the event loop that owns the donor
-//!    runs its handler in the very call that then counts the frame
-//!    delivered, drains the mailbox before each such frame, and answers
-//!    the request between two handler executions, never inside one. The
-//!    reply still comes from the one thread that runs the donor's
-//!    handlers, so it still proves that every frame the books call
+//!    paper's recovery argument needs. The event loop that owns a donor
+//!    runs a frame's handler either in the very call that then counts the
+//!    frame delivered (after draining the mailbox first), or — a chaos
+//!    frame whose destination another loop owns — from the donor's
+//!    mailbox, where the frame was posted before it was counted, ahead of
+//!    any request posted later. It answers the request between two handler
+//!    executions, never inside one. So the reply, from the one thread that
+//!    runs the donor's handlers, proves that every frame the books call
 //!    delivered to the donor has been handled and that its sends are in
 //!    the books the coordinator re-reads — which is all the barrier is
 //!    used for. Every request goes through the spine's `post`, which wakes

@@ -3,8 +3,8 @@
 //!
 //! The paper's model is a property of *processes* — each is sequential
 //! (one operation per register at a time), may crash, may recover — so the
-//! table that enforces it is the same on the thread-per-process
-//! [`Cluster`](crate::Cluster) and on the reactor transport: mailboxes,
+//! table that enforces it is the same whatever carries the frames (route
+//! sockets, or the chaos links of an in-process cluster): mailboxes,
 //! crash flags, lifecycle records, the history recorder, the wire
 //! statistics, operation ids, the operation timeout and the per-pair
 //! in-flight table. A [`Spine`] owns all of it and carries the behaviour on
@@ -23,12 +23,12 @@ use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use twobit_cache::CacheMode;
 use twobit_proto::{
-    Automaton, DriverError, Lifecycle, LifecycleState, NetStats, OpId, OpOutcome, OpTicket,
-    Operation, ProcessId, RegisterId, ShardedHistory, SystemConfig,
+    Automaton, DriverError, History, Lifecycle, LifecycleState, NetStats, OpId, OpOutcome,
+    OpTicket, Operation, ProcessId, RegisterId, ShardedHistory, SystemConfig,
 };
 
 use crate::batcher::{ConfigError, FlushPolicy};
-use crate::client::ClientError;
+use crate::client::{ClientError, RegisterClient};
 use crate::cluster::Incoming;
 use crate::recorder::Recorder;
 use crate::reply::{Reply, ReplyCell};
@@ -167,9 +167,9 @@ fn to_driver_error(e: ClientError, proc: ProcessId) -> DriverError {
 impl<A: Automaton> Spine<A> {
     /// The spine of a `cfg.n()`-process deployment, every process up and
     /// nothing in flight. `inboxes[p]` is process `p`'s mailbox (`None`
-    /// when another node hosts it); `wake(p)` runs after every post to it:
-    /// a no-op where the process's own thread blocks in `recv` on the
-    /// mailbox, a nudge where an event loop parked in `poll(2)` drains it.
+    /// when another node hosts it); `wake(p)` runs after every post to it,
+    /// and nudges whoever drains the mailbox — an event loop parked in
+    /// `poll(2)` does not see a channel send.
     ///
     /// # Errors
     ///
@@ -445,6 +445,29 @@ impl<A: Automaton> Spine<A> {
             .lock()
             .get(proc.index())
             .map_or(Lifecycle::Crashed, |l| l.state)
+    }
+
+    /// A blocking client bound to `proc` on `reg`.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::UnknownRegister`] if the deployment does not host
+    /// `reg`.
+    pub fn client(
+        self: &Arc<Self>,
+        proc: ProcessId,
+        reg: RegisterId,
+    ) -> Result<RegisterClient<A>, ClientError> {
+        if !self.registers.contains(&reg) {
+            return Err(ClientError::UnknownRegister(reg));
+        }
+        Ok(RegisterClient::new(Arc::clone(self), proc, reg))
+    }
+
+    /// Snapshot of the flat operation history recorded so far (all
+    /// registers interleaved).
+    pub fn history(&self) -> History<A::Value> {
+        self.recorder.snapshot()
     }
 
     /// Snapshot of the per-register operation histories recorded so far.

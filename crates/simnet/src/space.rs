@@ -75,8 +75,7 @@ pub enum VirtualHold {
     /// operations coalesce: a busy link's hold stretches toward a fixed few
     /// arrivals' worth (`VIRTUAL_GAP_MULTIPLIER` × gap, clamped by `ceil`).
     /// The live backends dropped this rule — their adaptive `FlushPolicy`
-    /// seals whatever an event-loop pass or a link gulp gathered, with no
-    /// timer — but the engine has no pass to size a batch by, and the
+    /// seals whatever an event-loop pass gathered, with no timer — but the engine has no pass to size a batch by, and the
     /// seeded count tables are pinned to this one.
     Adaptive {
         /// Minimum hold, applied when the link looks idle.

@@ -2,8 +2,8 @@
 //!
 //! The public API is organized around the backend-agnostic `Driver` trait:
 //! the same workload definition (no backend-specific code) runs on the
-//! deterministic discrete-event simulator, on the live threaded runtime
-//! with chaos links, *and* on a real loopback TCP cluster. Every run is
+//! deterministic discrete-event simulator, on the live event loops with
+//! chaos links, *and* on a real loopback TCP cluster. Every run is
 //! then checked — per register — by the linearizability checker.
 //!
 //! # Envelopes, frames, and the three kinds of bits
@@ -34,10 +34,11 @@
 //! # Flush semantics: when does a frame form?
 //!
 //! A frame is whatever a link gathered before its next flush point: one
-//! pass of a reactor event loop, one gulp of a chaos link's channel. So
-//! batches grow with load, and a lone message on an idle link leaves at
-//! once. A `FlushPolicy` (runtime + reactor; `flush_hold`/`flush_hold_policy`
-//! is the simulator's virtual-time analogue) flushes on **size**
+//! pass of an event loop (a chaos link also caps it at `max_batch`, one
+//! delay draw per frame). So batches grow with load, and a lone message on
+//! an idle link leaves at once. A `FlushPolicy` (both link kinds;
+//! `flush_hold`/`flush_hold_policy` is the simulator's virtual-time
+//! analogue) flushes on **size**
 //! (`max_batch` pending), on **hold** (the oldest item waited out the
 //! hold), or on **shutdown** — and the stats say which, per frame
 //! (`NetStats::flushes(reason)`, plus the observed-hold summary). The hold
@@ -45,7 +46,7 @@
 //! waits that long for company, `FlushPolicy::adaptive(max_batch, floor,
 //! ceil)` holds only its floor and never reads its ceiling. Per-link
 //! overrides (`flush_policy_for` / `flush_hold_for`) tune asymmetric
-//! topologies. The runtime backend below runs adaptive; see
+//! topologies. The chaos-link cluster below runs adaptive; see
 //! `docs/wire-format.md` for the full semantics and
 //! `tests/frame_semantics.rs` for the simulator's static-vs-adaptive rows.
 //!
@@ -120,11 +121,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build(0u64, |_reg, id| TwoBitProcess::new(id, cfg, writer, 0u64));
     run("simnet", &mut sim)?;
 
-    // Backend 2: live threads with chaos links — 50–500µs delays plus 2ms
-    // spikes, so messages genuinely reorder (the channels are not FIFO; the
-    // algorithm's alternating-bit discipline handles that). The links run
-    // the adaptive flush policy: no hold, so each frame is whatever a link
-    // thread found queued on its channel.
+    // Backend 2: the live event loops with chaos links — 50–500µs delays
+    // plus 2ms spikes, so frames genuinely overtake each other on their way
+    // to a handler (the channels are not FIFO; the algorithm's
+    // alternating-bit discipline handles that). The links run the adaptive
+    // flush policy: no hold, so each frame is whatever one event-loop pass
+    // emitted toward its destination.
     let mut cluster = ClusterBuilder::new(cfg)
         .seed(7)
         .delay(DelayModel::Spiky {
@@ -140,7 +142,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Duration::from_micros(200),
         ))
         .build(0u64, |id| TwoBitProcess::new(id, cfg, writer, 0u64))?;
-    run("runtime", &mut cluster)?;
+    run("cluster", &mut cluster)?;
 
     // Backend 3: the reactor over real loopback TCP — one socket per pair
     // of event loops, each frame a byte blob sequence-numbered on its

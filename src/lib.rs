@@ -12,8 +12,9 @@
 //!
 //! * **[`Driver`]** — the backend-agnostic driving interface
 //!   (`invoke`/`poll`/`crash`/`history`/`stats`), implemented by the
-//!   deterministic simulator ([`SimSpace`]), the live threaded runtime
-//!   ([`Cluster`]), and the real-socket reactor ([`ReactorNode`]).
+//!   deterministic simulator ([`SimSpace`]) and the live event-loop
+//!   runtime ([`ReactorNode`]), over real sockets or — as an in-process
+//!   [`Cluster`] — over chaos links that delay and reorder frames.
 //!   Workloads, checkers, and benchmarks are written once and run on
 //!   every backend.
 //! * **[`RegisterSpace`]** — many independent *named* registers multiplexed
@@ -53,7 +54,7 @@
 //! workload.run_on(&mut sim)?;
 //! twobit::lincheck::check_swmr_sharded(&sim.history())?;
 //!
-//! // ...and, unchanged, on the live threaded runtime.
+//! // ...and, unchanged, on the live event loops with chaos links.
 //! let mut cluster = twobit::ClusterBuilder::new(cfg)
 //!     .seed(42)
 //!     .build(0u64, |id| TwoBitProcess::new(id, cfg, writer, 0u64))?;
@@ -149,10 +150,10 @@
 //! type implements a bit-exact codec through the `WireMessage`
 //! `encoded_bits`/`encode_into`/`decode` methods. For the paper's
 //! automaton the encoding *is* the cost model — exactly two control bits
-//! per message in the byte stream. The deterministic backends prove
-//! fidelity on demand (`SpaceBuilder::wire_codec(true)`,
+//! per message in the byte stream. The simulator and the chaos-link
+//! cluster prove fidelity on demand (`SpaceBuilder::wire_codec(true)`,
 //! `ClusterBuilder::wire_codec(true)`: every frame is delivered from its
-//! decoded bytes); the socket backend has no other mode — sequence-numbered
+//! decoded bytes); route sockets have no other mode — sequence-numbered
 //! frame blobs, each naming its ordered link, with every link between two
 //! event loops sharing one TCP connection.
 //!
@@ -220,19 +221,18 @@
 //! (the oldest envelope waited out the hold), or on **shutdown** —
 //! every backend records which, per frame
 //! ([`proto::NetStats::flushes`]), plus the observed-hold summary. A batch
-//! is whatever its link gathered before the next flush point — one reactor
-//! event-loop pass, one chaos-link gulp of its channel — so batches grow
-//! with load and a lone message on an idle link leaves at once. The hold
-//! is an optional fixed timer on top ([`FlushPolicy::fixed`]);
-//! [`FlushPolicy::adaptive`] takes its floor as the hold and ignores its
-//! ceiling. One shared state machine ([`runtime::LinkBatcher`]) drives
-//! the runtime's chaos links and the reactor's send links;
+//! is whatever its link gathered before the next flush point — one
+//! event-loop pass — so batches grow with load and a lone message on an
+//! idle link leaves at once. The hold is an optional fixed timer on top
+//! ([`FlushPolicy::fixed`]); [`FlushPolicy::adaptive`] takes its floor as
+//! the hold and ignores its ceiling. One shared state machine
+//! ([`runtime::LinkBatcher`]) drives every send link, socket or chaos;
 //! [`SpaceBuilder::flush_hold_policy`] / [`VirtualHold`] is the
 //! simulator's virtual-time analogue, whose adaptive mode still tracks
 //! each link's inter-arrival gap. Per-link overrides (`flush_policy_for`,
 //! `flush_hold_for`) handle asymmetric topologies, and an unsatisfiable
 //! policy (`max_batch == 0`) fails the build with a typed [`BuildError`]
-//! instead of panicking a link thread:
+//! instead of stranding a link's messages:
 //!
 //! ```
 //! use std::time::Duration;
@@ -241,7 +241,8 @@
 //! let cfg = SystemConfig::new(3, 1)?;
 //! let writer = ProcessId::new(0);
 //! let cluster = ClusterBuilder::new(cfg)
-//!     // No hold: each link thread sends what it gulped, up to 64 at once.
+//!     // No hold: each frame is what one event-loop pass emitted toward
+//!     // its destination, up to 64 messages.
 //!     .flush_policy(FlushPolicy::adaptive(64, Duration::ZERO, Duration::from_micros(200)))
 //!     // Keep one latency-critical link unbatched.
 //!     .flush_policy_for(0, 1, FlushPolicy::immediate())
@@ -291,9 +292,12 @@
 //!   single-register [`Simulation`] (crash points, invariants,
 //!   virtual-time reports). For interactive or backend-portable driving,
 //!   build a [`SimSpace`] with [`SpaceBuilder`] and use its [`Driver`].
-//! * `cluster.shutdown()` still returns the flat history; per-register
-//!   projections come from `cluster.sharded_history()` /
-//!   [`Driver::history`], checked with [`lincheck::check_swmr_sharded`].
+//! * A [`Cluster`] is the [`ReactorNode`] that [`ClusterBuilder`] builds,
+//!   so `cluster.shutdown()` returns the per-register histories and the
+//!   statistics, as on every reactor node. Take the flat history with
+//!   `cluster.history()` *before* `shutdown()`; per-register projections
+//!   come from `cluster.sharded_history()` / [`Driver::history`], checked
+//!   with [`lincheck::check_swmr_sharded`].
 //!
 //! ## Crate map
 //!
@@ -308,10 +312,12 @@
 //!   channels, crash injection, virtual time), single-register and sharded;
 //! * [`cache`] — the epoch-reclaimed per-process read cache and its
 //!   writer-co-location safety gate ([`CacheMode`]);
-//! * [`runtime`] — the live threaded runtime with chaos links;
-//! * [`reactor`] — the real-socket backend: hosted processes and all of
-//!   their TCP links on a fixed event-loop pool, across hosts, with
-//!   reconnect-and-resend;
+//! * [`runtime`] — what every live deployment shares: the spine, the
+//!   process handler, the link batcher, blocking clients, recovery;
+//! * [`reactor`] — the live runtime: hosted processes and all of their
+//!   links on a fixed event-loop pool — TCP routes across hosts with
+//!   reconnect-and-resend, or the chaos links of an in-process
+//!   [`Cluster`];
 //! * [`lincheck`] — atomicity checking, per register;
 //! * [`check`] — the DPOR model checker: exhaustive schedule exploration
 //!   for the deterministic backend on small configurations;
@@ -347,11 +353,10 @@ pub use twobit_proto::{
     SystemConfig, Workload,
 };
 pub use twobit_reactor::{
-    ListeningNode, ReactorClusterBuilder, ReactorNode, ReactorNodeBuilder, ReconnectPolicy,
+    Cluster, ClusterBuilder, ListeningNode, ReactorClusterBuilder, ReactorNode, ReactorNodeBuilder,
+    ReconnectPolicy,
 };
-pub use twobit_runtime::{
-    BuildError, ClientError, Cluster, ClusterBuilder, ConfigError, FlushPolicy, RegisterClient,
-};
+pub use twobit_runtime::{BuildError, ClientError, ConfigError, FlushPolicy, RegisterClient};
 pub use twobit_simnet::{
     ClientPlan, CrashPlan, CrashPoint, DelayModel, SimBuilder, SimSpace, Simulation, SpaceBuilder,
     VirtualHold,

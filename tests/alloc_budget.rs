@@ -378,7 +378,7 @@ fn round_trip_allocs<D: Driver<Value = u64>>(driver: &mut D, pairs: u64) -> u64 
         let t = driver.invoke(reader, reg, Operation::Read).expect("invoke");
         assert_eq!(driver.poll(&t), Ok(OpOutcome::ReadValue(v)));
     };
-    // Routes up, loops and link threads past their first frames.
+    // Routes up, loops past their first frames.
     for v in 0..50 {
         round(driver, v);
     }

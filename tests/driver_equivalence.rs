@@ -1,6 +1,6 @@
 //! Backend equivalence through the `Driver` trait: one workload definition
 //! — no backend-specific code — executes on the deterministic simulator, on
-//! the live threaded runtime and on the reactor's real sockets, and every
+//! the live chaos-link cluster and on the reactor's real sockets, and every
 //! run must be atomic per register.
 //!
 //! This is the contract the API redesign exists to enforce: anything
@@ -252,7 +252,7 @@ fn cached_workload() -> Workload<u64> {
 }
 
 /// The local read cache is a semantics-preserving optimization and its hit
-/// accounting is part of the backend contract: simulator, threaded runtime
+/// accounting is part of the backend contract: simulator, chaos cluster
 /// and real TCP must agree on the exact cache hit/miss/fallback counts for
 /// a deterministic sequential script, all three histories must stay
 /// atomic, and message accounting must still reconcile.
@@ -647,7 +647,7 @@ fn crash_tolerance_is_portable() {
 /// incarnation). The extracted history fingerprint — completed-op count,
 /// written-value sequence, read results, and `(process, incarnation)`
 /// recovery records — must be the same on the deterministic simulator, the
-/// threaded runtime and the reactor's real sockets.
+/// chaos-link cluster and the reactor's real sockets.
 #[test]
 fn crash_recover_rejoin_is_portable_across_all_three_backends() {
     let cfg = cfg();
@@ -813,7 +813,7 @@ fn ohram_fingerprint(
 
 /// The Oh-RAM automaton is a first-class citizen of every backend: the
 /// same workload runs identically on the deterministic simulator, the
-/// threaded runtime and the reactor's real sockets; every history passes the
+/// chaos-link cluster and the reactor's real sockets; every history passes the
 /// SWMR atomicity checker (Oh-RAM keeps the single-writer contract); the
 /// per-register fingerprints agree; and message accounting reconciles
 /// *exactly* — `delivered + dropped + abandoned == sent` — even with the
@@ -980,7 +980,7 @@ fn lifecycle_errors_are_typed_and_uniform_across_backends() {
 /// operation stays in flight — so a recovery is refused, typed — and once
 /// the quorum answers the same ticket reads its outcome, again and again,
 /// with the history holding that one completion. One rule on both live
-/// backends (the simulator never times out: its `poll` advances virtual
+/// link kinds (the simulator never times out: its `poll` advances virtual
 /// time instead).
 #[test]
 fn a_timed_out_ticket_stays_pollable_on_both_live_backends() {

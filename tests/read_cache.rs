@@ -44,7 +44,7 @@ fn mixed_cache_workload() -> Workload<u64> {
     w
 }
 
-/// Live threaded runtime: cached reads race genuinely concurrent protocol
+/// Live chaos-link cluster: cached reads race genuinely concurrent protocol
 /// reads from four other processes, and the full history linearizes. The
 /// writer's re-reads are served locally — the hit counter must show it.
 #[test]

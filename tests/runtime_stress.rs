@@ -1,4 +1,4 @@
-//! Live-runtime stress: the same protocols on OS threads with chaos links,
+//! Live-cluster stress: the same protocols on event loops with chaos links,
 //! concurrent clients and crash injection; histories re-checked post hoc.
 
 use std::time::Duration;
@@ -50,7 +50,8 @@ fn twobit_concurrent_clients_stay_atomic() {
         }
     });
 
-    let (history, stats) = cluster.shutdown();
+    let history = cluster.history();
+    let (_, stats) = cluster.shutdown();
     assert_eq!(history.completed().count(), 40 + 4 * 40);
     twobit::lincheck::check_swmr(&history).expect("atomic");
     // Two-bit wire property holds on the live path too.
@@ -84,7 +85,8 @@ fn abd_concurrent_clients_stay_atomic() {
             });
         }
     });
-    let (history, _) = cluster.shutdown();
+    let history = cluster.history();
+    cluster.shutdown();
     twobit::lincheck::check_swmr(&history).expect("atomic");
 }
 
@@ -122,7 +124,8 @@ fn crash_during_concurrent_traffic() {
             cl.crash(4).unwrap();
         });
     });
-    let (history, _) = cluster.shutdown();
+    let history = cluster.history();
+    cluster.shutdown();
     twobit::lincheck::check_swmr(&history).expect("atomic with 2 crashes");
 }
 
@@ -157,7 +160,8 @@ fn per_client_reads_never_regress_under_load() {
                 }
             });
         });
-        let (history, _) = cluster.shutdown();
+        let history = cluster.history();
+        cluster.shutdown();
         twobit::lincheck::check_swmr(&history).expect("atomic");
     }
 }
